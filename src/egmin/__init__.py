@@ -34,7 +34,6 @@ from .geometry import (
     metric_inner,
     multiplicative_update,
     riemannian_grad,
-    riemannian_norm,
     set_debug_validation,
     transport_e,
 )

@@ -128,7 +128,6 @@ def _solver_config(spec: RunSpec, method: Method, b: np.ndarray) -> SolverConfig
         max_iterations=spec.max_iterations,
         grad_norm_tol=spec.grad_norm_tol,
         step_size_tol=spec.step_size_tol,
-        seed=spec.seed,
     )
 
 

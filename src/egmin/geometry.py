@@ -104,11 +104,6 @@ def metric_inner(kind: GeometryKind, x, u, v) -> float:
     return float(np.sum(u * v * _metric_weights(kind, x)))
 
 
-def riemannian_norm(kind: GeometryKind, x, v) -> float:
-    """Norm of a tangent vector in the chosen metric."""
-    return float(np.sqrt(max(metric_inner(kind, x, v, v), 0.0)))
-
-
 def riemannian_grad(kind: GeometryKind, x, euclid_grad) -> np.ndarray:
     """Metric rescaling of a Euclidean gradient.
 

@@ -37,10 +37,6 @@ class Objective:
         f, g = self._value_and_grad(x)
         return float(f), np.asarray(g, dtype=float)
 
-    @property
-    def has_hess_vec(self) -> bool:
-        return self._hess_vec is not None
-
     def hess_vec(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         if self._hess_vec is None:
             raise ValueError("objective has no Hessian-vector product")

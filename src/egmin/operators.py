@@ -18,7 +18,11 @@ class SparseOperator:
 
     def __init__(self, matrix):
         a = sparse.csr_matrix(matrix, dtype=float)
-        a.eliminate_zeros()
+        if np.any(a.data == 0.0):
+            # A float CSR argument shares its buffers with ``a``, and
+            # eliminate_zeros works in place: copy only when it has work.
+            a = a.copy()
+            a.eliminate_zeros()
         if a.nnz and a.data.min() < 0.0:
             raise ValueError("operator entries must be nonnegative")
         row_nnz = np.diff(a.indptr)

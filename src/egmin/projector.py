@@ -1,13 +1,19 @@
 """Desk-scale parallel-beam tomographic projector.
 
-Rays are traced through a square pixel grid with the classical
-crossing-point method: for each ray the intersection parameters with all
-horizontal and vertical gridlines are merged and sorted, and every
-resulting segment contributes its length as the weight of the pixel it
-traverses.  The image occupies ``[-n/2, n/2]^2`` with unit pixels; each
-of the equidistant angles in ``[0, 2*pi)`` gets one detector bin per
-pixel column, offset so that axis-aligned rays pass through pixel
-centers.
+Rays are traced through a square pixel grid with the crossing-point method
+of Siddon (Med. Phys. 1985): the intersection parameters of a ray with all
+horizontal and vertical gridlines are merged and sorted, and every segment
+between two consecutive crossings contributes its length as the weight of
+the pixel its midpoint lies in.  The image occupies ``[-n/2, n/2]^2`` with
+unit pixels; each of the equidistant angles in ``[0, 2*pi)`` gets one
+detector bin per pixel column, offset so that axis-aligned rays pass
+through pixel centers.
+
+All rays of one angle share their direction, so they are traced together
+with the same array operations: the crossing parameters of one angle form
+an ``(n_det, 2n + 4)`` array that is sorted row by row.  Rays come out in
+row order, so the CSR arrays are assembled directly from the per-ray
+segment counts; rays that miss the image never become rows.
 """
 
 from __future__ import annotations
@@ -21,40 +27,48 @@ _PARALLEL_EPS = 1e-12
 _MIN_SEGMENT = 1e-12
 
 
-def _trace_ray(p0x: float, p0y: float, dx: float, dy: float, n: int):
-    """Pixel indices and intersection lengths of one ray through the grid.
+def _trace_angle(theta: float, offsets: np.ndarray, n: int):
+    """Pixel indices and intersection lengths of all rays of one angle.
 
-    The ray is ``p(t) = p0 + t * (dx, dy)`` with a unit direction vector,
-    so parameter differences are Euclidean lengths.
+    Ray ``k`` is ``p(t) = offsets[k] * (-dy, dx) + t * (dx, dy)`` with the
+    unit direction ``(dx, dy) = (cos theta, sin theta)``, so parameter
+    differences are Euclidean lengths.  Returns the segment count of every
+    ray, then the pixel index and length of every segment, ray by ray and
+    in order of increasing ``t`` along each ray.
     """
     h = 0.5 * n
+    dx, dy = np.cos(theta), np.sin(theta)
+    p0x, p0y = -offsets * dy, offsets * dx
     # Slab intersection with the image square.
-    t_enter, t_exit = -np.inf, np.inf
+    t_enter = np.full(offsets.size, -np.inf)
+    t_exit = np.full(offsets.size, np.inf)
+    inside = np.ones(offsets.size, dtype=bool)
+    lines = np.arange(n + 1) - h
+    crossings = []
     for p, d in ((p0x, dx), (p0y, dy)):
         if abs(d) < _PARALLEL_EPS:
-            if not -h <= p <= h:
-                return np.empty(0, dtype=np.int64), np.empty(0)
+            inside &= (-h <= p) & (p <= h)
         else:
             t1, t2 = (-h - p) / d, (h - p) / d
-            t_enter = max(t_enter, min(t1, t2))
-            t_exit = min(t_exit, max(t1, t2))
-    if not t_exit - t_enter > _MIN_SEGMENT:
-        return np.empty(0, dtype=np.int64), np.empty(0)
+            t_enter = np.maximum(t_enter, np.minimum(t1, t2))
+            t_exit = np.minimum(t_exit, np.maximum(t1, t2))
+            crossings.append((lines - p[:, None]) / d)
+    hit = inside & (t_exit - t_enter > _MIN_SEGMENT)
 
-    lines = np.arange(n + 1) - h
-    ts = [np.array([t_enter, t_exit])]
-    for p, d in ((p0x, dx), (p0y, dy)):
-        if abs(d) >= _PARALLEL_EPS:
-            t = (lines - p) / d
-            ts.append(t[(t > t_enter) & (t < t_exit)])
-    t_all = np.unique(np.concatenate(ts))
-
-    dt = np.diff(t_all)
-    keep = dt > _MIN_SEGMENT
-    t_mid = 0.5 * (t_all[:-1] + t_all[1:])[keep]
-    cols = np.clip(np.floor(p0x + t_mid * dx + h).astype(np.int64), 0, n - 1)
-    rows = np.clip(np.floor(p0y + t_mid * dy + h).astype(np.int64), 0, n - 1)
-    return rows * n + cols, dt[keep]
+    t = np.column_stack([t_enter, t_exit, *crossings])
+    # Crossings outside the chord collapse onto its end points, where they
+    # bound only zero-length segments; so do repeated crossings.  Dropping
+    # those leaves exactly the segments between distinct sorted crossings.
+    np.clip(t, t_enter[:, None], t_exit[:, None], out=t)
+    t.sort(axis=1)
+    dt = np.diff(t, axis=1)
+    keep = (dt > _MIN_SEGMENT) & hit[:, None]
+    t_mid = 0.5 * (t[:, :-1] + t[:, 1:])[keep]
+    counts = np.count_nonzero(keep, axis=1)
+    ray = np.repeat(np.arange(offsets.size), counts)
+    cols = np.clip(np.floor(p0x[ray] + t_mid * dx + h).astype(np.int64), 0, n - 1)
+    rows = np.clip(np.floor(p0y[ray] + t_mid * dy + h).astype(np.int64), 0, n - 1)
+    return counts, rows * n + cols, dt[keep]
 
 
 def build_projector(
@@ -72,7 +86,7 @@ def build_projector(
     undersampling : float
         Target ratio of measurements to unknowns when ``n_angles`` is not given.
 
-    Rays that miss the image produce all-zero rows and are dropped, so the
+    Rays that miss the image would give all-zero rows and are dropped, so the
     returned operator maps strictly positive images to strictly positive data.
     """
     if n_side < 4:
@@ -86,22 +100,23 @@ def build_projector(
 
     n_det = n_side
     offsets = np.arange(n_det) - 0.5 * (n_det - 1)
-    row_idx, col_idx, vals = [], [], []
+    # Pixel indices are narrowed per angle, so no full-size int64 array is kept.
+    index_dtype = np.int32 if n_side * n_side <= np.iinfo(np.int32).max else np.int64
+    counts, pixels, lengths = [], [], []
     for a in range(n_angles):
-        theta = 2.0 * np.pi * a / n_angles
-        dx, dy = np.cos(theta), np.sin(theta)
-        for d, u in enumerate(offsets):
-            pix, w = _trace_ray(-u * dy, u * dx, dx, dy, n_side)
-            if pix.size:
-                row = a * n_det + d
-                row_idx.append(np.full(pix.size, row, dtype=np.int64))
-                col_idx.append(pix)
-                vals.append(w)
+        c, pix, w = _trace_angle(2.0 * np.pi * a / n_angles, offsets, n_side)
+        counts.append(c)
+        pixels.append(pix.astype(index_dtype))
+        lengths.append(w)
 
-    m_full = n_angles * n_det
-    a = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(row_idx), np.concatenate(col_idx))),
-        shape=(m_full, n_side * n_side),
-    ).tocsr()
-    nonzero_rows = np.diff(a.indptr) > 0
-    return SparseOperator(a[nonzero_rows])
+    counts = np.concatenate(counts)
+    counts = counts[counts > 0]
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    a = sparse.csr_matrix(
+        (np.concatenate(lengths), np.concatenate(pixels), indptr),
+        shape=(counts.size, n_side * n_side),
+    )
+    # Rows list pixels in the order their rays meet them: bring the matrix to
+    # canonical form (sorted column indices, any repeated pixel summed).
+    a.sum_duplicates()
+    return SparseOperator(a)

@@ -65,7 +65,7 @@ class StepInfeasible(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Method selection, step policy, termination, and seed.
+    """Method selection, step policy, and termination.
 
     ``linesearch`` may be :class:`ArmijoParams` or :class:`ConstantStep`;
     ``None`` selects Armijo defaults for the geodesic methods, while the
@@ -79,7 +79,6 @@ class SolverConfig:
     max_iterations: int = 300
     grad_norm_tol: float = 1e-6
     step_size_tol: float = 1e-10
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iterations < 1:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from egmin import (
     Objective,
@@ -282,6 +283,19 @@ class TestProjector:
         with pytest.raises(ValueError):
             build_projector(3)
 
+    @pytest.mark.parametrize("undersampling", [0.0, 1.5])
+    def test_rejects_undersampling_outside_unit_interval(self, undersampling):
+        with pytest.raises(ValueError):
+            build_projector(8, undersampling=undersampling)
+
+    def test_rejects_zero_angles(self):
+        with pytest.raises(ValueError):
+            build_projector(8, n_angles=0)
+
+    def test_undersampling_ignored_with_explicit_angles(self):
+        a = build_projector(8, n_angles=3, undersampling=1.5)
+        assert a.rows == build_projector(8, n_angles=3).rows == 3 * 8
+
 
 class TestSparseOperator:
     def test_rejects_negative_entries(self):
@@ -291,6 +305,18 @@ class TestSparseOperator:
     def test_rejects_zero_rows(self):
         with pytest.raises(ValueError):
             SparseOperator([[1.0, 2.0], [0.0, 0.0]])
+
+    def test_leaves_its_input_unchanged(self):
+        # One explicit zero: the operator drops it, the caller's matrix keeps it.
+        m = sparse.csr_matrix(
+            (np.array([1.0, 0.0, 2.0]), np.array([0, 1, 1]), np.array([0, 2, 3])), shape=(2, 2)
+        )
+        a = SparseOperator(m)
+        assert a.nnz == 2
+        assert m.nnz == 3
+        np.testing.assert_array_equal(m.data, [1.0, 0.0, 2.0])
+        np.testing.assert_array_equal(m.indices, [0, 1, 1])
+        np.testing.assert_array_equal(m.indptr, [0, 2, 3])
 
     def test_reset_counts(self, rng):
         a = SparseOperator(rng.uniform(0.1, 1.0, (3, 4)))
