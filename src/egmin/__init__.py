@@ -78,7 +78,6 @@ from .solvers import (
     solve,
     step_eg,
     step_ip_e_md,
-    step_ip_g_rgd,
 )
 from .verification import (
     BATTERY_SIZE,

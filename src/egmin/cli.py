@@ -160,7 +160,8 @@ def _write_relative_values(path, traces: dict[str, RunTrace]) -> None:
 
 
 def cmd_solve(spec: RunSpec) -> int:
-    """Run the requested methods on one instance; nonzero exit on abort."""
+    """Run the requested methods on one instance; nonzero exit on an aborted
+    or non-finite run."""
     outdir = Path(spec.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -192,7 +193,7 @@ def cmd_solve(spec: RunSpec) -> int:
         recon = trace.final_point.reshape(spec.n_side, spec.n_side)
         write_pgm(outdir / f"recon_{name}.pgm", recon)
         per_method[name] = dict(trace.summary_dict(), wall_seconds=elapsed)
-        if trace.terminal_status is TerminalStatus.STEP_INFEASIBLE:
+        if trace.terminal_status in (TerminalStatus.STEP_INFEASIBLE, TerminalStatus.NON_FINITE):
             exit_code = 1
 
     _write_relative_values(outdir / "relative_values.csv", traces)
@@ -281,3 +282,7 @@ def verify_command(inject_fault):
 def phantom_command(n_side, output):
     """Write the synthetic phantom image."""
     sys.exit(cmd_phantom(n_side, output))
+
+
+if __name__ == "__main__":
+    main()

@@ -1,14 +1,17 @@
-"""Step-size policies along geodesics of the positive orthant.
+"""Step-size policies along a retraction of the positive orthant.
 
-Armijo backtracking halves a trial step until the sufficient-decrease
-inequality
+A retraction moves from ``x`` along a direction by a step ``tau`` and
+reports whether the trial point is usable: an overflowed or underflowed
+exponential map and an infeasible quotient update are not.  Armijo
+backtracking (along the geodesic unless told otherwise) halves a trial
+step until the sufficient-decrease inequality
 
-    f(exp_map(x, d, tau)) <= f(x) + sigma * tau * <rgrad, d>_x
+    f(retract(x, d, tau)) <= f(x) + sigma * tau * <rgrad, d>_x
 
 holds.  With the steepest-descent direction ``d = -rgrad`` the right-hand
 side reduces to ``f(x) - sigma * tau * ||rgrad||_x^2``; the generalized
 form accepts arbitrary descent directions (used by the conjugate-gradient
-solver).  Overflow-flagged trial steps are treated as rejected.
+solver).  Unusable trial points are rejected.
 
 The module also provides the exact-line-search residual
 ``Delta(tau) = -<rgrad(x), rgrad(x(tau))>_x``, which is the derivative of
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -94,6 +98,16 @@ class StepResult:
     status: StepStatus
 
 
+# retract(x, direction, tau, grad) -> (point, ok); grad is the Euclidean gradient at x.
+Retraction = Callable[[np.ndarray, np.ndarray, float, np.ndarray], tuple[np.ndarray, bool]]
+
+
+def geodesic_retraction(x, direction, tau: float, grad) -> tuple[np.ndarray, bool]:
+    """The exponential map as a retraction; flagged coordinates make it unusable."""
+    step = exp_map(x, direction, tau)
+    return step.point, step.ok
+
+
 def armijo_backtrack(
     geom: GeometryKind,
     obj: Objective,
@@ -102,8 +116,9 @@ def armijo_backtrack(
     params: ArmijoParams,
     value: float | None = None,
     grad: np.ndarray | None = None,
+    retract: Retraction = geodesic_retraction,
 ) -> StepResult:
-    """Backtracking line search along the geodesic through ``x``.
+    """Backtracking line search along ``retract`` (the geodesic by default).
 
     ``direction`` must not be an ascent direction in the chosen metric
     (``<rgrad, direction>_x <= 0``); a zero slope, which happens exactly
@@ -113,7 +128,7 @@ def armijo_backtrack(
 
     Returns ``HIT_TAU_MIN`` when the trial step fell below ``tau_min``
     (or the halving cap) without acceptance, and ``CLAMPED`` when every
-    trial overflowed the exponential map.
+    trial point was unusable.
     """
     if value is None or grad is None:
         value, grad = obj.value_and_grad(x)
@@ -126,12 +141,12 @@ def armijo_backtrack(
     halvings = 0
     saw_usable_trial = False
     while halvings <= params.max_halvings and tau >= params.tau_min:
-        trial = exp_map(x, direction, tau)
-        if trial.ok:
+        point, ok = retract(x, direction, tau, grad)
+        if ok:
             saw_usable_trial = True
-            f_trial = obj.value(trial.point)
+            f_trial = obj.value(point)
             if f_trial <= value + params.sigma * tau * slope:
-                return StepResult(tau, halvings, trial.point, f_trial, StepStatus.ACCEPTED)
+                return StepResult(tau, halvings, point, f_trial, StepStatus.ACCEPTED)
         tau *= params.beta
         halvings += 1
     status = StepStatus.HIT_TAU_MIN if saw_usable_trial else StepStatus.CLAMPED

@@ -1,20 +1,22 @@
 """Iterative solvers on the positive orthant with shared tracing.
 
-Four methods share one driver: multiplicative gradient descent along
-Fisher-Rao geodesics (``eg``), the same geodesics driven by the
-interior-point gradient (``ipgrgd``), the interior-point mirror-descent
-quotient update (``ipemd``), and Polak-Ribiere-type geometric conjugate
-gradients (``poicg``).  Every run records per-iteration objective values,
-Riemannian gradient norms (measured in each method's own geometry),
-accepted step sizes, halving counts, and cumulative operator
-applications, and stops on the first of: gradient norm below tolerance,
+Each method is one row of :data:`METHOD_RULES`: a metric (Fisher-Rao for
+``eg`` and ``poicg``, interior-point for ``ipgrgd`` and ``ipemd``), a
+retraction (the geodesic exponential map, or the mirror-descent quotient
+map for ``ipemd``) and a direction rule (Polak-Ribiere conjugate gradients
+for ``poicg``, steepest descent otherwise).  One driver, one Armijo search
+and one constant-step path serve all four; a trial point the retraction
+reports unusable is rejected by the search and aborts a constant-step run.
+Every run records per-iteration objective values, Riemannian gradient
+norms (in each method's own metric), accepted step sizes, halving counts,
+and cumulative operator applications, and stops on the first of: a
+non-finite value or gradient norm, gradient norm below tolerance,
 accepted step below tolerance, or the iteration cap.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import time
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import (
+from .geometry import (  # noqa: F401  (exp_map: a patch point of perfbench/spans.py)
     ExpMapResult,
     GeometryKind,
     as_point,
@@ -32,7 +34,8 @@ from .geometry import (
     riemannian_grad,
     transport_e,
 )
-from .linesearch import ArmijoParams, ConstantStep, StepStatus, armijo_backtrack
+from .linesearch import ArmijoParams, ConstantStep, Retraction, StepStatus, armijo_backtrack
+from .linesearch import geodesic_retraction
 from .objective import Objective
 
 logger = logging.getLogger(__name__)
@@ -50,16 +53,17 @@ class TerminalStatus(Enum):
     GRAD_TOL = "grad_tol"
     STEP_TOL = "step_tol"
     STEP_INFEASIBLE = "step_infeasible"
+    NON_FINITE = "non_finite"
 
 
 class StepInfeasible(RuntimeError):
-    """A mirror-descent denominator hit zero or went negative."""
+    """A mirror-descent denominator is zero, negative or NaN."""
 
     def __init__(self, coordinate: int, denominator: float):
         self.coordinate = coordinate
         self.denominator = denominator
         super().__init__(
-            f"update denominator {denominator} <= 0 at coordinate {coordinate}"
+            f"update denominator {denominator} is not positive at coordinate {coordinate}"
         )
 
 
@@ -146,9 +150,6 @@ class RunTrace:
             "total_matvecs": last.matvec_count,
         }
 
-    def summary_json(self) -> str:
-        return json.dumps(self.summary_dict())
-
     def objective_values(self) -> np.ndarray:
         return np.array([rec.f for rec in self.records])
 
@@ -187,29 +188,35 @@ def step_eg(x, euclid_grad, tau: float) -> ExpMapResult:
     return multiplicative_update(x, -tau * g)
 
 
-def step_ip_g_rgd(x, euclid_grad, tau: float) -> ExpMapResult:
-    """Interior-point geodesic step ``x * exp(-tau * x * g)``."""
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(euclid_grad, dtype=float)
-    return multiplicative_update(x, -tau * x * g)
-
-
 def step_ip_e_md(x, euclid_grad, tau: float) -> np.ndarray:
     """Mirror-descent quotient update ``x / (1 + tau * x * g)``.
 
     This is the proximal step generated by the log barrier: it solves
     ``argmin_u tau * <g, u - x> + D(u, x)`` with the barrier-induced
     divergence, coordinate by coordinate.  Denominators must stay
-    positive; a violating coordinate (large negative gradient times step)
-    raises :class:`StepInfeasible`.
+    positive; a violating coordinate (large negative gradient times step,
+    or a NaN) raises :class:`StepInfeasible`.
     """
     x = np.asarray(x, dtype=float)
     g = np.asarray(euclid_grad, dtype=float)
     denom = 1.0 + tau * x * g
-    if np.any(denom <= 0.0):
-        bad = int(np.argmin(denom))
+    if not np.all(denom > 0.0):
+        bad = int(np.argmin(denom))  # the first NaN, else the smallest
         raise StepInfeasible(bad, float(denom[bad]))
     return x / denom
+
+
+def quotient_retraction(x, direction, tau: float, grad) -> tuple[np.ndarray, bool]:
+    """:func:`step_ip_e_md` as a retraction along ``direction = -x**2 * grad``.
+
+    It reads ``grad``, not ``direction``, whose quotient would round
+    differently; an infeasible update or a zero coordinate is unusable.
+    """
+    try:
+        point = step_ip_e_md(x, grad, tau)
+    except StepInfeasible:
+        return x, False
+    return point, bool(point.all())
 
 
 def relative_lipschitz_step(b) -> float:
@@ -235,11 +242,14 @@ def pr_beta(x_new, grad_new_riem, grad_old_norm_sq: float, transported_dir) -> f
 
 
 def check_termination(record: IterationRecord, config: SolverConfig) -> TerminalStatus | None:
-    """First satisfied criterion, in priority order grad > step > iterations.
+    """First satisfied criterion, in priority order non-finite value or
+    gradient norm > grad > step > iterations.
 
     The step-size criterion only applies once a step has been taken
     (``k >= 1``); the initial record carries ``tau = 0``.
     """
+    if not (np.isfinite(record.f) and np.isfinite(record.riem_grad_norm)):
+        return TerminalStatus.NON_FINITE
     if record.riem_grad_norm < config.grad_norm_tol:
         return TerminalStatus.GRAD_TOL
     if record.k > 0 and record.tau < config.step_size_tol:
@@ -255,39 +265,33 @@ def default_x0(n: int, seed=0) -> np.ndarray:
     return rng.uniform(0.5, 1.5, size=n)
 
 
-def _geometry_of(method: Method) -> GeometryKind:
-    if method in (Method.EG, Method.POI_CG):
-        return GeometryKind.POISSON_FISHER_RAO
-    return GeometryKind.INTERIOR_POINT
+@dataclass(frozen=True)
+class MethodRule:
+    """How a method steps: the metric of its gradient, the retraction it
+    moves by, and whether its directions are Polak-Ribiere conjugate."""
+
+    metric: GeometryKind
+    retraction: Retraction
+    conjugate: bool = False
+
+
+METHOD_RULES = {
+    Method.EG: MethodRule(GeometryKind.POISSON_FISHER_RAO, geodesic_retraction),
+    Method.IP_G_RGD: MethodRule(GeometryKind.INTERIOR_POINT, geodesic_retraction),
+    Method.IP_E_MD: MethodRule(GeometryKind.INTERIOR_POINT, quotient_retraction),
+    Method.POI_CG: MethodRule(GeometryKind.POISSON_FISHER_RAO, geodesic_retraction, conjugate=True),
+}
 
 
 def _default_policy(method: Method, policy):
     if policy is not None:
         return policy
-    if method is Method.IP_E_MD:
+    if METHOD_RULES[method].retraction is quotient_retraction:
         raise ValueError(
             "the mirror-descent method needs an explicit step policy; "
             "use constant_step(relative_lipschitz_step(b)) for the guaranteed regime"
         )
     return ArmijoParams()
-
-
-def _armijo_md(obj, x, grad, rgrad_norm_sq, params: ArmijoParams, value: float):
-    """Backtracking over the quotient update (infeasible trials rejected)."""
-    tau = params.tau_bar
-    halvings = 0
-    while halvings <= params.max_halvings and tau >= params.tau_min:
-        try:
-            trial = step_ip_e_md(x, grad, tau)
-        except StepInfeasible:
-            trial = None
-        if trial is not None:
-            f_trial = obj.value(trial)
-            if f_trial <= value - params.sigma * tau * rgrad_norm_sq:
-                return tau, halvings, trial, f_trial, True
-        tau *= params.beta
-        halvings += 1
-    return tau, halvings, x, value, False
 
 
 def solve(config: SolverConfig, obj: Objective, x0) -> RunTrace:
@@ -297,12 +301,12 @@ def solve(config: SolverConfig, obj: Objective, x0) -> RunTrace:
     one per completed iteration.  With Armijo policies the recorded
     objective values are nonincreasing; the conjugate-gradient method
     restarts to steepest descent whenever its direction fails the descent
-    test, and an infeasible quotient update aborts with a partial trace.
+    test, and an unusable constant step aborts with a partial trace.
     """
     x = as_point(x0)
-    method = config.method
-    kind = _geometry_of(method)
-    policy = _default_policy(method, config.linesearch)
+    rule = METHOD_RULES[config.method]
+    kind = rule.metric
+    policy = _default_policy(config.method, config.linesearch)
     t0 = time.perf_counter_ns()
 
     def record_at(k, f, gnorm, tau, halvings):
@@ -316,76 +320,55 @@ def solve(config: SolverConfig, obj: Objective, x0) -> RunTrace:
             wall_nanos=time.perf_counter_ns() - t0,
         )
 
-    value, grad = obj.value_and_grad(x)
-    rgrad = riemannian_grad(kind, x, grad)
-    gnorm_sq = metric_inner(kind, x, rgrad, rgrad)
-    gnorm = float(np.sqrt(max(gnorm_sq, 0.0)))
+    def evaluate(point):
+        value, grad = obj.value_and_grad(point)
+        rgrad = riemannian_grad(kind, point, grad)
+        gnorm_sq = metric_inner(kind, point, rgrad, rgrad)
+        return value, grad, rgrad, gnorm_sq, float(np.sqrt(max(gnorm_sq, 0.0)))
 
+    value, grad, rgrad, gnorm_sq, gnorm = evaluate(x)
     records = [record_at(0, value, gnorm, 0.0, 0)]
     status = check_termination(records[0], config)
-    v = -rgrad if method is Method.POI_CG else None
+    v = -rgrad
 
     k = 0
     while status is None:
         k += 1
-        if method is Method.IP_E_MD:
-            if isinstance(policy, ConstantStep):
-                try:
-                    x_new = step_ip_e_md(x, grad, policy.tau)
-                except StepInfeasible as err:
-                    logger.warning("aborting at iteration %d: %s", k, err)
-                    status = TerminalStatus.STEP_INFEASIBLE
-                    break
-                tau, halvings = policy.tau, 0
-            else:
-                tau, halvings, x_new, _, accepted = _armijo_md(
-                    obj, x, grad, gnorm_sq, policy, value
-                )
-                if not accepted:
-                    records.append(record_at(k, value, gnorm, tau, halvings))
-                    status = TerminalStatus.STEP_TOL
-                    break
+        if rule.conjugate:
+            slope = metric_inner(kind, x, rgrad, v)
+            if slope >= 0.0 and gnorm > 0.0:
+                logger.info("restarting CG direction at iteration %d (slope %.3e)", k, slope)
+                v = -rgrad
+            direction = v
         else:
-            if method is Method.POI_CG:
-                slope = metric_inner(kind, x, rgrad, v)
-                if slope >= 0.0 and gnorm > 0.0:
-                    logger.info("restarting CG direction at iteration %d (slope %.3e)", k, slope)
-                    v = -rgrad
-                direction = v
-            else:
-                direction = -rgrad
+            direction = -rgrad
 
-            if isinstance(policy, ArmijoParams):
-                step = armijo_backtrack(
-                    kind, obj, x, direction, policy, value=value, grad=grad
-                )
-                if step.status is not StepStatus.ACCEPTED:
-                    records.append(record_at(k, value, gnorm, step.tau, step.halvings))
-                    status = TerminalStatus.STEP_TOL
-                    break
-                x_new, tau, halvings = step.new_point, step.tau, step.halvings
-            else:
-                result = exp_map(x, direction, policy.tau)
-                if not result.ok:
-                    logger.warning("constant step left the representable orthant at iteration %d", k)
-                    status = TerminalStatus.STEP_INFEASIBLE
-                    break
-                x_new, tau, halvings = result.point, policy.tau, 0
+        if isinstance(policy, ArmijoParams):
+            step = armijo_backtrack(
+                kind, obj, x, direction, policy, value=value, grad=grad, retract=rule.retraction
+            )
+            if step.status is not StepStatus.ACCEPTED:
+                records.append(record_at(k, value, gnorm, step.tau, step.halvings))
+                status = TerminalStatus.STEP_TOL
+                break
+            x_new, tau, halvings = step.new_point, step.tau, step.halvings
+        else:
+            x_new, ok = rule.retraction(x, direction, policy.tau, grad)
+            if not ok:
+                logger.warning("constant step left the representable orthant at iteration %d", k)
+                status = TerminalStatus.STEP_INFEASIBLE
+                break
+            tau, halvings = policy.tau, 0
 
-        new_value, new_grad = obj.value_and_grad(x_new)
-        new_rgrad = riemannian_grad(kind, x_new, new_grad)
-        new_gnorm_sq = metric_inner(kind, x_new, new_rgrad, new_rgrad)
-        new_gnorm = float(np.sqrt(max(new_gnorm_sq, 0.0)))
-
-        if method is Method.POI_CG:
-            transported = transport_e(x, x_new, v)
+        x_old, old_gnorm_sq = x, gnorm_sq
+        x = x_new
+        value, grad, rgrad, gnorm_sq, gnorm = evaluate(x)
+        if rule.conjugate:
+            transported = transport_e(x_old, x, v)
             beta_plus = 0.0
-            if gnorm_sq > 0.0:
-                beta_plus = max(pr_beta(x_new, new_rgrad, gnorm_sq, transported), 0.0)
-            v = -new_rgrad + beta_plus * transported
-
-        x, value, grad = x_new, new_value, new_grad
-        rgrad, gnorm_sq, gnorm = new_rgrad, new_gnorm_sq, new_gnorm
+            if old_gnorm_sq > 0.0:
+                beta_plus = max(pr_beta(x, rgrad, old_gnorm_sq, transported), 0.0)
+            v = -rgrad + beta_plus * transported
         records.append(record_at(k, value, gnorm, tau, halvings))
         status = check_termination(records[-1], config)
 

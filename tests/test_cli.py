@@ -1,12 +1,17 @@
 """The command-line front end: solve, verify, phantom."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from egmin import BATTERY_SIZE, read_trace_csv
+import egmin.cli
+from egmin import BATTERY_SIZE, Objective, read_trace_csv
 from egmin.cli import RunSpec, cmd_solve, load_config, main, resolve_spec
 from egmin.imgio import quantize, read_image_csv, read_pgm
 
@@ -86,6 +91,17 @@ class TestSolveCommand:
         assert result.exit_code == 0, result.output
         assert (tmp_path / "run" / "summary.json").exists()
 
+    def test_non_finite_run_exits_nonzero(self, tmp_path, monkeypatch):
+        def nan_gradient(instance):
+            return Objective(value_and_grad=lambda x: (float(x.sum()), np.full_like(x, np.nan)))
+
+        monkeypatch.setattr(egmin.cli, "make_objective", nan_gradient)
+        assert cmd_solve(small_spec(tmp_path / "run", methods=("eg", "ipemd"))) == 1
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        for stats in summary["methods"].values():
+            assert stats["terminal_status"] == "non_finite"
+            assert stats["iterations"] == 0
+
 
 class TestConfigResolution:
     def test_file_then_flags(self, tmp_path):
@@ -153,3 +169,14 @@ class TestPhantomCommand:
             runner.invoke(main, ["phantom", "--n-side", "12", "--output", str(tmp_path / name)])
         assert (tmp_path / "p1.pgm").read_bytes() == (tmp_path / "p2.pgm").read_bytes()
         assert (tmp_path / "p1.csv").read_bytes() == (tmp_path / "p2.csv").read_bytes()
+
+    def test_runs_as_a_module(self, tmp_path):
+        src = str(Path(egmin.cli.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        prefix = tmp_path / "p"
+        subprocess.run(
+            [sys.executable, "-m", "egmin.cli", "phantom", "--n-side", "8", "--output", str(prefix)],
+            env=dict(os.environ, PYTHONPATH=pythonpath), check=True, timeout=120,
+        )
+        assert read_pgm(f"{prefix}.pgm").shape == (8, 8)
+        assert read_image_csv(f"{prefix}.csv").shape == (8, 8)

@@ -7,6 +7,7 @@ import pytest
 from conftest import dense_kl_objective, quadratic_objective
 
 from egmin import (
+    ArmijoParams,
     IterationRecord,
     Method,
     Objective,
@@ -24,12 +25,15 @@ from egmin import (
     solve,
     step_eg,
     step_ip_e_md,
-    step_ip_g_rgd,
 )
 from egmin.geometry import GeometryKind
+from egmin.solvers import quotient_retraction
 from egmin.verification import md_argmin_oracle
 
 POI = GeometryKind.POISSON_FISHER_RAO
+IP = GeometryKind.INTERIOR_POINT
+METRIC = {Method.EG: POI, Method.IP_G_RGD: IP, Method.POI_CG: POI}
+GEODESIC_METHODS = list(METRIC)
 
 
 class TestSteps:
@@ -46,20 +50,6 @@ class TestSteps:
             [2.0, np.exp(0.5)],
         )
 
-    def test_ip_g_rgd_values(self):
-        x = np.array([2.0])
-        np.testing.assert_array_equal(step_ip_g_rgd(x, np.zeros(1), 1.0).point, x)
-        np.testing.assert_allclose(
-            step_ip_g_rgd(x, np.array([1.0]), 1.0).point, [2.0 * np.exp(-2.0)]
-        )
-
-    def test_ip_g_rgd_coincides_with_eg_at_ones(self, rng):
-        x = np.ones(5)
-        g = rng.normal(size=5)
-        np.testing.assert_allclose(
-            step_ip_g_rgd(x, g, 0.7).point, step_eg(x, g, 0.7).point, rtol=1e-15
-        )
-
     def test_ip_e_md_zero_gradient(self):
         x = np.array([1.5, 2.0])
         np.testing.assert_array_equal(step_ip_e_md(x, np.zeros(2), 1.0), x)
@@ -72,6 +62,27 @@ class TestSteps:
         with pytest.raises(StepInfeasible) as err:
             step_ip_e_md(np.array([1.0]), np.array([-1.0]), 1.0)
         assert err.value.coordinate == 0
+
+    def test_ip_e_md_rejects_a_nan_denominator(self):
+        with pytest.raises(StepInfeasible) as err:
+            step_ip_e_md(np.array([1.0, 2.0]), np.array([np.nan, 1.0]), 0.1)
+        assert err.value.coordinate == 0
+
+    def test_quotient_retraction_reports_an_infeasible_update(self):
+        x = np.array([1.0, 2.0])
+        for g, tau in (([np.nan, 1.0], 0.1), ([-1.0, 1.0], 1.0)):
+            _, ok = quotient_retraction(x, -x * x * np.array(g), tau, np.array(g))
+            assert not ok
+
+    def test_quotient_retraction_reports_a_zero_coordinate(self):
+        x = np.array([1.0, 2.0])
+        g = np.array([1e308, 1.0])
+        with np.errstate(over="ignore"):  # tau * x * g overflows to an infinite denominator
+            point, ok = quotient_retraction(x, -x * x * g, 10.0, g)
+        assert point[0] == 0.0 and not ok
+        point, ok = quotient_retraction(x, -x * x * g, 1e-310, g)
+        assert ok
+        np.testing.assert_array_equal(point, step_ip_e_md(x, g, 1e-310))
 
     def test_ip_e_md_is_barrier_proximal_step(self):
         # The quotient update minimizes tau*<g, u-x> + D(u, x) for the
@@ -99,14 +110,24 @@ class TestSteps:
             ref = md_argmin_oracle(x, g, tau)
             assert np.max(np.abs(got - ref)) <= 1e-8
 
-    def test_eg_equals_generic_rgd_step(self, rng):
+    @pytest.mark.parametrize(
+        "kind, closed_form",
+        [
+            (POI, lambda x, g, tau: step_eg(x, g, tau).point),
+            (IP, lambda x, g, tau: x * np.exp(-tau * x * g)),
+        ],
+        ids=["fisher_rao", "interior_point"],
+    )
+    def test_eg_equals_generic_rgd_step(self, kind, closed_form, rng):
+        # The geodesic step along -rgrad is x * exp(-tau * g) under the
+        # Fisher-Rao metric and x * exp(-tau * x * g) under the interior-point one.
         for _ in range(100):
             n = int(rng.integers(1, 10))
             x = rng.uniform(0.3, 3.0, n)
             g = rng.normal(0.0, 1.5, n)
             tau = float(rng.uniform(0.0, 2.0))
-            lhs = step_eg(x, g, tau).point
-            rhs = exp_map(x, -riemannian_grad(POI, x, g), tau).point
+            lhs = closed_form(x, g, tau)
+            rhs = exp_map(x, -riemannian_grad(kind, x, g), tau).point
             np.testing.assert_allclose(lhs, rhs, rtol=1e-13)
 
 
@@ -167,6 +188,13 @@ class TestCheckTermination:
 
     def test_continue(self):
         assert check_termination(self.rec(), self.CONFIG) is None
+
+    @pytest.mark.parametrize("f, gnorm", [(np.nan, 1.0), (1.0, np.nan), (-np.inf, 1.0), (1.0, np.inf)])
+    def test_non_finite_comes_first(self, f, gnorm):
+        rec = IterationRecord(300, f, gnorm, 1e-11, 0, 0, 0)
+        assert check_termination(rec, self.CONFIG) is TerminalStatus.NON_FINITE
+        rec = IterationRecord(0, f, gnorm, 0.0, 0, 0, 0)
+        assert check_termination(rec, self.CONFIG) is TerminalStatus.NON_FINITE
 
 
 class TestSolve:
@@ -232,6 +260,69 @@ class TestSolve:
         trace = solve(config, obj, np.array([1.0]))
         assert trace.terminal_status is TerminalStatus.STEP_INFEASIBLE
         assert len(trace.records) == 1  # the initial record is retained
+
+    def test_ipemd_armijo_descends_with_sufficient_decrease(self, rng):
+        m, n = 8, 12
+        a_mat = rng.uniform(0.1, 1.0, (m, n))
+        b = a_mat @ rng.uniform(0.5, 1.5, n)
+        params = ArmijoParams(sigma=0.3, tau_bar=50.0)
+        config = SolverConfig(method=Method.IP_E_MD, linesearch=params, max_iterations=40)
+        trace = solve(config, dense_kl_objective(a_mat, b), rng.uniform(0.5, 1.5, n))
+        assert trace.terminal_status in (TerminalStatus.MAX_ITER, TerminalStatus.GRAD_TOL)
+        assert any(rec.halvings > 0 for rec in trace.records[1:])
+        for prev, rec in zip(trace.records, trace.records[1:]):
+            # Armijo in the interior-point metric: f+ <= f - sigma * tau * ||x^2 g||_x^2.
+            decrease = params.sigma * rec.tau * prev.riem_grad_norm**2
+            assert rec.f <= prev.f - decrease * (1.0 - 1e-9)
+
+    def test_ipemd_armijo_halves_an_infeasible_trial(self):
+        # At x = 1 the gradient of (x - 3)^2 / 2 is -2: the quotient update's
+        # denominator 1 - 2 tau is -1 at tau_bar = 1 and 0 at 1/2, both
+        # infeasible, and 1/2 at tau = 1/4, which is accepted.
+        config = SolverConfig(method=Method.IP_E_MD, linesearch=ArmijoParams(), max_iterations=1)
+        trace = solve(config, quadratic_objective([3.0]), np.array([1.0]))
+        assert trace.terminal_status is TerminalStatus.MAX_ITER
+        assert (trace.records[1].tau, trace.records[1].halvings) == (0.25, 2)
+        np.testing.assert_array_equal(trace.final_point, [2.0])
+
+    def test_ipemd_armijo_failure_terminates_with_step_tol(self):
+        obj = Objective(
+            value_and_grad=lambda x: (0.0, np.ones_like(x)),
+            value=lambda x: np.inf,
+        )
+        config = SolverConfig(method=Method.IP_E_MD, linesearch=ArmijoParams())
+        trace = solve(config, obj, np.array([1.0]))
+        assert trace.terminal_status is TerminalStatus.STEP_TOL
+        assert len(trace.records) == 2
+        assert trace.records[1].tau < 1e-10
+
+    @pytest.mark.parametrize("method", GEODESIC_METHODS)
+    def test_constant_step_is_one_exp_map(self, method, rng):
+        x0 = rng.uniform(0.5, 1.5, 6)
+        obj = quadratic_objective(rng.uniform(0.3, 3.0, 6))
+        config = SolverConfig(method=method, linesearch=constant_step(0.1), max_iterations=1)
+        trace = solve(config, obj, x0)
+        _, grad = obj.value_and_grad(x0)
+        expected = exp_map(x0, -riemannian_grad(METRIC[method], x0, grad), 0.1).point
+        np.testing.assert_array_equal(trace.final_point, expected)
+        assert (trace.records[1].tau, trace.records[1].halvings) == (0.1, 0)
+
+    @pytest.mark.parametrize("method", GEODESIC_METHODS)
+    def test_overflowing_constant_step_aborts(self, method):
+        obj = Objective(value_and_grad=lambda x: (float(-x.sum()), np.full_like(x, -1e6)))
+        config = SolverConfig(method=method, linesearch=constant_step(1.0), max_iterations=10)
+        trace = solve(config, obj, np.array([1.0, 2.0]))
+        assert trace.terminal_status is TerminalStatus.STEP_INFEASIBLE
+        assert len(trace.records) == 1
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_nan_gradient_ends_non_finite(self, method):
+        obj = Objective(value_and_grad=lambda x: (float(x.sum()), np.array([np.nan, 1.0])))
+        config = SolverConfig(method=method, linesearch=None if method is not Method.IP_E_MD
+                              else constant_step(0.1))
+        trace = solve(config, obj, np.array([1.0, 2.0]))
+        assert trace.terminal_status is TerminalStatus.NON_FINITE
+        assert len(trace.records) == 1
 
     def test_cg_first_step_equals_eg(self, rng):
         n = 6
