@@ -206,9 +206,21 @@ def cmd_solve(spec: RunSpec) -> int:
         "methods": per_method,
     }
     with open(outdir / "summary.json", "w") as f:
-        json.dump(summary, f, indent=2)
+        json.dump(_finite_or_null(summary), f, indent=2, allow_nan=False)
         f.write("\n")
     return exit_code
+
+
+def _finite_or_null(value):
+    """``value`` with every NaN or infinite float replaced by ``None``, so
+    the summary stays strict JSON (a ``non_finite`` run has such floats)."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    if isinstance(value, float) and not np.isfinite(value):
+        return None
+    return value
 
 
 def cmd_verify(inject_fault: bool = False, out=None) -> int:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import kl
+from .geometry import as_point
 from .objective import Objective
 from .operators import SparseOperator
 from .projector import build_projector
@@ -78,12 +79,28 @@ def huber(a, delta: float):
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     arr = np.asarray(a, dtype=float)
-    quad = np.abs(arr) <= delta
-    value = np.where(quad, 0.5 * arr * arr, delta * (np.abs(arr) - 0.5 * delta))
-    deriv = np.where(quad, arr, delta * np.sign(arr))
+    value = _huber_value(arr, delta)
+    deriv = np.where(np.abs(arr) <= delta, arr, delta * np.sign(arr))
     if arr.ndim == 0:
         return float(value), float(deriv)
     return value, deriv
+
+
+def _huber_value(arr: np.ndarray, delta: float) -> np.ndarray:
+    """Elementwise Huber value, the one formula :func:`huber` and the
+    objective's value-only path share.
+
+    ``0.5 * |a| * |a|`` equals ``0.5 * a * a`` bit for bit; both branches
+    are computed in place.  Past ``|a| ~ 1e154`` the discarded quadratic
+    branch overflows to ``inf``; that is expected, so it raises no warning.
+    """
+    mag = np.abs(arr)
+    with np.errstate(over="ignore"):
+        linear = mag - 0.5 * delta
+        linear *= delta
+        square = 0.5 * mag
+        square *= mag
+    return np.where(mag <= delta, square, linear)
 
 
 def discrete_gradient(image_shape: tuple[int, int], x) -> np.ndarray:
@@ -95,11 +112,12 @@ def discrete_gradient(image_shape: tuple[int, int], x) -> np.ndarray:
     """
     h, w = image_shape
     img = np.asarray(x, dtype=float).reshape(h, w)
-    gr = np.zeros((h, w))
-    gc = np.zeros((h, w))
-    gr[:-1, :] = img[1:, :] - img[:-1, :]
-    gc[:, :-1] = img[:, 1:] - img[:, :-1]
-    return np.concatenate([gr.ravel(), gc.ravel()])
+    out = np.empty((2, h, w))
+    np.subtract(img[1:, :], img[:-1, :], out=out[0, :-1, :])
+    np.subtract(img[:, 1:], img[:, :-1], out=out[1, :, :-1])
+    out[0, -1, :] = 0.0
+    out[1, :, -1] = 0.0
+    return out.ravel()
 
 
 def discrete_gradient_adjoint(image_shape: tuple[int, int], y) -> np.ndarray:
@@ -130,6 +148,12 @@ def huber_tv(x, lam: float, delta: float, image_shape) -> tuple[float, np.ndarra
     return lam * float(np.sum(value)), lam * discrete_gradient_adjoint(image_shape, deriv)
 
 
+def _huber_tv_value(x, lam: float, delta: float, image_shape) -> float:
+    """``huber_tv(x, lam, delta, image_shape)[0]`` for ``lam > 0``, bit for
+    bit, without the derivative, the adjoint or the argument checks."""
+    return lam * float(_huber_value(discrete_gradient(image_shape, x), delta).sum())
+
+
 def full_objective(instance: ProblemInstance, x) -> tuple[float, np.ndarray]:
     """Sum of the KL fidelity and the Huber-TV penalty."""
     fv, fg = kl_fidelity(instance.A, instance.b, x)
@@ -140,12 +164,20 @@ def full_objective(instance: ProblemInstance, x) -> tuple[float, np.ndarray]:
 def make_objective(instance: ProblemInstance) -> Objective:
     """Bundle an instance into a solver-ready :class:`Objective`.
 
+    Line-search trials compute values only: the KL term and the Huber
+    values of the forward differences, with no Huber derivative and no
+    adjoint.  Both paths give bit for bit what :func:`full_objective`
+    gives.  The KL term is bound to the data, which
+    :class:`ProblemInstance` validated once (``b > 0``, so every term is
+    ``b log(b / Ax)``); per call only ``Ax`` is checked.
+
     The last forward projection is cached by value, so evaluating the
     gradient at a point whose value was just computed (the accepted
     line-search trial) costs only the adjoint application.
     """
     A, b = instance.A, instance.b
     lam, delta, shape = instance.lam, instance.delta, instance.image_shape
+    sum_b = b.sum()
     cache: dict = {"x": None, "ax": None}
 
     def _forward(x: np.ndarray) -> np.ndarray:
@@ -156,16 +188,25 @@ def make_objective(instance: ProblemInstance) -> Objective:
         cache["ax"] = ax
         return ax
 
+    def _kl(ax: np.ndarray) -> float:
+        # Same terms, in the same order, as divergence.kl(b, ax).
+        sum_ax = ax.sum()
+        if not (ax.min() > 0.0 and np.isfinite(sum_ax)):
+            as_point(ax)  # raises as kl does, unless only the sum overflowed
+        terms = b / ax
+        np.log(terms, out=terms)
+        terms *= b
+        return float(terms.sum() - sum_b + sum_ax)
+
     def _value(x: np.ndarray) -> float:
-        ax = _forward(x)
-        v = kl(b, ax)
+        v = _kl(_forward(x))
         if lam > 0.0:
-            v += huber_tv(x, lam, delta, shape)[0]
+            v += _huber_tv_value(x, lam, delta, shape)
         return v
 
     def _value_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
         ax = _forward(x)
-        value = kl(b, ax)
+        value = _kl(ax)
         grad = A.adjoint(1.0 - b / ax)
         if lam > 0.0:
             tv, tg = huber_tv(x, lam, delta, shape)

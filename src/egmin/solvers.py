@@ -91,7 +91,7 @@ class SolverConfig:
             raise ValueError("tolerances must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationRecord:
     k: int
     f: float

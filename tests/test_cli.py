@@ -97,10 +97,16 @@ class TestSolveCommand:
 
         monkeypatch.setattr(egmin.cli, "make_objective", nan_gradient)
         assert cmd_solve(small_spec(tmp_path / "run", methods=("eg", "ipemd"))) == 1
-        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+
+        def reject(constant):
+            raise ValueError(f"summary.json is not strict JSON: {constant}")
+
+        text = (tmp_path / "run" / "summary.json").read_text()
+        summary = json.loads(text, parse_constant=reject)
         for stats in summary["methods"].values():
             assert stats["terminal_status"] == "non_finite"
             assert stats["iterations"] == 0
+            assert stats["final_grad_norm"] is None
 
 
 class TestConfigResolution:

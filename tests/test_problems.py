@@ -1,12 +1,17 @@
 """The tomography test bed: fidelity, regularizer, projector, phantom, data."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 from egmin import (
+    ArmijoParams,
+    Method,
     Objective,
     ProblemInstance,
+    SolverConfig,
     SparseOperator,
     build_instance,
     build_projector,
@@ -19,7 +24,11 @@ from egmin import (
     make_objective,
     make_phantom,
     simulate_data,
+    solve,
 )
+from egmin.linesearch import constant_step
+from egmin.problems import _huber_tv_value
+from egmin.solvers import default_x0, relative_lipschitz_step
 from egmin.verification import fd_gradient_check
 
 
@@ -131,6 +140,33 @@ class TestHuberTV:
         reports = fd_gradient_check(obj, rng.uniform(0.5, 2.0, 16))
         assert all(r.passed for r in reports)
 
+    @pytest.mark.parametrize("lam", [0.01, 0.3, 2.0])
+    @pytest.mark.parametrize("delta", [0.25, 1.0, 4.0])
+    def test_value_only_path_is_bit_identical(self, lam, delta, rng):
+        # Differences at 0, at exactly +-delta, in both branches, and at
+        # +-1e200, where the discarded square overflows to inf.
+        image = np.array([
+            [0.0, 0.0, delta, 0.0],
+            [0.0, -delta, 1e200, -1e200],
+            [0.5, 1.5, 1e-3, 3.0],
+            [0.75, 0.75, 1e200, 7.0],
+        ]).ravel()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for x in (image, rng.normal(0.0, 3.0 * delta, 16)):
+                assert _huber_tv_value(x, lam, delta, (4, 4)) == huber_tv(x, lam, delta, (4, 4))[0]
+        # A difference of -inf gives an infinite value on both paths.
+        x = np.array([1e308, -1e308, 0.0, 1.0])
+        with np.errstate(over="ignore"):
+            assert _huber_tv_value(x, lam, delta, (2, 2)) == huber_tv(x, lam, delta, (2, 2))[0] == np.inf
+
+    def test_huber_overflow_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            value, deriv = huber(np.array([1e200, -1e200, 1e308]), 10.0)
+        np.testing.assert_array_equal(value, [10.0 * (1e200 - 5.0), 10.0 * (1e200 - 5.0), np.inf])
+        np.testing.assert_array_equal(deriv, [10.0, -10.0, 10.0])
+
 
 class TestFullObjective:
     def test_trivial_minimum(self, rng):
@@ -212,6 +248,64 @@ class TestMakeObjective:
         # Fresh point: one of each.
         obj.value_and_grad(x * 1.01)
         assert (instance.A.forward_count, instance.A.adjoint_count) == (2, 2)
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("lam", [0.01, 0.0])
+    def test_bit_identical_to_full_objective(self, lam, noisy, rng):
+        instance, _ = build_instance(16, lam=lam, noisy=noisy, seed=3)
+        obj = make_objective(instance)
+        n = instance.A.cols
+        points = [rng.uniform(0.5, 2.0, n), rng.uniform(1e-6, 1e3, n), np.exp(rng.normal(0.0, 5.0, n))]
+        for x in points:
+            want_value, want_grad = full_objective(instance, x)
+            assert obj.value(x) == want_value
+            value, grad = obj.value_and_grad(x)
+            assert value == want_value
+            assert grad.tobytes() == want_grad.tobytes()
+            assert obj.value(x * 1.5) == full_objective(instance, x * 1.5)[0]
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_solves_match_the_full_objective(self, method, noisy):
+        # The reference objective evaluates every trial through the public,
+        # validating full_objective, gradient included.
+        instance, _ = build_instance(32, noisy=noisy, seed=0)
+        reference = Objective(value_and_grad=lambda x: full_objective(instance, x))
+        if method is Method.IP_E_MD:
+            policy = constant_step(relative_lipschitz_step(instance.b))
+        else:
+            policy = ArmijoParams()
+        config = SolverConfig(method=method, linesearch=policy)
+        x0 = default_x0(instance.A.cols, 0)
+        with np.errstate(over="ignore", invalid="ignore"):  # noisy poicg ends non_finite
+            got = solve(config, make_objective(instance), x0)
+            want = solve(config, reference, x0)
+        assert got.terminal_status is want.terminal_status
+        assert got.final_point.tobytes() == want.final_point.tobytes()
+        columns = [[(r.k, r.f, r.riem_grad_norm, r.tau, r.halvings) for r in t.records] for t in (got, want)]
+        assert np.array(columns[0]).tobytes() == np.array(columns[1]).tobytes()  # NaN-safe
+
+    def test_underflowing_forward_projection_is_rejected(self):
+        instance = ProblemInstance(
+            A=SparseOperator([[1e-10]]), b=[1.0], lam=0.0, delta=0.01, image_shape=(1, 1)
+        )
+        obj = make_objective(instance)
+        with pytest.raises(ValueError, match="strictly positive"):
+            obj.value(np.array([1e-320]))  # A x underflows to 0
+        with pytest.raises(ValueError, match="strictly positive"):
+            obj.value_and_grad(np.array([1e-320]))
+        with pytest.raises(ValueError, match="non-finite"):
+            obj.value(np.array([np.inf]))
+        with pytest.raises(ValueError, match="non-finite"):
+            obj.value(np.array([np.nan]))
+
+    def test_far_armijo_trials_raise_no_warning(self):
+        instance, _ = build_instance(32, noisy=True, seed=0)
+        config = SolverConfig(method=Method.POI_CG, linesearch=ArmijoParams())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            trace = solve(config, make_objective(instance), default_x0(1024, 1))
+        assert np.isfinite(trace.records[-1].f)
 
 
 class TestProjector:
