@@ -192,7 +192,13 @@ def cmd_solve(spec: RunSpec) -> int:
         trace.to_csv(outdir / f"trace_{name}.csv")
         recon = trace.final_point.reshape(spec.n_side, spec.n_side)
         write_pgm(outdir / f"recon_{name}.pgm", recon)
-        per_method[name] = dict(trace.summary_dict(), wall_seconds=elapsed)
+        per_method[name] = dict(
+            trace.summary_dict(),
+            forward_applications=instance.A.forward_count,
+            adjoint_applications=instance.A.adjoint_count,
+            screened_trials=obj.screened_trials,
+            wall_seconds=elapsed,
+        )
         if trace.terminal_status in (TerminalStatus.STEP_INFEASIBLE, TerminalStatus.NON_FINITE):
             exit_code = 1
 

@@ -13,6 +13,13 @@ side reduces to ``f(x) - sigma * tau * ||rgrad||_x^2``; the generalized
 form accepts arbitrary descent directions (used by the conjugate-gradient
 solver).  Unusable trial points are rejected.
 
+Each trial hands its right-hand side to ``Objective.value`` as the
+``limit``.  An objective may then answer with a cheap number above the
+limit instead of ``f``, when a lower bound already proves the trial
+rejected (see :func:`egmin.problems.make_objective`); a value at or below
+the limit is always exact, so accepted steps and their values do not
+depend on whether the objective screens.
+
 The module also provides the exact-line-search residual
 ``Delta(tau) = -<rgrad(x), rgrad(x(tau))>_x``, which is the derivative of
 ``tau -> f(x(tau))`` along the descent geodesic, and its first-order
@@ -144,8 +151,9 @@ def armijo_backtrack(
         point, ok = retract(x, direction, tau, grad)
         if ok:
             saw_usable_trial = True
-            f_trial = obj.value(point)
-            if f_trial <= value + params.sigma * tau * slope:
+            limit = value + params.sigma * tau * slope
+            f_trial = obj.value(point, limit)
+            if f_trial <= limit:
                 return StepResult(tau, halvings, point, f_trial, StepStatus.ACCEPTED)
         tau *= params.beta
         halvings += 1

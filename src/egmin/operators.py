@@ -12,8 +12,9 @@ class SparseOperator:
 
     Rows with no stored nonzero entry are rejected at construction: with
     strictly positive input every forward-product coordinate then stays
-    strictly positive, which keeps KL-type data terms finite.  Counters
-    are plain instance state and not thread-safe.
+    strictly positive, which keeps KL-type data terms finite.  The column
+    sums ``A^T 1`` are formed once at construction.  Counters are plain
+    instance state and not thread-safe.
     """
 
     def __init__(self, matrix):
@@ -30,6 +31,10 @@ class SparseOperator:
             bad = int(np.argmin(row_nnz))
             raise ValueError(f"operator has an all-zero row (row {bad})")
         self._matrix = a
+        # A^T 1, for bounds that need the sum of A x as c^T x; formed once
+        # here, so it is not counted as an adjoint application.
+        self._column_sums = a.T @ np.ones(a.shape[0])
+        self._column_sums.flags.writeable = False
         self.forward_count = 0
         self.adjoint_count = 0
 
@@ -68,6 +73,10 @@ class SparseOperator:
 
     def row_sums(self) -> np.ndarray:
         return np.asarray(self._matrix.sum(axis=1)).ravel()
+
+    def column_sums(self) -> np.ndarray:
+        """``A^T 1``, formed at construction (read-only)."""
+        return self._column_sums
 
     def toarray(self) -> np.ndarray:
         return self._matrix.toarray()

@@ -10,6 +10,7 @@ solvers are built for.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,13 +172,41 @@ def make_objective(instance: ProblemInstance) -> Objective:
     :class:`ProblemInstance` validated once (``b > 0``, so every term is
     ``b log(b / Ax)``); per call only ``Ax`` is checked.
 
+    A trial with a finite ``limit`` is screened first.  By the log-sum
+    inequality ``KL(b, Ax) >= KL(B, y)`` with ``B = sum(b)`` and
+    ``y = sum(Ax) = c^T x``, where ``c = A^T 1`` comes from the operator,
+    so ``lb = B log(B / y) - B + y + tv`` bounds ``f`` from below at the
+    cost of one dot product.  When ``lb - limit > eta * (B + y + |tv|)``
+    the trial returns ``lb`` with no forward projection; otherwise it
+    returns the exact value.  ``eta`` covers the rounding of both
+    computed values, so a screened trial is one whose exact value, as
+    computed here, exceeds ``limit`` too:
+
+    * ``y`` differs from the sum of the computed ``Ax`` by at most
+      ``(n + s + r) u y`` (``u = 2**-53``; every term is nonnegative;
+      ``s <= m`` and ``r <= n`` bound the entries of a column and a row),
+      and ``|d KL(B, y) / dy| = |1 - B / y|`` turns that into at most
+      ``(2n + m) u (B + y)`` in the bound;
+    * the rest is size-free: ``B log(B / y)`` is at most ``710 B`` (the
+      ratio is finite), and if the exact path accepts, its terms
+      ``b log(b / Ax)`` sum in absolute value to at most ``712 B + 2 y``,
+      so the pairwise sums and the few operations around them are off by
+      under ``5e-12 (B + y)``, plus ``2 u |tv|`` for adding ``tv``.
+
+    ``eta = 1e-10 + (2n + m) * 2**-52`` holds both with room to spare.  A
+    point whose computed ``Ax`` has a zero entry has ``f = inf``: the
+    exact path raises ``ValueError`` for it, the screen may reject it
+    first.
+
     The last forward projection is cached by value, so evaluating the
     gradient at a point whose value was just computed (the accepted
     line-search trial) costs only the adjoint application.
     """
     A, b = instance.A, instance.b
     lam, delta, shape = instance.lam, instance.delta, instance.image_shape
-    sum_b = b.sum()
+    sum_b = float(b.sum())  # a Python float: the bound's overflow gives inf, not a warning
+    col_sums = A.column_sums()
+    eta = 1e-10 + (2 * A.cols + A.rows) * np.finfo(float).eps
     cache: dict = {"x": None, "ax": None}
 
     def _forward(x: np.ndarray) -> np.ndarray:
@@ -198,11 +227,23 @@ def make_objective(instance: ProblemInstance) -> Objective:
         terms *= b
         return float(terms.sum() - sum_b + sum_ax)
 
-    def _value(x: np.ndarray) -> float:
+    def _tv(x: np.ndarray) -> float:
+        return _huber_tv_value(x, lam, delta, shape) if lam > 0.0 else 0.0
+
+    def _screened_value(x: np.ndarray, limit: float) -> tuple[float, bool]:
+        tv = None
+        if limit < math.inf:
+            y = float(col_sums @ x)
+            ratio = sum_b / y if y > 0.0 else 0.0  # 0 for y = inf or NaN too
+            if 0.0 < ratio < math.inf:
+                tv = _tv(x)
+                lb = sum_b * math.log(ratio) - sum_b + y + tv
+                if math.isfinite(lb) and lb - limit > eta * (sum_b + y + abs(tv)):
+                    return lb, True
         v = _kl(_forward(x))
         if lam > 0.0:
-            v += _huber_tv_value(x, lam, delta, shape)
-        return v
+            v += _tv(x) if tv is None else tv
+        return v, False
 
     def _value_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
         ax = _forward(x)
@@ -216,7 +257,7 @@ def make_objective(instance: ProblemInstance) -> Objective:
 
     return Objective(
         value_and_grad=_value_and_grad,
-        value=_value,
+        screened_value=_screened_value,
         matvecs=A.application_count,
     )
 

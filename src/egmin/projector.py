@@ -13,7 +13,9 @@ All rays of one angle share their direction, so they are traced together
 with the same array operations: the crossing parameters of one angle form
 an ``(n_det, 2n + 4)`` array that is sorted row by row.  Rays come out in
 row order, so the CSR arrays are assembled directly from the per-ray
-segment counts; rays that miss the image never become rows.
+segment counts; rays that miss the image never become rows.  The chords
+bound the segment count of the whole matrix before any ray is traced, so
+the CSR arrays are allocated once and every angle is written into them.
 """
 
 from __future__ import annotations
@@ -27,24 +29,21 @@ _PARALLEL_EPS = 1e-12
 _MIN_SEGMENT = 1e-12
 
 
-def _trace_angle(theta: float, offsets: np.ndarray, n: int):
-    """Pixel indices and intersection lengths of all rays of one angle.
+def _chords(theta: float, offsets: np.ndarray, n: int):
+    """Start points, unit direction and image chord of every ray of one angle.
 
     Ray ``k`` is ``p(t) = offsets[k] * (-dy, dx) + t * (dx, dy)`` with the
     unit direction ``(dx, dy) = (cos theta, sin theta)``, so parameter
-    differences are Euclidean lengths.  Returns the segment count of every
-    ray, then the pixel index and length of every segment, ray by ray and
-    in order of increasing ``t`` along each ray.
+    differences are Euclidean lengths.  The chord is the slab intersection
+    ``[t_enter, t_exit]`` with the image square; ``hit`` marks the rays
+    whose chord is longer than ``_MIN_SEGMENT``.
     """
     h = 0.5 * n
     dx, dy = np.cos(theta), np.sin(theta)
     p0x, p0y = -offsets * dy, offsets * dx
-    # Slab intersection with the image square.
     t_enter = np.full(offsets.size, -np.inf)
     t_exit = np.full(offsets.size, np.inf)
     inside = np.ones(offsets.size, dtype=bool)
-    lines = np.arange(n + 1) - h
-    crossings = []
     for p, d in ((p0x, dx), (p0y, dy)):
         if abs(d) < _PARALLEL_EPS:
             inside &= (-h <= p) & (p <= h)
@@ -52,23 +51,92 @@ def _trace_angle(theta: float, offsets: np.ndarray, n: int):
             t1, t2 = (-h - p) / d, (h - p) / d
             t_enter = np.maximum(t_enter, np.minimum(t1, t2))
             t_exit = np.minimum(t_exit, np.maximum(t1, t2))
-            crossings.append((lines - p[:, None]) / d)
     hit = inside & (t_exit - t_enter > _MIN_SEGMENT)
+    return p0x, p0y, dx, dy, t_enter, t_exit, hit
 
-    t = np.column_stack([t_enter, t_exit, *crossings])
+
+def _segment_bound(chords) -> int:
+    """An upper bound on the number of segments of one angle's rays.
+
+    Gridlines of one axis lie one unit apart, so a chord of length ``L``
+    crosses at most ``floor(|d| L) + 1`` of them strictly inside; a ray has
+    one segment more than its distinct inner crossings.  Two more per ray
+    absorb crossings that rounding moves just inside the chord.
+    """
+    _, _, dx, dy, t_enter, t_exit, hit = chords
+    length = (t_exit - t_enter)[hit]
+    per_axis = np.floor(abs(dx) * length) + np.floor(abs(dy) * length)
+    return int(per_axis.sum()) + 5 * length.size
+
+
+def _trace_angle(chords, n: int):
+    """Pixel indices and intersection lengths of all rays of one angle.
+
+    Returns the segment count of every ray, then the pixel index and
+    length of every segment, ray by ray and in order of increasing ``t``
+    along each ray.
+
+    Differences and midpoints of neighbouring crossings are taken on the
+    flattened crossing array, whose last column per row then pairs two
+    rays and is masked out: numpy buffers ufunc operands that are not
+    contiguous, and at desk scale those buffers would outgrow the angle.
+    """
+    p0x, p0y, dx, dy, t_enter, t_exit, hit = chords
+    h = 0.5 * n
+    lines = np.arange(n + 1) - h
+    axes = [(p, d) for p, d in ((p0x, dx), (p0y, dy)) if abs(d) >= _PARALLEL_EPS]
+    # Chord ends, then the crossing parameters of every gridline of each
+    # axis the rays are not parallel to.
+    t = np.empty((p0x.size, 2 + len(axes) * (n + 1)))
+    t[:, 0], t[:, 1] = t_enter, t_exit
+    for i, (p, d) in enumerate(axes):
+        np.divide(lines - p[:, None], d, out=t[:, 2 + i * (n + 1): 2 + (i + 1) * (n + 1)])
     # Crossings outside the chord collapse onto its end points, where they
     # bound only zero-length segments; so do repeated crossings.  Dropping
     # those leaves exactly the segments between distinct sorted crossings.
     np.clip(t, t_enter[:, None], t_exit[:, None], out=t)
     t.sort(axis=1)
-    dt = np.diff(t, axis=1)
-    keep = (dt > _MIN_SEGMENT) & hit[:, None]
-    t_mid = 0.5 * (t[:, :-1] + t[:, 1:])[keep]
+    flat = t.ravel()
+    pair = np.empty_like(t)  # pair[i, j] combines t[i, j] and t[i, j + 1]
+    pair[-1, -1] = 0.0  # the one entry no neighbour pair writes
+    np.subtract(flat[1:], flat[:-1], out=pair.ravel()[:-1])
+    keep = pair > _MIN_SEGMENT
+    keep[:, -1] = False
+    keep &= hit[:, None]
+    lengths = pair[keep]
+    np.add(flat[:-1], flat[1:], out=pair.ravel()[:-1])
+    t_mid = pair[keep]
+    t_mid *= 0.5
+    del t, flat, pair
     counts = np.count_nonzero(keep, axis=1)
-    ray = np.repeat(np.arange(offsets.size), counts)
-    cols = np.clip(np.floor(p0x[ray] + t_mid * dx + h).astype(np.int64), 0, n - 1)
-    rows = np.clip(np.floor(p0y[ray] + t_mid * dy + h).astype(np.int64), 0, n - 1)
-    return counts, rows * n + cols, dt[keep]
+    pixels = _grid_index(p0y, counts, t_mid, dy, h, n)
+    pixels *= n
+    pixels += _grid_index(p0x, counts, t_mid, dx, h, n)
+    return counts, pixels, lengths
+
+
+def _grid_index(p0, counts, t_mid: np.ndarray, d: float, h: float, n: int) -> np.ndarray:
+    """Pixel index along one axis of the segment midpoints ``p0 + t_mid * d``."""
+    u = t_mid * d
+    u += np.repeat(p0, counts)
+    u += h
+    np.floor(u, out=u)
+    index = u.astype(np.int64)
+    return np.clip(index, 0, n - 1, out=index)
+
+
+def _write_angle(chords, n: int, counts, pixels, lengths, start: int) -> int:
+    """Trace one angle into ``counts`` and into ``pixels``/``lengths`` from
+    ``start``; returns the end of what it wrote.  (A function of its own, so
+    the angle's arrays are freed before the next angle is traced.)"""
+    c, pix, w = _trace_angle(chords, n)
+    end = start + w.size
+    if end > pixels.size:
+        raise RuntimeError("projector segment bound exceeded")  # a bug in _segment_bound
+    counts[:] = c
+    pixels[start:end] = pix
+    lengths[start:end] = w
+    return end
 
 
 def build_projector(
@@ -88,6 +156,9 @@ def build_projector(
 
     Rays that miss the image would give all-zero rows and are dropped, so the
     returned operator maps strictly positive images to strictly positive data.
+    Every angle writes its segments straight into arrays sized once, from
+    the chords, for the whole build, so the build holds one copy of the
+    matrix plus the work arrays of one angle.
     """
     if n_side < 4:
         raise ValueError(f"n_side must be at least 4, got {n_side}")
@@ -100,20 +171,20 @@ def build_projector(
 
     n_det = n_side
     offsets = np.arange(n_det) - 0.5 * (n_det - 1)
-    # Pixel indices are narrowed per angle, so no full-size int64 array is kept.
+    chords = [_chords(2.0 * np.pi * a / n_angles, offsets, n_side) for a in range(n_angles)]
+    capacity = sum(_segment_bound(c) for c in chords)
     index_dtype = np.int32 if n_side * n_side <= np.iinfo(np.int32).max else np.int64
-    counts, pixels, lengths = [], [], []
-    for a in range(n_angles):
-        c, pix, w = _trace_angle(2.0 * np.pi * a / n_angles, offsets, n_side)
-        counts.append(c)
-        pixels.append(pix.astype(index_dtype))
-        lengths.append(w)
+    pixels = np.empty(capacity, dtype=index_dtype)
+    lengths = np.empty(capacity)
+    counts = np.empty(n_angles * n_det, dtype=np.int64)
+    nnz = 0
+    for a, angle_chords in enumerate(chords):
+        nnz = _write_angle(angle_chords, n_side, counts[a * n_det: (a + 1) * n_det], pixels, lengths, nnz)
 
-    counts = np.concatenate(counts)
     counts = counts[counts > 0]
     indptr = np.concatenate(([0], np.cumsum(counts)))
     a = sparse.csr_matrix(
-        (np.concatenate(lengths), np.concatenate(pixels), indptr),
+        (lengths[:nnz], pixels[:nnz], indptr),
         shape=(counts.size, n_side * n_side),
     )
     # Rows list pixels in the order their rays meet them: bring the matrix to

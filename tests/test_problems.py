@@ -412,6 +412,14 @@ class TestSparseOperator:
         np.testing.assert_array_equal(m.indices, [0, 1, 1])
         np.testing.assert_array_equal(m.indptr, [0, 2, 3])
 
+    def test_column_sums_are_formed_once_and_uncounted(self, rng):
+        dense = rng.uniform(0.1, 1.0, (3, 4))
+        a = SparseOperator(dense)
+        np.testing.assert_allclose(a.column_sums(), dense.sum(axis=0), rtol=1e-15)
+        assert a.column_sums() is a.column_sums()
+        assert not a.column_sums().flags.writeable
+        assert a.application_count() == 0
+
     def test_reset_counts(self, rng):
         a = SparseOperator(rng.uniform(0.1, 1.0, (3, 4)))
         a.forward(np.ones(4))

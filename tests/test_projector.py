@@ -6,6 +6,8 @@ conversion and a slice that drops the empty rows.  The per-angle builder
 must reproduce its CSR arrays bit for bit.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -89,7 +91,7 @@ def test_default_angles_match_reference(n_side):
 
 
 @pytest.mark.parametrize("n_side", [8, 12])
-@pytest.mark.parametrize("n_angles", [1, 2, 4, 7])
+@pytest.mark.parametrize("n_angles", [1, 2, 4, 7, 8])
 def test_angle_counts_match_reference(n_side, n_angles):
     # With 4 angles, theta = pi/2 and 3*pi/2 leave |cos theta| ~ 6e-17 and
     # take the branch for rays parallel to the y axis.
@@ -97,3 +99,17 @@ def test_angle_counts_match_reference(n_side, n_angles):
         build_projector(n_side, n_angles=n_angles),
         reference_projector(n_side, n_angles=n_angles),
     )
+
+
+def test_build_holds_one_copy_of_the_matrix():
+    # Each angle writes into arrays sized once for the whole build, so the
+    # peak is the matrix plus one angle's work arrays, not two matrices.
+    build_projector(64)  # keep first-call allocations out of the measurement
+    tracemalloc.start()
+    try:
+        built = build_projector(64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    m = built._matrix
+    assert peak < 1.5 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
