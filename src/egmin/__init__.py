@@ -28,13 +28,11 @@ from .geometry import (
     ExpMapResult,
     GeometryKind,
     as_point,
-    as_tangent,
     exp_map,
     m_hessian_apply,
     metric_inner,
     multiplicative_update,
     riemannian_grad,
-    set_debug_validation,
     transport_e,
 )
 from .linesearch import (
@@ -72,7 +70,6 @@ from .solvers import (
     TerminalStatus,
     check_termination,
     default_x0,
-    pr_beta,
     read_trace_csv,
     relative_lipschitz_step,
     solve,

@@ -9,8 +9,7 @@ how Euclidean gradients are rescaled into Riemannian ones.
 
 Points and tangents are plain 1-d float64 arrays.  Manifold membership
 (strict positivity, finiteness) is checked once at construction through
-:func:`as_point`, not inside hot loops; :func:`set_debug_validation`
-re-enables validation after every exponential-map call.
+:func:`as_point`, not inside hot loops.
 """
 
 from __future__ import annotations
@@ -28,14 +27,6 @@ EXP_ARG_MAX = 700.0
 # Saturation ceiling for coordinates whose product x * exp(z) still
 # overflows after the exponent clamp.
 POINT_CEILING = 1e300
-
-_debug_validation = False
-
-
-def set_debug_validation(enabled: bool) -> None:
-    """Re-validate manifold membership after every exponential map step."""
-    global _debug_validation
-    _debug_validation = bool(enabled)
 
 
 class GeometryKind(Enum):
@@ -72,18 +63,6 @@ def as_point(coords) -> np.ndarray:
         bad = int(np.argmin(x))
         raise ValueError(f"point must be strictly positive; coordinate {bad} is {x[bad]}")
     return x
-
-
-def as_tangent(coords, n: int | None = None) -> np.ndarray:
-    """Validate a tangent vector, optionally against the base dimension."""
-    v = np.atleast_1d(np.asarray(coords, dtype=float))
-    if v.ndim != 1:
-        raise ValueError(f"tangent must be a vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("tangent has non-finite coordinates")
-    if n is not None and v.size != n:
-        raise ValueError(f"tangent dimension {v.size} does not match base dimension {n}")
-    return v
 
 
 def _metric_weights(kind: GeometryKind, x: np.ndarray) -> np.ndarray:
@@ -160,10 +139,7 @@ def multiplicative_update(x, exponent) -> ExpMapResult:
         point = np.where(over, POINT_CEILING, point)
         clamped = clamped | over
     underflow = point == 0.0
-    result = ExpMapResult(point=point, clamped=clamped, underflow=underflow)
-    if _debug_validation and result.ok:
-        as_point(point)
-    return result
+    return ExpMapResult(point=point, clamped=clamped, underflow=underflow)
 
 
 def exp_map(x, v, tau: float) -> ExpMapResult:

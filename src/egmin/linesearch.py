@@ -6,11 +6,14 @@ exponential map and an infeasible quotient update are not.  Armijo
 backtracking (along the geodesic unless told otherwise) halves a trial
 step until the sufficient-decrease inequality
 
-    f(retract(x, d, tau)) <= f(x) + sigma * tau * <rgrad, d>_x
+    f(retract(x, d, tau)) <= f(x) + sigma * tau * <grad, d>
 
-holds.  With the steepest-descent direction ``d = -rgrad`` the right-hand
-side reduces to ``f(x) - sigma * tau * ||rgrad||_x^2``; the generalized
-form accepts arbitrary descent directions (used by the conjugate-gradient
+holds, with ``grad`` the Euclidean gradient at ``x``.  The slope
+``<grad, d>`` is the directional derivative of ``f`` along ``d``; it
+equals ``<rgrad, d>_x`` in either metric, so the search needs no metric.
+With the steepest-descent direction ``d = -rgrad`` the right-hand side
+reduces to ``f(x) - sigma * tau * ||rgrad||_x^2``; the generalized form
+accepts arbitrary descent directions (used by the conjugate-gradient
 solver).  Unusable trial points are rejected.
 
 Each trial hands its right-hand side to ``Objective.value`` as the
@@ -34,13 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import (
-    GeometryKind,
-    exp_map,
-    m_hessian_apply,
-    metric_inner,
-    riemannian_grad,
-)
+from .geometry import GeometryKind, exp_map, m_hessian_apply, metric_inner
 from .objective import Objective
 
 
@@ -116,7 +113,6 @@ def geodesic_retraction(x, direction, tau: float, grad) -> tuple[np.ndarray, boo
 
 
 def armijo_backtrack(
-    geom: GeometryKind,
     obj: Objective,
     x: np.ndarray,
     direction: np.ndarray,
@@ -127,11 +123,11 @@ def armijo_backtrack(
 ) -> StepResult:
     """Backtracking line search along ``retract`` (the geodesic by default).
 
-    ``direction`` must not be an ascent direction in the chosen metric
-    (``<rgrad, direction>_x <= 0``); a zero slope, which happens exactly
-    at critical points, is accepted immediately with the base point
-    returned unchanged in value.  ``value``/``grad`` may be passed to
-    reuse an evaluation at ``x``.
+    ``direction`` must not be an ascent direction: its slope
+    ``<grad, direction>``, the directional derivative of ``f``, must be
+    ``<= 0``.  A zero slope, which happens exactly at critical points, is
+    accepted immediately with the base point returned unchanged in value.
+    ``value``/``grad`` may be passed to reuse an evaluation at ``x``.
 
     Returns ``HIT_TAU_MIN`` when the trial step fell below ``tau_min``
     (or the halving cap) without acceptance, and ``CLAMPED`` when every
@@ -139,8 +135,7 @@ def armijo_backtrack(
     """
     if value is None or grad is None:
         value, grad = obj.value_and_grad(x)
-    rgrad = riemannian_grad(geom, x, grad)
-    slope = metric_inner(geom, x, rgrad, direction)
+    slope = float(np.sum(grad * direction))
     if slope > 0.0:
         raise ValueError(f"not a descent direction: slope {slope} > 0")
 

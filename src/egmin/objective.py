@@ -16,25 +16,24 @@ class Objective:
     optional Hessian-vector product, and an optional counter of linear
     operator applications used for cost accounting.
 
-    ``screened_value(x, limit)``, when given, replaces ``value``: it
-    returns ``(f(x), False)``, or ``(bound, True)`` with ``bound > limit``
-    when a cheap lower bound proves ``f(x) > limit``; every bound returned
-    counts in :attr:`screened_trials`.
+    ``value(x, limit)``, when given, returns ``(f(x), False)``, or
+    ``(bound, True)`` with ``bound > limit`` when a cheap lower bound
+    proves ``f(x) > limit``; every bound returned counts in
+    :attr:`screened_trials`.  A callable without a screen ignores
+    ``limit`` and always returns ``(f(x), False)``.
     """
 
     def __init__(
         self,
         value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
-        value: Callable[[np.ndarray], float] | None = None,
+        value: Callable[[np.ndarray, float], tuple[float, bool]] | None = None,
         hess_vec: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
         matvecs: Callable[[], int] | None = None,
-        screened_value: Callable[[np.ndarray, float], tuple[float, bool]] | None = None,
     ):
         self._value_and_grad = value_and_grad
         self._value = value
         self._hess_vec = hess_vec
         self._matvecs = matvecs
-        self._screened_value = screened_value
         self.screened_trials = 0
 
     def value(self, x: np.ndarray, limit: float = math.inf) -> float:
@@ -46,13 +45,11 @@ class Objective:
         the exact ``f(x)``.  The default ``limit = inf`` always asks for
         ``f(x)``, and objectives without a screen ignore ``limit``.
         """
-        if self._screened_value is not None:
-            f, screened = self._screened_value(x, limit)
-            self.screened_trials += screened
-            return float(f)
-        if self._value is not None:
-            return float(self._value(x))
-        return float(self._value_and_grad(x)[0])
+        if self._value is None:
+            return float(self._value_and_grad(x)[0])
+        f, screened = self._value(x, limit)
+        self.screened_trials += screened
+        return float(f)
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         f, g = self._value_and_grad(x)

@@ -71,9 +71,6 @@ class SparseOperator:
         self.forward_count = 0
         self.adjoint_count = 0
 
-    def row_sums(self) -> np.ndarray:
-        return np.asarray(self._matrix.sum(axis=1)).ravel()
-
     def column_sums(self) -> np.ndarray:
         """``A^T 1``, formed at construction (read-only)."""
         return self._column_sums

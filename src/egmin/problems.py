@@ -230,7 +230,7 @@ def make_objective(instance: ProblemInstance) -> Objective:
     def _tv(x: np.ndarray) -> float:
         return _huber_tv_value(x, lam, delta, shape) if lam > 0.0 else 0.0
 
-    def _screened_value(x: np.ndarray, limit: float) -> tuple[float, bool]:
+    def _value(x: np.ndarray, limit: float) -> tuple[float, bool]:
         tv = None
         if limit < math.inf:
             y = float(col_sums @ x)
@@ -257,7 +257,7 @@ def make_objective(instance: ProblemInstance) -> Objective:
 
     return Objective(
         value_and_grad=_value_and_grad,
-        screened_value=_screened_value,
+        value=_value,
         matvecs=A.application_count,
     )
 

@@ -29,7 +29,6 @@ from .geometry import (  # noqa: F401  (exp_map: a patch point of perfbench/span
     GeometryKind,
     as_point,
     exp_map,
-    metric_inner,
     multiplicative_update,
     riemannian_grad,
     transport_e,
@@ -150,9 +149,6 @@ class RunTrace:
             "total_matvecs": last.matvec_count,
         }
 
-    def objective_values(self) -> np.ndarray:
-        return np.array([rec.f for rec in self.records])
-
 
 def read_trace_csv(path) -> list[IterationRecord]:
     """Parse records written by :meth:`RunTrace.to_csv`.
@@ -227,20 +223,6 @@ def relative_lipschitz_step(b) -> float:
     return float(1.0 / (2.0 * np.sum(b)))
 
 
-def pr_beta(x_new, grad_new_riem, grad_old_norm_sq: float, transported_dir) -> float:
-    """Polak-Ribiere-type conjugacy coefficient.
-
-    ``<g_new, g_new - t>_{x_new} / ||g_old||^2`` where ``t`` is the
-    previous search direction transported to the new point.  The caller
-    applies the nonnegativity clamp ``max(beta, 0)``.
-    """
-    if grad_old_norm_sq <= 0.0:
-        raise ValueError("previous gradient norm is zero; the solver should have stopped")
-    u = np.asarray(grad_new_riem, dtype=float) - np.asarray(transported_dir, dtype=float)
-    num = metric_inner(GeometryKind.POISSON_FISHER_RAO, x_new, grad_new_riem, u)
-    return num / grad_old_norm_sq
-
-
 def check_termination(record: IterationRecord, config: SolverConfig) -> TerminalStatus | None:
     """First satisfied criterion, in priority order non-finite value or
     gradient norm > grad > step > iterations.
@@ -305,7 +287,6 @@ def solve(config: SolverConfig, obj: Objective, x0) -> RunTrace:
     """
     x = as_point(x0)
     rule = METHOD_RULES[config.method]
-    kind = rule.metric
     policy = _default_policy(config.method, config.linesearch)
     t0 = time.perf_counter_ns()
 
@@ -320,11 +301,14 @@ def solve(config: SolverConfig, obj: Objective, x0) -> RunTrace:
             wall_nanos=time.perf_counter_ns() - t0,
         )
 
+    # Every inner product of the loop has rgrad as one argument, and
+    # <rgrad, v>_x = <grad, v> in either metric: none needs the weights
+    # 1/x or 1/x**2, which overflow at subnormal coordinates.
     def evaluate(point):
         value, grad = obj.value_and_grad(point)
-        rgrad = riemannian_grad(kind, point, grad)
-        gnorm_sq = metric_inner(kind, point, rgrad, rgrad)
-        return value, grad, rgrad, gnorm_sq, float(np.sqrt(max(gnorm_sq, 0.0)))
+        rgrad = riemannian_grad(rule.metric, point, grad)
+        gnorm_sq = float(np.sum(grad * rgrad))
+        return value, grad, rgrad, gnorm_sq, float(np.sqrt(gnorm_sq))
 
     value, grad, rgrad, gnorm_sq, gnorm = evaluate(x)
     records = [record_at(0, value, gnorm, 0.0, 0)]
@@ -335,7 +319,7 @@ def solve(config: SolverConfig, obj: Objective, x0) -> RunTrace:
     while status is None:
         k += 1
         if rule.conjugate:
-            slope = metric_inner(kind, x, rgrad, v)
+            slope = float(np.sum(grad * v))
             if slope >= 0.0 and gnorm > 0.0:
                 logger.info("restarting CG direction at iteration %d (slope %.3e)", k, slope)
                 v = -rgrad
@@ -345,7 +329,7 @@ def solve(config: SolverConfig, obj: Objective, x0) -> RunTrace:
 
         if isinstance(policy, ArmijoParams):
             step = armijo_backtrack(
-                kind, obj, x, direction, policy, value=value, grad=grad, retract=rule.retraction
+                obj, x, direction, policy, value=value, grad=grad, retract=rule.retraction
             )
             if step.status is not StepStatus.ACCEPTED:
                 records.append(record_at(k, value, gnorm, step.tau, step.halvings))
@@ -364,10 +348,11 @@ def solve(config: SolverConfig, obj: Objective, x0) -> RunTrace:
         x = x_new
         value, grad, rgrad, gnorm_sq, gnorm = evaluate(x)
         if rule.conjugate:
+            # Polak-Ribiere: beta = <rgrad, rgrad - t>_x / ||rgrad_old||^2, clamped at 0.
             transported = transport_e(x_old, x, v)
             beta_plus = 0.0
             if old_gnorm_sq > 0.0:
-                beta_plus = max(pr_beta(x, rgrad, old_gnorm_sq, transported), 0.0)
+                beta_plus = max(float(np.sum(grad * (rgrad - transported))) / old_gnorm_sq, 0.0)
             v = -rgrad + beta_plus * transported
         records.append(record_at(k, value, gnorm, tau, halvings))
         status = check_termination(records[-1], config)

@@ -154,8 +154,7 @@ def test_criterion_04_armijo_finite_termination():
             )
         value, grad = obj.value_and_grad(x)
         result = armijo_backtrack(
-            POI, obj, x, -riemannian_grad(POI, x, grad), ArmijoParams(),
-            value=value, grad=grad,
+            obj, x, -riemannian_grad(POI, x, grad), ArmijoParams(), value=value, grad=grad
         )
         assert result.status is StepStatus.ACCEPTED
         assert result.halvings <= 60

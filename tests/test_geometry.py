@@ -6,13 +6,11 @@ import pytest
 from egmin import (
     GeometryKind,
     as_point,
-    as_tangent,
     exp_map,
     m_hessian_apply,
     metric_inner,
     multiplicative_update,
     riemannian_grad,
-    set_debug_validation,
     transport_e,
 )
 from egmin.geometry import EXP_ARG_MAX, POINT_CEILING
@@ -31,12 +29,6 @@ class TestPointValidation:
     def test_rejects_nonmanifold(self, bad):
         with pytest.raises(ValueError):
             as_point(bad)
-
-    def test_tangent_dimension_check(self):
-        with pytest.raises(ValueError):
-            as_tangent([1.0, 2.0], n=3)
-        with pytest.raises(ValueError):
-            as_tangent([np.nan])
 
 
 class TestMetricInner:
@@ -163,14 +155,6 @@ class TestExpMap:
         res = multiplicative_update(np.array([1e-300]), np.array([-200.0]))
         assert res.underflow.all() and not res.ok
         assert res.point[0] == 0.0
-
-    def test_debug_validation_mode(self):
-        set_debug_validation(True)
-        try:
-            res = exp_map([1.0, 2.0], [1.0, -1.0], 0.5)
-            assert res.ok
-        finally:
-            set_debug_validation(False)
 
 
 class TestTransport:

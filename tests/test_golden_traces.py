@@ -7,6 +7,14 @@ is the same as before the screen, and the whole file.  A run with the
 screen taken out reproduces the traces from before it byte for byte, and
 no record of the screened run counts more operator applications than the
 same record of that run.
+
+The solve loop takes every inner product with the Riemannian gradient as
+``<grad, v>`` instead of ``<rgrad, G(x) v>``: the same number in exact
+arithmetic, summed in another order.  For ``eg``, ``ipgrgd`` and ``ipemd``
+that moves only the last bit of some ``riem_grad_norm`` entries, so each
+trace without that column is the same with either form, and is pinned too;
+``poicg`` feeds the inner products into its steps and drifts at rounding
+level.
 """
 
 import csv
@@ -24,24 +32,32 @@ METHODS = ("eg", "poicg", "ipgrgd", "ipemd")
 
 # sha256 of each trace CSV without its matvec_count column, with or without the screen.
 WITHOUT_MATVECS = {
-    "eg": "0a360172aa20614229f3b9d1e93a378322f6dd7a6651a8ff45d50567d8046e67",
-    "poicg": "241ec1a82a8d180ac5c9c313f089533c99b46f852db9ec4abee6f31c6b5162be",
-    "ipgrgd": "606f958694e94d9a41034fb542b348be9a918b2513afbd1a301ee2a73da07efb",
-    "ipemd": "c10366df246f498eeb9cec3f706efb0a933f0b14147b54bb225582fd81dcb610",
+    "eg": "11f166c5e3ee48a9c2bd95323b93b94a1fd76bfe56c351e383a58126f63e80fd",
+    "poicg": "72833afc15c9c59123b90d1a8e7ef5a943a0cb91bf25023759db4218afbb7acb",
+    "ipgrgd": "9a6c99ee2a7f9a7794831f7581c9fcefa12a91ded6d9cb30913108098d2a74a5",
+    "ipemd": "c3e5e152cd4f12377641712d730c0b542bfbe9a9ac930f9ef1a662760a2bc7d2",
 }
 # sha256 of each whole trace CSV without the screen (every trial projected).
 UNSCREENED = {
-    "eg": "868d348896e4418f3a2aa80faf9fa1e8449017fd31dba849ce1b9b1379e5e23d",
-    "poicg": "25d132e979e940f474f7641a5fa7f5c5e1ef227467a635b0ea46f21a73bbffdd",
-    "ipgrgd": "cbc225feb46e0fba042e6f4f743bc48cbf8be17435b83ebf377eb8fd9bca2b4e",
-    "ipemd": "1db9f43fe766d214f0f294a3f28266e6d804ce941fb32d817273f0a0a6c83816",
+    "eg": "a024546e598ae7f0e78be3dc49c0955591485e560214337f0be7e8934ec34ad7",
+    "poicg": "1ec66728aca336f38147460ad3f29ef7e6d5c789677f83ceac884e96c5ed9e40",
+    "ipgrgd": "655c73be7bdfe47248d413647867006dda1275a4564267d776925fcbcc89e8da",
+    "ipemd": "c696ef6f7e9c0f37bc413326e472b4746efa20a5049ecc56f94fc32f4382e93e",
 }
 # sha256 of each whole trace CSV as `egmin solve` writes it.
 SCREENED = {
-    "eg": "6452f0207fe22009e66b2dc644aae4a187dbc946f610fea31da0ded9711131d9",
-    "poicg": "8beef64e437c6d55bc44b4b445859392da1ec2783c65b31d69f3051177e31b52",
-    "ipgrgd": "c8d75e635a8c4dc25232cce86666f9e144787f77ca9d007a03955d0251c269b6",
-    "ipemd": "1db9f43fe766d214f0f294a3f28266e6d804ce941fb32d817273f0a0a6c83816",
+    "eg": "ee5ff4d484367685ad27896b3ef75760fbdf5594c4450c7146913f7c5a0bad6d",
+    "poicg": "c8f154ebd7f7502d9e74d92a70c81d341dee7f5a326a2288f7bda3342b505eb6",
+    "ipgrgd": "23da1e30ab322035da8c209c85353fa8a34ff2708d2dccdb6ca080651466c91f",
+    "ipemd": "c696ef6f7e9c0f37bc413326e472b4746efa20a5049ecc56f94fc32f4382e93e",
+}
+# sha256 of each trace CSV as `egmin solve` writes it, without its
+# riem_grad_norm column.  eg, ipgrgd and ipemd: unchanged by the <grad, v> form.
+WITHOUT_GRAD_NORM = {
+    "eg": "223fc4bd895934e45826812844d71d22e62fd34984fae5b1874d44b97f0ee140",
+    "poicg": "8daa44fdf6ad917f679d8f522fdece1fb98ad1bb4f067cd85976e1ef7cf222fd",
+    "ipgrgd": "862e1353b869082db0bdedfcb84169a1f5bd1086126c5a23bc4d8ce3a8c98a99",
+    "ipemd": "c7aa9a75234d7c3fb06abf4303319ab5b1e6ba21649883e0f0bfa1d082fd8a16",
 }
 
 
@@ -66,7 +82,11 @@ def _without_column(rows: list[list[str]], name: str) -> bytes:
 def _unscreened_objective(instance) -> Objective:
     # Objective.value without a limit always evaluates f, so every trial is projected.
     obj = make_objective(instance)
-    return Objective(value_and_grad=obj.value_and_grad, value=obj.value, matvecs=obj.matvec_count)
+    return Objective(
+        value_and_grad=obj.value_and_grad,
+        value=lambda x, limit: (obj.value(x), False),
+        matvecs=obj.matvec_count,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +105,7 @@ def test_trace_hashes(golden_runs, method):
     assert _sha256(screened.read_bytes()) == SCREENED[method]
     assert _sha256(unscreened.read_bytes()) == UNSCREENED[method]
     assert _sha256(_without_column(_rows(screened), "matvec_count")) == WITHOUT_MATVECS[method]
+    assert _sha256(_without_column(_rows(screened), "riem_grad_norm")) == WITHOUT_GRAD_NORM[method]
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -56,7 +56,7 @@ class TestArmijoBacktrack:
         x = np.array([2.0])
         _, grad = obj.value_and_grad(x)
         direction = -riemannian_grad(POI, x, grad)
-        result = armijo_backtrack(POI, obj, x, direction, ArmijoParams())
+        result = armijo_backtrack(obj, x, direction, ArmijoParams())
         assert result.status is StepStatus.ACCEPTED
         assert result.tau == 1.0
         assert result.halvings == 0
@@ -71,8 +71,8 @@ class TestArmijoBacktrack:
         x = np.array([2.0])
         _, grad = obj.value_and_grad(x)
         direction = -riemannian_grad(POI, x, grad)
-        loose = armijo_backtrack(POI, obj, x, direction, ArmijoParams(sigma=1e-4))
-        strict = armijo_backtrack(POI, obj, x, direction, ArmijoParams(sigma=0.999))
+        loose = armijo_backtrack(obj, x, direction, ArmijoParams(sigma=1e-4))
+        strict = armijo_backtrack(obj, x, direction, ArmijoParams(sigma=0.999))
         assert strict.status is StepStatus.ACCEPTED
         assert strict.tau < loose.tau
         assert strict.tau <= 2.0 * (1.0 - 0.999)
@@ -85,7 +85,7 @@ class TestArmijoBacktrack:
         for c in (0.5, 1.0, 3.0):
             direction = -c * rgrad
             params = ArmijoParams()
-            result = armijo_backtrack(POI, obj, x, direction, params)
+            result = armijo_backtrack(obj, x, direction, params)
             assert result.status is StepStatus.ACCEPTED
             slope = metric_inner(POI, x, rgrad, direction)
             assert result.new_value <= value + params.sigma * result.tau * slope
@@ -93,7 +93,7 @@ class TestArmijoBacktrack:
     def test_zero_gradient_immediate_acceptance(self):
         obj = quadratic_objective([2.0, 3.0])
         x = np.array([2.0, 3.0])
-        result = armijo_backtrack(POI, obj, x, np.zeros(2), ArmijoParams())
+        result = armijo_backtrack(obj, x, np.zeros(2), ArmijoParams())
         assert result.status is StepStatus.ACCEPTED
         assert result.halvings == 0
         np.testing.assert_array_equal(result.new_point, x)
@@ -103,16 +103,16 @@ class TestArmijoBacktrack:
         x = np.array([2.0])
         _, grad = obj.value_and_grad(x)
         with pytest.raises(ValueError):
-            armijo_backtrack(POI, obj, x, +riemannian_grad(POI, x, grad), ArmijoParams())
+            armijo_backtrack(obj, x, +riemannian_grad(POI, x, grad), ArmijoParams())
 
     def test_hit_tau_min(self):
         # A trial objective that never improves forces the failure path.
         obj = Objective(
             value_and_grad=lambda x: (0.0, np.ones_like(x)),
-            value=lambda x: np.inf,
+            value=lambda x, limit: (np.inf, False),
         )
         x = np.array([1.0])
-        result = armijo_backtrack(POI, obj, x, np.array([-1.0]), ArmijoParams())
+        result = armijo_backtrack(obj, x, np.array([-1.0]), ArmijoParams())
         assert result.status is StepStatus.HIT_TAU_MIN
         assert result.tau < 1e-10
         np.testing.assert_array_equal(result.new_point, x)
@@ -121,7 +121,7 @@ class TestArmijoBacktrack:
         # Direction so large that even tau_min overflows the exponent.
         obj = Objective(value_and_grad=lambda x: (0.0, np.array([-1.0])))
         x = np.array([1.0])
-        result = armijo_backtrack(POI, obj, x, np.array([1e308]), ArmijoParams())
+        result = armijo_backtrack(obj, x, np.array([1e308]), ArmijoParams())
         assert result.status is StepStatus.CLAMPED
 
     def test_sufficient_decrease_on_random_instances(self, rng):
@@ -133,7 +133,7 @@ class TestArmijoBacktrack:
             value, grad = obj.value_and_grad(x)
             rgrad = riemannian_grad(POI, x, grad)
             params = ArmijoParams()
-            result = armijo_backtrack(POI, obj, x, -rgrad, params, value=value, grad=grad)
+            result = armijo_backtrack(obj, x, -rgrad, params, value=value, grad=grad)
             assert result.status is StepStatus.ACCEPTED
             norm_sq = metric_inner(POI, x, rgrad, rgrad)
             assert result.new_value <= value - params.sigma * result.tau * norm_sq
@@ -144,11 +144,11 @@ class TestArmijoBacktrack:
         x = rng.uniform(0.5, 3.0, n)
         perm = rng.permutation(n)
         res = armijo_backtrack(
-            POI, quadratic_objective(a), x,
+            quadratic_objective(a), x,
             -riemannian_grad(POI, x, x - a), ArmijoParams(),
         )
         res_p = armijo_backtrack(
-            POI, quadratic_objective(a[perm]), x[perm],
+            quadratic_objective(a[perm]), x[perm],
             -riemannian_grad(POI, x[perm], x[perm] - a[perm]), ArmijoParams(),
         )
         assert res.halvings == res_p.halvings
@@ -176,9 +176,7 @@ class TestArmijoBacktrack:
                 )
             value, grad = obj.value_and_grad(x)
             rgrad = riemannian_grad(POI, x, grad)
-            result = armijo_backtrack(
-                POI, obj, x, -rgrad, ArmijoParams(), value=value, grad=grad
-            )
+            result = armijo_backtrack(obj, x, -rgrad, ArmijoParams(), value=value, grad=grad)
             assert result.status is StepStatus.ACCEPTED
             assert result.halvings <= 60
 
@@ -187,7 +185,7 @@ class TestArmijoBacktrack:
         x = np.array([2.0])
         value, grad = obj.value_and_grad(x)
         direction = -riemannian_grad(IP, x, grad)
-        result = armijo_backtrack(IP, obj, x, direction, ArmijoParams())
+        result = armijo_backtrack(obj, x, direction, ArmijoParams())
         assert result.status is StepStatus.ACCEPTED
         norm_sq = metric_inner(IP, x, direction, direction)
         assert result.new_value <= value - 1e-4 * result.tau * norm_sq

@@ -322,7 +322,7 @@ class TestProjector:
         # computed here by slab intersection only.
         n, n_angles = 8, 5
         a = build_projector(n, n_angles=n_angles)
-        sums = a.row_sums()
+        sums = a.forward(np.ones(n * n))
         h = 0.5 * n
         idx = 0
         offsets = np.arange(n) - 0.5 * (n - 1)

@@ -1,10 +1,14 @@
 """Solver steps, the shared driver, termination, and trace serialization."""
 
 import io
+import math
 
 import numpy as np
 import pytest
 from conftest import dense_kl_objective, quadratic_objective
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from egmin import (
     ArmijoParams,
@@ -14,11 +18,14 @@ from egmin import (
     SolverConfig,
     StepInfeasible,
     TerminalStatus,
+    armijo_backtrack,
+    build_instance,
     check_termination,
     constant_step,
     default_x0,
     exp_map,
-    pr_beta,
+    make_objective,
+    metric_inner,
     read_trace_csv,
     relative_lipschitz_step,
     riemannian_grad,
@@ -34,6 +41,31 @@ POI = GeometryKind.POISSON_FISHER_RAO
 IP = GeometryKind.INTERIOR_POINT
 METRIC = {Method.EG: POI, Method.IP_G_RGD: IP, Method.POI_CG: POI}
 GEODESIC_METHODS = list(METRIC)
+STEEPEST = {POI: Method.EG, IP: Method.IP_G_RGD}
+EPS = np.finfo(float).eps
+
+
+def solve_grad_norm(kind, x, g) -> float:
+    """The gradient norm ``solve`` records at ``x`` for the linear objective
+    ``<g, x>``; an infinite tolerance stops the run at its first record."""
+    obj = Objective(value_and_grad=lambda u: (float(g @ u), g))
+    trace = solve(SolverConfig(method=STEEPEST[kind], grad_norm_tol=math.inf), obj, x)
+    assert trace.terminal_status is TerminalStatus.GRAD_TOL
+    return trace.records[0].riem_grad_norm
+
+
+def armijo_slope(x, g, direction) -> float:
+    """The slope ``armijo_backtrack`` uses: with ``f(x) = 0``, ``sigma = 1/2``
+    and ``tau_bar = 1`` the first trial's limit is exactly ``slope / 2``."""
+    limits = []
+
+    def value(u, limit):
+        limits.append(limit)
+        return limit, False
+
+    obj = Objective(value_and_grad=lambda u: (0.0, g), value=value)
+    armijo_backtrack(obj, x, direction, ArmijoParams(sigma=0.5), value=0.0, grad=g)
+    return 2.0 * limits[0]
 
 
 class TestSteps:
@@ -142,27 +174,6 @@ class TestRelativeLipschitzStep:
             relative_lipschitz_step([1.0, 0.0])
 
 
-class TestPrBeta:
-    def test_zero_new_gradient(self):
-        assert pr_beta(np.ones(2), np.zeros(2), 4.0, np.array([1.0, -1.0])) == 0.0
-
-    def test_orthogonal_numerator(self):
-        # u = g_new - t = [1, 1], orthogonal to g_new = [1, -1] at x = ones.
-        x = np.ones(2)
-        g_new = np.array([1.0, -1.0])
-        t = np.array([0.0, -2.0])
-        assert pr_beta(x, g_new, 4.0, t) == pytest.approx(0.0)
-
-    def test_scalar_example(self):
-        # u = 2 - (-1) = 3, inner product 2*3 at x=1, over 4 -> 1.5.
-        beta = pr_beta(np.array([1.0]), np.array([2.0]), 4.0, np.array([-1.0]))
-        assert beta == pytest.approx(1.5)
-
-    def test_zero_old_norm_is_contract_violation(self):
-        with pytest.raises(ValueError):
-            pr_beta(np.ones(1), np.ones(1), 0.0, np.ones(1))
-
-
 class TestCheckTermination:
     CONFIG = SolverConfig(method=Method.EG)
 
@@ -197,6 +208,46 @@ class TestCheckTermination:
         assert check_termination(rec, self.CONFIG) is TerminalStatus.NON_FINITE
 
 
+class TestInnerProductsWithoutMetric:
+    """``<rgrad, v>_x = <grad, v>`` in both metrics, so the solve loop takes
+    its inner products without the weights ``1/x`` or ``1/x**2``."""
+
+    @pytest.mark.parametrize("kind", [POI, IP])
+    def test_match_metric_inner(self, kind, rng):
+        for n in (1, 16, 1024):
+            x = rng.uniform(0.5, 2.0, n)
+            g = rng.normal(size=n)
+            rgrad = riemannian_grad(kind, x, g)
+            tol = 4 * n * EPS
+            norm_sq = metric_inner(kind, x, rgrad, rgrad)
+            assert solve_grad_norm(kind, x, g) ** 2 == pytest.approx(norm_sq, rel=tol)
+            assert armijo_slope(x, g, -rgrad) == pytest.approx(-norm_sq, rel=tol)
+            v = rng.normal(size=n)
+            d = v if metric_inner(kind, x, rgrad, v) < 0.0 else -v
+            scale = metric_inner(kind, x, np.abs(rgrad), np.abs(d))
+            assert abs(armijo_slope(x, g, d) - metric_inner(kind, x, rgrad, d)) <= tol * scale
+
+    @pytest.mark.parametrize("kind", [POI, IP])
+    def test_norm_finite_where_the_metric_is_not(self, kind):
+        x, g = np.array([5e-324, 1.0]), np.array([0.0, 1.0])
+        rgrad = riemannian_grad(kind, x, g)
+        with np.errstate(all="ignore"):
+            assert math.isnan(metric_inner(kind, x, rgrad, rgrad))  # 0 * (1/x = inf)
+        assert solve_grad_norm(kind, x, g) == 1.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", [POI, IP])
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_norm_finite_down_to_the_smallest_subnormal(self, kind, data):
+        n = data.draw(st.integers(1, 40))
+        tiny = st.floats(5e-324, 1e-300, allow_subnormal=True)
+        x = data.draw(arrays(float, n, elements=st.one_of(tiny, st.floats(1e-300, 2.0))))
+        g = data.draw(arrays(float, n, elements=st.floats(-1e6, 1e6)))
+        norm = solve_grad_norm(kind, x, g)
+        assert math.isfinite(norm) and norm >= 0.0
+
+
 class TestSolve:
     def test_starts_at_critical_point(self):
         a = np.array([2.0, 3.0])
@@ -208,7 +259,7 @@ class TestSolve:
     def test_eg_converges_on_convex_quadratic(self):
         a = np.array([2.0, 3.0])
         trace = solve(SolverConfig(method=Method.EG), quadratic_objective(a), np.array([1.0, 1.0]))
-        values = trace.objective_values()
+        values = [r.f for r in trace.records]
         assert np.all(np.diff(values) < 0.0)
         assert np.max(np.abs(trace.final_point - a)) <= 1e-4
         assert trace.records[-1].k <= 300
@@ -224,7 +275,7 @@ class TestSolve:
                 quadratic_objective(a),
                 x0,
             )
-            assert np.all(np.diff(trace.objective_values()) <= 0.0)
+            assert np.all(np.diff([r.f for r in trace.records]) <= 0.0)
             assert np.all(trace.final_point > 0.0)
 
     def test_ipemd_monotone_on_kl_instance(self, rng):
@@ -240,7 +291,7 @@ class TestSolve:
         )
         trace = solve(config, obj, rng.uniform(0.5, 1.5, n))
         assert trace.terminal_status in (TerminalStatus.MAX_ITER, TerminalStatus.GRAD_TOL)
-        values = trace.objective_values()
+        values = [r.f for r in trace.records]
         assert np.all(np.diff(values) <= 0.0)
 
     def test_ipemd_requires_explicit_policy(self):
@@ -288,7 +339,7 @@ class TestSolve:
     def test_ipemd_armijo_failure_terminates_with_step_tol(self):
         obj = Objective(
             value_and_grad=lambda x: (0.0, np.ones_like(x)),
-            value=lambda x: np.inf,
+            value=lambda x, limit: (np.inf, False),
         )
         config = SolverConfig(method=Method.IP_E_MD, linesearch=ArmijoParams())
         trace = solve(config, obj, np.array([1.0]))
@@ -360,10 +411,27 @@ class TestSolve:
             iters[method] = trace.records[-1].k
         assert iters[Method.POI_CG] <= iters[Method.EG]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_poicg_survives_subnormal_pixels(self):
+        # poicg drives pixels down to 5e-324, where 1/x overflows: no inner
+        # product of the loop may take the metric weights there.
+        instance, _ = build_instance(32, lam=0.01, noisy=True, seed=0)
+        trace = solve(SolverConfig(method=Method.POI_CG), make_objective(instance), default_x0(1024, 0))
+        assert trace.terminal_status in (TerminalStatus.STEP_TOL, TerminalStatus.MAX_ITER)
+        assert trace.final_point.min() < 1e-300
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_ipgrgd_run_ends_infeasible_without_warnings(self):
+        # x * x underflows to 0 before the step overflows: 1/(x * x) must not be formed.
+        instance, _ = build_instance(32, seed=0)
+        config = SolverConfig(method=Method.IP_G_RGD, linesearch=constant_step(50.0))
+        trace = solve(config, make_objective(instance), default_x0(1024, 1))
+        assert trace.terminal_status is TerminalStatus.STEP_INFEASIBLE
+
     def test_linesearch_failure_terminates_with_step_tol(self):
         obj = Objective(
             value_and_grad=lambda x: (0.0, np.ones_like(x)),
-            value=lambda x: np.inf,
+            value=lambda x, limit: (np.inf, False),
         )
         trace = solve(SolverConfig(method=Method.EG), obj, np.array([1.0]))
         assert trace.terminal_status is TerminalStatus.STEP_TOL

@@ -151,7 +151,7 @@ class TestExactLinesearchOracle:
 
     def test_oracle_lower_bounds_armijo_decrease(self, rng):
         # The backtracked step can never do better than the exact optimum.
-        from egmin import ArmijoParams, GeometryKind, armijo_backtrack
+        from egmin import ArmijoParams, armijo_backtrack
 
         for _ in range(10):
             n = int(rng.integers(1, 6))
@@ -160,10 +160,7 @@ class TestExactLinesearchOracle:
             x = rng.uniform(0.5, 3.0, n)
             value, grad = obj.value_and_grad(x)
             rgrad = x * grad
-            step = armijo_backtrack(
-                GeometryKind.POISSON_FISHER_RAO, obj, x, -rgrad, ArmijoParams(),
-                value=value, grad=grad,
-            )
+            step = armijo_backtrack(obj, x, -rgrad, ArmijoParams(), value=value, grad=grad)
             res = exact_linesearch_oracle(x, obj, tau_max=5.0)
             f_star = obj.value(exp_map(x, -rgrad, res.tau).point)
             assert step.new_value <= value
