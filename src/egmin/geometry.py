@@ -14,7 +14,6 @@ Points and tangents are plain 1-d float64 arrays.  Manifold membership
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -99,7 +98,6 @@ def riemannian_grad(kind: GeometryKind, x, euclid_grad) -> np.ndarray:
     return x * x * g
 
 
-@dataclass(frozen=True)
 class ExpMapResult:
     """Outcome of a geodesic step, with per-coordinate failure flags.
 
@@ -107,28 +105,54 @@ class ExpMapResult:
     (or whose value saturated at the ceiling); ``underflow`` marks
     coordinates that rounded to exactly zero and therefore left the
     manifold.  Any flagged coordinate makes the step unusable as an
-    accepted iterate.
+    accepted iterate.  A step built without flag arrays has no flagged
+    coordinate; its flags are all-false arrays, made on access.
     """
 
-    point: np.ndarray
-    clamped: np.ndarray
-    underflow: np.ndarray
+    __slots__ = ("point", "_clamped", "_underflow")
+
+    def __init__(self, point: np.ndarray, clamped: np.ndarray | None = None,
+                 underflow: np.ndarray | None = None):
+        self.point = point
+        self._clamped = clamped
+        self._underflow = underflow
+
+    @property
+    def clamped(self) -> np.ndarray:
+        if self._clamped is None:
+            return np.zeros(np.shape(self.point), dtype=bool)
+        return self._clamped
+
+    @property
+    def underflow(self) -> np.ndarray:
+        if self._underflow is None:
+            return np.zeros(np.shape(self.point), dtype=bool)
+        return self._underflow
 
     @property
     def ok(self) -> bool:
+        if self._clamped is None and self._underflow is None:
+            return True  # built without flags
         return not (bool(self.clamped.any()) or bool(self.underflow.any()))
 
 
-def multiplicative_update(x, exponent) -> ExpMapResult:
-    """Compute ``x * exp(exponent)`` elementwise with overflow policy.
+def _unflagged_update(x: np.ndarray, z: np.ndarray, out: np.ndarray | None = None):
+    """``x * exp(z)``, written to ``out`` if given, when no coordinate needs
+    a flag: ``z`` is a nonempty vector shaped like ``x`` with every
+    ``|z| <= EXP_ARG_MAX`` (NaN fails), and every product is positive and
+    at most ``POINT_CEILING``.  Otherwise ``None``, and ``out`` may have
+    been overwritten."""
+    if not (x.ndim == 1 and z.shape == x.shape and x.size and max(z.max(), -z.min()) <= EXP_ARG_MAX):
+        return None
+    point = np.exp(z, out=out)
+    with np.errstate(over="ignore"):
+        point *= x
+    if point.max() <= POINT_CEILING and point.min() > 0.0:
+        return point
+    return None
 
-    Exponent entries outside ``[-EXP_ARG_MAX, EXP_ARG_MAX]`` are clamped
-    and flagged; coordinates that still overflow are saturated at
-    ``POINT_CEILING`` and flagged; coordinates that underflow to zero are
-    flagged rather than silently projected back onto the manifold.
-    """
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(exponent, dtype=float)
+
+def _flagged_update(x: np.ndarray, z: np.ndarray) -> ExpMapResult:
     if x.shape != z.shape:
         raise ValueError(f"dimension mismatch: x {x.shape}, exponent {z.shape}")
     clamped = np.abs(z) > EXP_ARG_MAX
@@ -142,17 +166,42 @@ def multiplicative_update(x, exponent) -> ExpMapResult:
     return ExpMapResult(point=point, clamped=clamped, underflow=underflow)
 
 
+def multiplicative_update(x, exponent) -> ExpMapResult:
+    """Compute ``x * exp(exponent)`` elementwise with overflow policy.
+
+    Exponent entries outside ``[-EXP_ARG_MAX, EXP_ARG_MAX]`` are clamped
+    and flagged; coordinates that still overflow are saturated at
+    ``POINT_CEILING`` and flagged; coordinates that underflow to zero are
+    flagged rather than silently projected back onto the manifold.  When
+    nothing needs a flag, the step skips the clamp and builds no flag
+    arrays; the point is the same either way.
+    """
+    x = np.asarray(x, dtype=float)
+    z = np.asarray(exponent, dtype=float)
+    point = _unflagged_update(x, z)
+    if point is not None:
+        return ExpMapResult(point)
+    return _flagged_update(x, z)
+
+
 def exp_map(x, v, tau: float) -> ExpMapResult:
     """Geodesic step ``x * exp(tau * v / x)``.
 
     The same map serves both geometries: the interior-point metric
     geodesics coincide with the Fisher-Rao exponential-family geodesics.
     ``exp_map(x, v, 0)`` returns ``x`` exactly; in exact arithmetic the
-    result is strictly positive for every ``tau``.
+    result is strictly positive for every ``tau``.  This is
+    :func:`multiplicative_update` with exponent ``tau * (v / x)``, taken in
+    place in the common case.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    return multiplicative_update(x, tau * (v / x))
+    z = v / x
+    z *= tau  # tau * (v / x), bit for bit
+    point = _unflagged_update(x, z, out=z)
+    if point is not None:
+        return ExpMapResult(point)
+    return _flagged_update(x, tau * (v / x))  # z may be overwritten: a rare step pays twice
 
 
 def transport_e(x, x_new, v) -> np.ndarray:

@@ -31,6 +31,7 @@ model built from the Hessian correction term.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -58,8 +59,8 @@ class ArmijoParams:
             raise ValueError(f"sigma must be in (0, 1), got {self.sigma}")
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
-        if self.tau_bar <= 0.0:
-            raise ValueError(f"tau_bar must be positive, got {self.tau_bar}")
+        if not 0.0 < self.tau_bar < math.inf:
+            raise ValueError(f"tau_bar must be positive and finite, got {self.tau_bar}")
         if not 0.0 < self.tau_min < self.tau_bar:
             raise ValueError(
                 f"tau_min must be in (0, tau_bar), got {self.tau_min}"
@@ -75,12 +76,12 @@ class ConstantStep:
     tau: float
 
     def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ValueError(f"constant step must be positive, got {self.tau}")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"constant step tau must be positive and finite, got {self.tau}")
 
 
 def constant_step(tau: float) -> ConstantStep:
-    """Build a constant step-size policy (``tau > 0``)."""
+    """Build a constant step-size policy (finite ``tau > 0``)."""
     return ConstantStep(tau)
 
 

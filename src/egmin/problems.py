@@ -50,8 +50,8 @@ class ProblemInstance:
             )
         if self.lam < 0.0:
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
-        if self.delta <= 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
 
 
 def kl_fidelity(A: SparseOperator, b, x) -> tuple[float, np.ndarray]:
@@ -77,31 +77,68 @@ def huber(a, delta: float):
     ``delta * (|a| - delta/2)`` outside; value and derivative are
     continuous at the kink.  Scalars in, scalars out.
     """
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     arr = np.asarray(a, dtype=float)
-    value = _huber_value(arr, delta)
-    deriv = np.where(np.abs(arr) <= delta, arr, delta * np.sign(arr))
+    value = _huber_values(arr, delta)
+    deriv = np.clip(arr, -delta, delta)
     if arr.ndim == 0:
         return float(value), float(deriv)
     return value, deriv
 
 
-def _huber_value(arr: np.ndarray, delta: float) -> np.ndarray:
-    """Elementwise Huber value, the one formula :func:`huber` and the
-    objective's value-only path share.
+def _huber_values(a, delta: float, out=None, c=None, half=None):
+    """Elementwise Huber value ``c * (|a| - c/2)`` with ``c = min(|a|, delta)``.
 
-    ``0.5 * |a| * |a|`` equals ``0.5 * a * a`` bit for bit; both branches
-    are computed in place.  Past ``|a| ~ 1e154`` the discarded quadratic
-    branch overflows to ``inf``; that is expected, so it raises no warning.
+    ``out``, ``c`` and ``half`` are optional buffers shaped like ``a``.  In
+    the linear branch this is ``delta * (|a| - delta/2)``, the same two
+    operations as the textbook form; in the quadratic branch
+    ``|a| - |a|/2`` is exact, so the value is ``(|a|/2) * |a|``, which equals
+    ``a * a / 2`` bit for bit (below ``2**-1021`` both round to +0).  The
+    derivative, ``clip(a, -delta, delta)``, needs no such argument.  Past
+    ``delta * |a| ~ 1.8e308`` the value overflows to ``inf``; that is
+    expected, so it raises no warning.
     """
-    mag = np.abs(arr)
+    mag = np.abs(a, out=out)
+    c = np.minimum(mag, delta, out=c)
+    half = np.multiply(c, 0.5, out=half)
+    mag -= half
     with np.errstate(over="ignore"):
-        linear = mag - 0.5 * delta
-        linear *= delta
-        square = 0.5 * mag
-        square *= mag
-    return np.where(mag <= delta, square, linear)
+        mag *= c
+    return mag
+
+
+def _differences(x: np.ndarray, w: int, out: np.ndarray) -> None:
+    """Write the forward differences of the flattened ``h x w`` image ``x``
+    into ``out`` (length ``2 * h * w``), laid out as :func:`discrete_gradient`
+    lays them out.
+
+    Both blocks are taken as contiguous runs, so the right-axis run also
+    spans row ends; those entries are zeroed after.  The down-axis block's
+    last row is not written: it must already be zero.
+    """
+    n = x.size
+    np.subtract(x[w:], x[:-w], out=out[: n - w])
+    right = out[n:]
+    np.subtract(x[1:], x[:-1], out=right[:-1])
+    right[w - 1 :: w] = 0.0
+
+
+def _add_difference_adjoint(y: np.ndarray, w: int, out: np.ndarray) -> None:
+    """Add the transpose of :func:`_differences` applied to ``y`` to the
+    flattened image ``out``, for a ``y`` whose right-axis block is zero in
+    the last column.
+
+    The contiguous runs then add or subtract ``+0.0`` at the row ends, which
+    leaves ``out`` unchanged bit for bit (a sum that starts at ``+0.0``
+    never reaches ``-0.0``).
+    """
+    n = out.size
+    down, right = y[: n - w], y[n:-1]
+    out[w:] += down
+    out[:-w] -= down
+    out[1:] += right
+    out[:-1] -= right
 
 
 def discrete_gradient(image_shape: tuple[int, int], x) -> np.ndarray:
@@ -112,29 +149,23 @@ def discrete_gradient(image_shape: tuple[int, int], x) -> np.ndarray:
     difference at the last row/column).
     """
     h, w = image_shape
-    img = np.asarray(x, dtype=float).reshape(h, w)
-    out = np.empty((2, h, w))
-    np.subtract(img[1:, :], img[:-1, :], out=out[0, :-1, :])
-    np.subtract(img[:, 1:], img[:, :-1], out=out[1, :, :-1])
-    out[0, -1, :] = 0.0
-    out[1, :, -1] = 0.0
-    return out.ravel()
+    x = np.asarray(x, dtype=float).reshape(h * w)
+    out = np.zeros(2 * h * w)
+    _differences(x, w, out)
+    return out
 
 
 def discrete_gradient_adjoint(image_shape: tuple[int, int], y) -> np.ndarray:
     """Exact transpose of :func:`discrete_gradient` (negative divergence)."""
     h, w = image_shape
-    y = np.asarray(y, dtype=float)
+    y = np.array(y, dtype=float)
     if y.size != 2 * h * w:
         raise ValueError(f"expected {2 * h * w} entries, got {y.size}")
-    yr = y[: h * w].reshape(h, w)
-    yc = y[h * w:].reshape(h, w)
-    out = np.zeros((h, w))
-    out[1:, :] += yr[:-1, :]
-    out[:-1, :] -= yr[:-1, :]
-    out[:, 1:] += yc[:, :-1]
-    out[:, :-1] -= yc[:, :-1]
-    return out.ravel()
+    y = y.reshape(2 * h * w)
+    y[h * w + w - 1 :: w] = 0.0  # entries D never writes; D^T ignores them
+    out = np.zeros(h * w)
+    _add_difference_adjoint(y, w, out)
+    return out
 
 
 def huber_tv(x, lam: float, delta: float, image_shape) -> tuple[float, np.ndarray]:
@@ -147,12 +178,6 @@ def huber_tv(x, lam: float, delta: float, image_shape) -> tuple[float, np.ndarra
     g = discrete_gradient(image_shape, x)
     value, deriv = huber(g, delta)
     return lam * float(np.sum(value)), lam * discrete_gradient_adjoint(image_shape, deriv)
-
-
-def _huber_tv_value(x, lam: float, delta: float, image_shape) -> float:
-    """``huber_tv(x, lam, delta, image_shape)[0]`` for ``lam > 0``, bit for
-    bit, without the derivative, the adjoint or the argument checks."""
-    return lam * float(_huber_value(discrete_gradient(image_shape, x), delta).sum())
 
 
 def full_objective(instance: ProblemInstance, x) -> tuple[float, np.ndarray]:
@@ -198,68 +223,131 @@ def make_objective(instance: ProblemInstance) -> Objective:
     exact path raises ``ValueError`` for it, the screen may reject it
     first.
 
-    The last forward projection is cached by value, so evaluating the
-    gradient at a point whose value was just computed (the accepted
-    line-search trial) costs only the adjoint application.
+    The last exact evaluation is cached by value (``np.array_equal``, so
+    an in-place edit of ``x`` is seen): its point, ``Ax``, KL value, TV
+    value and forward differences ``Dx``.  The gradient at that point (the
+    accepted line-search trial) then costs one adjoint application plus
+    ``1 - b / Ax``, ``clip(Dx, -delta, delta)`` and ``D^T``; a screened
+    trial never replaces the cached point.  The objective owns its scratch
+    buffers (the differences, the Huber scratch, one data-sized vector and
+    one image); they and the screen's constants are set up by its first
+    evaluation, so that building an objective stays cheap.  So an
+    objective is not re-entrant: use one per solve.
     """
-    A, b = instance.A, instance.b
-    lam, delta, shape = instance.lam, instance.delta, instance.image_shape
-    sum_b = float(b.sum())  # a Python float: the bound's overflow gives inf, not a warning
-    col_sums = A.column_sums()
-    eta = 1e-10 + (2 * A.cols + A.rows) * np.finfo(float).eps
-    cache: dict = {"x": None, "ax": None}
+    evaluation = _Evaluation(instance)
+    return Objective(
+        value_and_grad=evaluation.value_and_grad,
+        value=evaluation.value,
+        matvecs=instance.A.application_count,
+    )
 
-    def _forward(x: np.ndarray) -> np.ndarray:
-        if cache["x"] is not None and np.array_equal(cache["x"], x):
-            return cache["ax"]
-        ax = A.forward(x)
-        cache["x"] = x.copy()
-        cache["ax"] = ax
-        return ax
 
-    def _kl(ax: np.ndarray) -> float:
+class _Evaluation:
+    """The state behind :func:`make_objective`'s callables.
+
+    ``x`` (a kept copy), ``ax``, ``kl``, ``tv`` and ``dx`` (the forward
+    differences) describe the last exact evaluation, when ``cached`` is
+    set.  ``trial_dx`` holds the differences of the latest trial, ``terms``
+    the KL terms or the gradient weights, ``mag``, ``c`` and ``half`` the
+    Huber scratch (``mag`` also the derivative) and ``image`` ``D^T``'s
+    output.  The buffers and the screen's constants are set up by the first
+    evaluation; the difference buffers' down-axis last rows are zeroed
+    once, as :func:`_differences` needs.
+    """
+
+    __slots__ = (
+        "A", "b", "lam", "delta", "w", "sum_b", "col_sums", "eta", "cached", "x", "ax", "kl",
+        "tv", "dx", "trial_dx", "terms", "mag", "c", "half", "image",
+    )
+
+    def __init__(self, instance: ProblemInstance):
+        self.A, self.b = instance.A, instance.b
+        self.lam, self.delta, self.w = instance.lam, instance.delta, instance.image_shape[1]
+        self.cached = False
+        self.x = None
+
+    def _setup(self) -> None:
+        A, n = self.A, self.A.cols
+        # A Python float: the bound's overflow gives inf, not a warning.
+        self.sum_b = float(self.b.sum())
+        self.col_sums = A.column_sums()
+        self.eta = 1e-10 + (2 * n + A.rows) * 2.0**-52
+        self.x, self.terms = np.empty(n), np.empty(A.rows)
+        if self.lam > 0.0:
+            self.dx, self.trial_dx = np.zeros(2 * n), np.zeros(2 * n)
+            self.mag, self.c, self.half = np.empty(2 * n), np.empty(2 * n), np.empty(2 * n)
+            self.image = np.empty(n)
+
+    def _kl(self, ax: np.ndarray) -> float:
         # Same terms, in the same order, as divergence.kl(b, ax).
+        b = self.b
         sum_ax = ax.sum()
         if not (ax.min() > 0.0 and np.isfinite(sum_ax)):
             as_point(ax)  # raises as kl does, unless only the sum overflowed
-        terms = b / ax
+        terms = np.divide(b, ax, out=self.terms)
         np.log(terms, out=terms)
         terms *= b
-        return float(terms.sum() - sum_b + sum_ax)
+        return float(terms.sum() - self.sum_b + sum_ax)
 
-    def _tv(x: np.ndarray) -> float:
-        return _huber_tv_value(x, lam, delta, shape) if lam > 0.0 else 0.0
+    def _tv(self, x: np.ndarray) -> float:
+        # lam * sum(huber(Dx)), with Dx left in trial_dx.
+        _differences(x, self.w, self.trial_dx)
+        values = _huber_values(self.trial_dx, self.delta, self.mag, self.c, self.half)
+        return self.lam * float(values.sum())
 
-    def _value(x: np.ndarray, limit: float) -> tuple[float, bool]:
+    def _evaluate(self, x: np.ndarray, tv: float | None) -> None:
+        # Exact value at x, made the cached evaluation.  A given tv is x's,
+        # with its differences in trial_dx.  Nothing cached changes before
+        # the KL term has validated Ax.
+        ax = self.A.forward(x)
+        kl_value = self._kl(ax)
+        if self.lam > 0.0:
+            if tv is None:
+                tv = self._tv(x)
+            self.dx, self.trial_dx = self.trial_dx, self.dx
+        np.copyto(self.x, x)
+        self.cached, self.ax, self.kl, self.tv = True, ax, kl_value, tv
+
+    def value(self, x: np.ndarray, limit: float) -> tuple[float, bool]:
+        x = np.asarray(x, dtype=float)
+        if self.x is None:
+            self._setup()
         tv = None
         if limit < math.inf:
-            y = float(col_sums @ x)
+            sum_b, lam = self.sum_b, self.lam
+            y = float(self.col_sums @ x)
             ratio = sum_b / y if y > 0.0 else 0.0  # 0 for y = inf or NaN too
             if 0.0 < ratio < math.inf:
-                tv = _tv(x)
+                tv = self._tv(x) if lam > 0.0 else 0.0
                 lb = sum_b * math.log(ratio) - sum_b + y + tv
-                if math.isfinite(lb) and lb - limit > eta * (sum_b + y + abs(tv)):
+                if math.isfinite(lb) and lb - limit > self.eta * (sum_b + y + abs(tv)):
                     return lb, True
-        v = _kl(_forward(x))
-        if lam > 0.0:
-            v += _tv(x) if tv is None else tv
+        if not (self.cached and np.array_equal(self.x, x)):
+            self._evaluate(x, tv)
+        v = self.kl
+        if self.lam > 0.0:
+            v += self.tv
         return v, False
 
-    def _value_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
-        ax = _forward(x)
-        value = _kl(ax)
-        grad = A.adjoint(1.0 - b / ax)
-        if lam > 0.0:
-            tv, tg = huber_tv(x, lam, delta, shape)
-            value += tv
-            grad = grad + tg
+    def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        x = np.asarray(x, dtype=float)
+        if self.x is None:
+            self._setup()
+        if not (self.cached and np.array_equal(self.x, x)):
+            self._evaluate(x, None)
+        value = self.kl
+        weights = np.divide(self.b, self.ax, out=self.terms)
+        np.subtract(1.0, weights, out=weights)
+        grad = self.A.adjoint(weights)
+        if self.lam > 0.0:
+            value += self.tv
+            deriv = np.clip(self.dx, -self.delta, self.delta, out=self.mag)
+            image = self.image
+            image.fill(0.0)
+            _add_difference_adjoint(deriv, self.w, image)
+            image *= self.lam
+            grad += image
         return value, grad
-
-    return Objective(
-        value_and_grad=_value_and_grad,
-        value=_value,
-        matvecs=A.application_count,
-    )
 
 
 def make_phantom(n_side: int) -> np.ndarray:

@@ -18,9 +18,13 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import time
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import starmap
 
 import numpy as np
 
@@ -106,13 +110,60 @@ TRACE_FIELDS = ("k", "f", "riem_grad_norm", "tau", "halvings", "matvec_count", "
 _INT_FIELDS = {"k", "halvings", "matvec_count", "wall_nanos"}
 
 
+class TraceRecords(Sequence):
+    """The records of one run, one unboxed column per field.
+
+    Integer fields are ``array('q')`` columns and float fields
+    ``array('d')`` columns, grown as records are appended (not sized to
+    the iteration cap).  Reading is read-only: an index, negative too,
+    builds one :class:`IterationRecord`, a slice a list of them.
+    Compares equal to any list or tuple of equal records.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, records: Iterable[IterationRecord] = ()):
+        self._columns = tuple(array("q" if name in _INT_FIELDS else "d") for name in TRACE_FIELDS)
+        for record in records:
+            self._append(record)
+
+    def _append(self, record: IterationRecord) -> None:
+        for column, name in zip(self._columns, TRACE_FIELDS):
+            column.append(getattr(record, name))
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return IterationRecord(*(column[index] for column in self._columns))
+
+    def __iter__(self) -> Iterator[IterationRecord]:
+        return starmap(IterationRecord, zip(*self._columns))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (TraceRecords, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+
 @dataclass
 class RunTrace:
-    """Ordered per-iteration records plus the final state of one run."""
+    """Ordered per-iteration records plus the final state of one run.
 
-    records: list[IterationRecord]
+    ``records`` may be given as any iterable of :class:`IterationRecord`;
+    it is stored as :class:`TraceRecords` columns, which keep a record in
+    about 56 bytes instead of an object per record and one per field.
+    """
+
+    records: TraceRecords
     terminal_status: TerminalStatus
     final_point: np.ndarray
+
+    def __post_init__(self):
+        if not isinstance(self.records, TraceRecords):
+            self.records = TraceRecords(self.records)
 
     def to_csv(self, path_or_file, include_wall: bool = False) -> None:
         """Serialize records as RFC-4180 CSV with full-precision floats.
@@ -216,11 +267,21 @@ def quotient_retraction(x, direction, tau: float, grad) -> tuple[np.ndarray, boo
 
 
 def relative_lipschitz_step(b) -> float:
-    """Guaranteed constant step ``1 / (2 * ||b||_1)`` for the quotient update."""
+    """Guaranteed constant step ``1 / (2 * ||b||_1)`` for the quotient update.
+
+    ``b`` must be nonempty, strictly positive and finite, and the step must
+    come out finite and positive.
+    """
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    if np.any(b <= 0.0):
-        raise ValueError("b must be strictly positive")
-    return float(1.0 / (2.0 * np.sum(b)))
+    total = float(np.sum(b))
+    if not (b.size and b.min() > 0.0):
+        raise ValueError("b must be nonempty and strictly positive, with no NaN")
+    step = 1.0 / (2.0 * total)
+    if not 0.0 < step < math.inf:  # an inf in b, or 2 * sum(b) out of range
+        raise ValueError(
+            f"b must be finite, with 1 / (2 * sum(b)) finite and positive; got sum(b) = {total}"
+        )
+    return step
 
 
 def check_termination(record: IterationRecord, config: SolverConfig) -> TerminalStatus | None:
@@ -311,8 +372,10 @@ def solve(config: SolverConfig, obj: Objective, x0) -> RunTrace:
         return value, grad, rgrad, gnorm_sq, float(np.sqrt(gnorm_sq))
 
     value, grad, rgrad, gnorm_sq, gnorm = evaluate(x)
-    records = [record_at(0, value, gnorm, 0.0, 0)]
-    status = check_termination(records[0], config)
+    records = TraceRecords()
+    record = record_at(0, value, gnorm, 0.0, 0)
+    records._append(record)
+    status = check_termination(record, config)
     v = -rgrad
 
     k = 0
@@ -332,7 +395,7 @@ def solve(config: SolverConfig, obj: Objective, x0) -> RunTrace:
                 obj, x, direction, policy, value=value, grad=grad, retract=rule.retraction
             )
             if step.status is not StepStatus.ACCEPTED:
-                records.append(record_at(k, value, gnorm, step.tau, step.halvings))
+                records._append(record_at(k, value, gnorm, step.tau, step.halvings))
                 status = TerminalStatus.STEP_TOL
                 break
             x_new, tau, halvings = step.new_point, step.tau, step.halvings
@@ -354,7 +417,8 @@ def solve(config: SolverConfig, obj: Objective, x0) -> RunTrace:
             if old_gnorm_sq > 0.0:
                 beta_plus = max(float(np.sum(grad * (rgrad - transported))) / old_gnorm_sq, 0.0)
             v = -rgrad + beta_plus * transported
-        records.append(record_at(k, value, gnorm, tau, halvings))
-        status = check_termination(records[-1], config)
+        record = record_at(k, value, gnorm, tau, halvings)
+        records._append(record)
+        status = check_termination(record, config)
 
     return RunTrace(records=records, terminal_status=status, final_point=x)

@@ -1,5 +1,7 @@
 """Armijo backtracking, constant steps, and exact line-search diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
 from conftest import dense_kl_objective, quadratic_objective, quartic_objective
@@ -46,6 +48,16 @@ class TestParams:
             constant_step(0.0)
         with pytest.raises(ValueError):
             constant_step(-1.0)
+
+    @pytest.mark.parametrize("tau_bar", [math.nan, math.inf])
+    def test_tau_bar_must_be_finite(self, tau_bar):
+        with pytest.raises(ValueError, match="tau_bar must be positive and finite"):
+            ArmijoParams(tau_bar=tau_bar)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_constant_step_must_be_finite(self, tau):
+        with pytest.raises(ValueError, match="constant step tau must be positive and finite"):
+            constant_step(tau)
 
 
 class TestArmijoBacktrack:

@@ -1,5 +1,6 @@
 """The tomography test bed: fidelity, regularizer, projector, phantom, data."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,7 +28,7 @@ from egmin import (
     solve,
 )
 from egmin.linesearch import constant_step
-from egmin.problems import _huber_tv_value
+from egmin.problems import _huber_values
 from egmin.solvers import default_x0, relative_lipschitz_step
 from egmin.verification import fd_gradient_check
 
@@ -143,22 +144,30 @@ class TestHuberTV:
     @pytest.mark.parametrize("lam", [0.01, 0.3, 2.0])
     @pytest.mark.parametrize("delta", [0.25, 1.0, 4.0])
     def test_value_only_path_is_bit_identical(self, lam, delta, rng):
-        # Differences at 0, at exactly +-delta, in both branches, and at
-        # +-1e200, where the discarded square overflows to inf.
-        image = np.array([
+        # With A = I and b = x the KL term is exactly 0, so the objective's
+        # value is its TV value alone; the screened call (finite limit)
+        # reuses the TV value its screen computed.  Differences at 0, at
+        # exactly +-delta, in both branches, and at +-1e200, where the
+        # square would overflow to inf.
+        image = 10.0 + np.array([
             [0.0, 0.0, delta, 0.0],
-            [0.0, -delta, 1e200, -1e200],
+            [0.0, -delta, 1e200, 0.0],
             [0.5, 1.5, 1e-3, 3.0],
             [0.75, 0.75, 1e200, 7.0],
         ]).ravel()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            for x in (image, rng.normal(0.0, 3.0 * delta, 16)):
-                assert _huber_tv_value(x, lam, delta, (4, 4)) == huber_tv(x, lam, delta, (4, 4))[0]
-        # A difference of -inf gives an infinite value on both paths.
+            for x in (image, rng.uniform(10.0, 10.0 + 6.0 * delta, 16)):
+                want = huber_tv(x, lam, delta, (4, 4))[0]
+                for limit in (np.inf, 1e300):
+                    instance = ProblemInstance(SparseOperator(np.eye(16)), x, lam, delta, (4, 4))
+                    assert make_objective(instance).value(x, limit) == want
+        # A difference of -inf gives an infinite value in the kernel too.
         x = np.array([1e308, -1e308, 0.0, 1.0])
         with np.errstate(over="ignore"):
-            assert _huber_tv_value(x, lam, delta, (2, 2)) == huber_tv(x, lam, delta, (2, 2))[0] == np.inf
+            d = discrete_gradient((2, 2), x)
+            kept = [np.empty(8) for _ in range(3)]
+            assert lam * float(_huber_values(d, delta, *kept).sum()) == huber_tv(x, lam, delta, (2, 2))[0] == np.inf
 
     def test_huber_overflow_is_silent(self):
         with warnings.catch_warnings():
@@ -284,6 +293,77 @@ class TestMakeObjective:
         assert got.final_point.tobytes() == want.final_point.tobytes()
         columns = [[(r.k, r.f, r.riem_grad_norm, r.tau, r.halvings) for r in t.records] for t in (got, want)]
         assert np.array(columns[0]).tobytes() == np.array(columns[1]).tobytes()  # NaN-safe
+
+    @pytest.mark.parametrize("lam", [0.01, 0.0])
+    def test_cache_never_goes_stale(self, lam, rng):
+        instance, _ = build_instance(16, lam=lam, seed=5)
+        n = instance.A.cols
+        x1, x2 = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
+        want_value, want_grad = full_objective(instance, x1)
+
+        def check(obj, x=x1, want=(want_value, want_grad)):
+            value, grad = obj.value_and_grad(x)
+            assert value == want[0]
+            assert grad.tobytes() == want[1].tobytes()
+
+        # Exact at x1, screened at x2: the screen leaves x1's evaluation cached.
+        obj = make_objective(instance)
+        obj.value(x1)
+        obj.value(x2, -1e10)
+        assert obj.screened_trials == 1
+        instance.A.reset_counts()
+        check(obj)
+        assert (instance.A.forward_count, instance.A.adjoint_count) == (0, 1)
+        # Exact at x1, then at x2: x2 replaces x1.
+        obj = make_objective(instance)
+        obj.value(x1)
+        obj.value(x2)
+        instance.A.reset_counts()
+        check(obj)
+        assert (instance.A.forward_count, instance.A.adjoint_count) == (1, 1)
+        # An in-place edit of the evaluated point is seen.
+        obj = make_objective(instance)
+        x = x1.copy()
+        obj.value(x)
+        x[0] *= 2.0
+        check(obj, x, full_objective(instance, x))
+        # A gradient with no value before it.
+        check(make_objective(instance))
+        # An evaluation that raises leaves the cached one as it was.
+        obj = make_objective(instance)
+        obj.value(x1)
+        with pytest.raises(ValueError, match="non-finite"):
+            obj.value(np.where(np.arange(n) == 3, np.nan, x2))
+        instance.A.reset_counts()
+        check(obj)
+        assert (instance.A.forward_count, instance.A.adjoint_count) == (0, 1)
+
+    @pytest.mark.parametrize("lam", [0.01, 0.0])
+    def test_trials_allocate_almost_nothing(self, lam, rng):
+        # After the first evaluation has set up the buffers, a trial allocates
+        # little beyond the forward projection it caches, and a gradient
+        # little beyond the one it returns.
+        instance, _ = build_instance(64, lam=lam, seed=2)
+        image = instance.A.cols * 8
+        obj = make_objective(instance)
+        x = rng.uniform(0.5, 2.0, instance.A.cols)
+        f = obj.value_and_grad(x)[0]
+        points = [x * rng.uniform(0.9, 1.1, x.size) for _ in range(3)]
+
+        def allocated(call):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                call()
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        screened = obj.screened_trials
+        assert allocated(lambda: obj.value(points[0], f - 1e6)) <= 1.5 * image
+        assert obj.screened_trials == screened + 1
+        assert allocated(lambda: obj.value(points[1], f + 1e6)) <= 1.5 * image
+        assert allocated(lambda: (obj.value(points[2]), obj.value_and_grad(points[2]))) <= 2.5 * image
 
     def test_underflowing_forward_projection_is_rejected(self):
         instance = ProblemInstance(
@@ -419,6 +499,20 @@ class TestSparseOperator:
         assert a.column_sums() is a.column_sums()
         assert not a.column_sums().flags.writeable
         assert a.application_count() == 0
+
+    def test_adjoint_reuses_one_transpose_view(self, rng):
+        instance, _ = build_instance(16, seed=1)
+        a = instance.A
+        matrix, transpose = a._matrix, a._transpose
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(matrix, name), getattr(transpose, name))
+        y = rng.uniform(0.1, 2.0, a.rows)
+        a.reset_counts()
+        a._matrix = None  # the adjoint needs the kept view alone
+        got = a.adjoint(y)
+        assert got.tobytes() == (matrix.T @ y).tobytes()
+        assert a._transpose is transpose
+        assert (a.forward_count, a.adjoint_count) == (0, 1)
 
     def test_reset_counts(self, rng):
         a = SparseOperator(rng.uniform(0.1, 1.0, (3, 4)))

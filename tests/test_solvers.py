@@ -1,5 +1,6 @@
 """Solver steps, the shared driver, termination, and trace serialization."""
 
+import csv
 import io
 import math
 
@@ -34,7 +35,7 @@ from egmin import (
     step_ip_e_md,
 )
 from egmin.geometry import GeometryKind
-from egmin.solvers import quotient_retraction
+from egmin.solvers import TRACE_FIELDS, RunTrace, TraceRecords, quotient_retraction
 from egmin.verification import md_argmin_oracle
 
 POI = GeometryKind.POISSON_FISHER_RAO
@@ -43,6 +44,18 @@ METRIC = {Method.EG: POI, Method.IP_G_RGD: IP, Method.POI_CG: POI}
 GEODESIC_METHODS = list(METRIC)
 STEEPEST = {POI: Method.EG, IP: Method.IP_G_RGD}
 EPS = np.finfo(float).eps
+
+
+def reference_csv(records, include_wall) -> str:
+    """``RunTrace.to_csv`` as written for a list of record objects."""
+    fields = TRACE_FIELDS if include_wall else TRACE_FIELDS[:-1]
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(fields)
+    for rec in records:
+        writer.writerow([getattr(rec, name) if isinstance(getattr(rec, name), int)
+                         else format(getattr(rec, name), ".17e") for name in fields])
+    return out.getvalue()
 
 
 def solve_grad_norm(kind, x, g) -> float:
@@ -172,6 +185,19 @@ class TestRelativeLipschitzStep:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             relative_lipschitz_step([1.0, 0.0])
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="b must be nonempty and strictly positive"):
+            relative_lipschitz_step([1.0, math.nan])
+
+    def test_rejects_inf(self):
+        with pytest.raises(ValueError, match="b must be finite"):
+            relative_lipschitz_step([1.0, math.inf])
+
+    @pytest.mark.parametrize("b", [[], [5e-324], [1e308, 1e308]])
+    def test_rejects_a_step_out_of_range(self, b):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="b must"):
+            relative_lipschitz_step(b)
 
 
 class TestCheckTermination:
@@ -502,6 +528,28 @@ class TestTraceSerialization:
         ]
         parsed = read_trace_csv(path)
         assert parsed[-1].wall_nanos > 0
+
+    def test_records_are_columns_read_as_records(self, tmp_path):
+        trace = self.build_trace()
+        records = list(trace.records)
+        assert isinstance(trace.records, TraceRecords)
+        assert len(records) == len(trace.records) > 3
+        assert trace.records == records and records == trace.records
+        assert trace.records[-1] == records[-1] and trace.records[-len(records)] == records[0]
+        assert trace.records[1:3] == records[1:3] and trace.records[::-2] == records[::-2]
+        assert [r.k for r in trace.records] == list(range(len(records)))
+        with pytest.raises(IndexError):
+            trace.records[len(records)]
+        with pytest.raises(TypeError):
+            trace.records[0] = records[0]
+        # A RunTrace built from a plain list stores and writes the same.
+        rebuilt = RunTrace(records=records, terminal_status=trace.terminal_status, final_point=trace.final_point)
+        assert rebuilt.records == trace.records
+        for include_wall in (False, True):
+            got, again = io.StringIO(), io.StringIO()
+            trace.to_csv(got, include_wall=include_wall)
+            rebuilt.to_csv(again, include_wall=include_wall)
+            assert got.getvalue() == again.getvalue() == reference_csv(records, include_wall)
 
     def test_summary_dict(self):
         trace = self.build_trace()
