@@ -26,6 +26,7 @@ from .divergence import (
 from .geometry import (
     EXP_ARG_MAX,
     ExpMapResult,
+    Geodesic,
     GeometryKind,
     as_point,
     exp_map,

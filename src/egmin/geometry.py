@@ -14,6 +14,7 @@ Points and tangents are plain 1-d float64 arrays.  Manifold membership
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import Callable
 
@@ -136,20 +137,69 @@ class ExpMapResult:
         return not (bool(self.clamped.any()) or bool(self.underflow.any()))
 
 
-def _unflagged_update(x: np.ndarray, z: np.ndarray, out: np.ndarray | None = None):
-    """``x * exp(z)``, written to ``out`` if given, when no coordinate needs
-    a flag: ``z`` is a nonempty vector shaped like ``x`` with every
-    ``|z| <= EXP_ARG_MAX`` (NaN fails), and every product is positive and
-    at most ``POINT_CEILING``.  Otherwise ``None``, and ``out`` may have
-    been overwritten."""
-    if not (x.ndim == 1 and z.shape == x.shape and x.size and max(z.max(), -z.min()) <= EXP_ARG_MAX):
-        return None
-    point = np.exp(z, out=out)
-    with np.errstate(over="ignore"):
-        point *= x
-    if point.max() <= POINT_CEILING and point.min() > 0.0:
-        return point
-    return None
+# A prepared step needs no flag when max(x) * e**max(z) is at most
+# _CEILING_PROVEN and min(x) * e**min(z) at least _FLOOR_PROVEN.  The
+# ceiling's slack, 2**-40 relative, covers numpy's and libm's exp (each
+# within 2**-43, about a thousand ulps) and two product roundings; the
+# floor, the smallest normal float, is 2**52 above the products that
+# round to zero.
+_CEILING_PROVEN = POINT_CEILING * (1.0 - 2.0**-40)
+_FLOOR_PROVEN = 2.0**-1022
+
+
+class Geodesic:
+    """The curve ``tau -> x * exp(w * tau)``, with what all its steps share
+    formed once: ``w`` and the extremes of ``w`` and ``x``.
+    ``Geodesic.along(x, v)`` is the geodesic of :func:`exp_map`, ``w = v / x``.
+
+    Rounding is monotone, so ``tau`` times the extremes of ``w`` are the
+    extremes of ``z = w * tau`` bit for bit.  A step tests
+    ``|z| <= EXP_ARG_MAX`` on them and, in Python floats (an overflow is
+    ``inf`` and raises nothing), proves every coordinate positive and at
+    most ``POINT_CEILING`` from ``max(x) e**max(z)`` and
+    ``min(x) e**min(z)``; it then forms ``x * exp(z)`` with no reduction,
+    no flag array and no ``np.errstate``.  Otherwise it checks the point
+    itself, or flags it as :func:`multiplicative_update` says: the result
+    is the same bit for bit on every path.
+    """
+
+    __slots__ = ("x", "w", "_extremes")
+
+    def __init__(self, x, w):
+        x = np.asarray(x, dtype=float)
+        w = np.asarray(w, dtype=float)
+        self.x, self.w, self._extremes = x, w, None
+        if x.ndim == 1 and w.shape == x.shape and x.size:
+            self._extremes = (float(w.max()), float(w.min()), float(x.max()), float(x.min()))
+
+    @classmethod
+    def along(cls, x, v) -> "Geodesic":
+        x = np.asarray(x, dtype=float)
+        return cls(x, np.asarray(v, dtype=float) / x)
+
+    def step(self, tau: float) -> ExpMapResult:
+        """``x * exp(w * tau)`` with the overflow policy of
+        :func:`multiplicative_update`."""
+        x, w = self.x, self.w
+        if self._extremes is not None:
+            tau = float(tau)
+            w_max, w_min, x_max, x_min = self._extremes
+            a, b = tau * w_max, tau * w_min  # NaN fails the test below
+            if -EXP_ARG_MAX <= a <= EXP_ARG_MAX and -EXP_ARG_MAX <= b <= EXP_ARG_MAX:
+                z_max, z_min = (a, b) if a >= b else (b, a)
+                point = np.multiply(w, tau)
+                np.exp(point, out=point)
+                if (x_max * math.exp(z_max) <= _CEILING_PROVEN
+                        and x_min * math.exp(z_min) >= _FLOOR_PROVEN):
+                    point *= x
+                    return ExpMapResult(point)
+                with np.errstate(over="ignore"):
+                    point *= x
+                if point.max() <= POINT_CEILING and point.min() > 0.0:
+                    return ExpMapResult(point)
+        with np.errstate(over="ignore"):  # an infinite exponent is clamped and flagged
+            z = w * tau
+        return _flagged_update(x, z)
 
 
 def _flagged_update(x: np.ndarray, z: np.ndarray) -> ExpMapResult:
@@ -174,34 +224,29 @@ def multiplicative_update(x, exponent) -> ExpMapResult:
     ``POINT_CEILING`` and flagged; coordinates that underflow to zero are
     flagged rather than silently projected back onto the manifold.  When
     nothing needs a flag, the step skips the clamp and builds no flag
-    arrays; the point is the same either way.
+    arrays; the point is the same either way.  This is one step of
+    :class:`Geodesic` ``(x, exponent)`` at ``tau = 1``.
     """
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(exponent, dtype=float)
-    point = _unflagged_update(x, z)
-    if point is not None:
-        return ExpMapResult(point)
-    return _flagged_update(x, z)
+    return Geodesic(x, exponent).step(1.0)
 
 
-def exp_map(x, v, tau: float) -> ExpMapResult:
+def exp_map(x, v, tau: float, geodesic: Geodesic | None = None) -> ExpMapResult:
     """Geodesic step ``x * exp(tau * v / x)``.
 
     The same map serves both geometries: the interior-point metric
     geodesics coincide with the Fisher-Rao exponential-family geodesics.
     ``exp_map(x, v, 0)`` returns ``x`` exactly; in exact arithmetic the
-    result is strictly positive for every ``tau``.  This is
-    :func:`multiplicative_update` with exponent ``tau * (v / x)``, taken in
-    place in the common case.
+    result is strictly positive for every ``tau``.  The exponent is
+    ``(v / x) * tau`` bit for bit, with the overflow policy of
+    :func:`multiplicative_update`.
+
+    ``geodesic``, when given, must be ``Geodesic.along(x, v)``: the steps
+    of one line search share it, so each forms only its own point (see
+    :class:`Geodesic`); ``x`` and ``v`` are then not read.
     """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    z = v / x
-    z *= tau  # tau * (v / x), bit for bit
-    point = _unflagged_update(x, z, out=z)
-    if point is not None:
-        return ExpMapResult(point)
-    return _flagged_update(x, tau * (v / x))  # z may be overwritten: a rare step pays twice
+    if geodesic is None:
+        geodesic = Geodesic.along(x, v)
+    return geodesic.step(tau)
 
 
 def transport_e(x, x_new, v) -> np.ndarray:

@@ -2,15 +2,18 @@
 
 A retraction moves from ``x`` along a direction by a step ``tau`` and
 reports whether the trial point is usable: an overflowed or underflowed
-exponential map and an infeasible quotient update are not.  Armijo
-backtracking (along the geodesic unless told otherwise) halves a trial
-step until the sufficient-decrease inequality
+exponential map and an infeasible quotient update are not.  It is
+prepared once per search, ``trial = retract(x, d, grad)``, so that what
+all trials along ``d`` share is formed once.  Armijo backtracking (along
+the geodesic unless told otherwise) halves a trial step until the
+sufficient-decrease inequality
 
-    f(retract(x, d, tau)) <= f(x) + sigma * tau * <grad, d>
+    f(x_tau) <= f(x) + sigma * tau * <grad, d>
 
-holds, with ``grad`` the Euclidean gradient at ``x``.  The slope
-``<grad, d>`` is the directional derivative of ``f`` along ``d``; it
-equals ``<rgrad, d>_x`` in either metric, so the search needs no metric.
+holds, with ``x_tau`` the point of ``trial(tau)`` and ``grad`` the
+Euclidean gradient at ``x``.  The slope ``<grad, d>`` is the directional
+derivative of ``f`` along ``d``; it equals ``<rgrad, d>_x`` in either
+metric, so the search needs no metric.
 With the steepest-descent direction ``d = -rgrad`` the right-hand side
 reduces to ``f(x) - sigma * tau * ||rgrad||_x^2``; the generalized form
 accepts arbitrary descent directions (used by the conjugate-gradient
@@ -38,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import GeometryKind, exp_map, m_hessian_apply, metric_inner
+from .geometry import Geodesic, GeometryKind, exp_map, m_hessian_apply, metric_inner
 from .objective import Objective
 
 
@@ -103,14 +106,28 @@ class StepResult:
     status: StepStatus
 
 
-# retract(x, direction, tau, grad) -> (point, ok); grad is the Euclidean gradient at x.
-Retraction = Callable[[np.ndarray, np.ndarray, float, np.ndarray], tuple[np.ndarray, bool]]
+# trial(tau) -> (point, ok): the retracted point at step tau, and whether it is usable.
+Trial = Callable[[float], tuple[np.ndarray, bool]]
+# retract(x, direction, grad) -> trial: a retraction prepares once what the
+# trials along one direction share; grad is the Euclidean gradient at x.
+Retraction = Callable[[np.ndarray, np.ndarray, np.ndarray], Trial]
 
 
-def geodesic_retraction(x, direction, tau: float, grad) -> tuple[np.ndarray, bool]:
-    """The exponential map as a retraction; flagged coordinates make it unusable."""
-    step = exp_map(x, direction, tau)
-    return step.point, step.ok
+def geodesic_retraction(x, direction, grad) -> Trial:
+    """The exponential map as a retraction; flagged coordinates make it unusable.
+
+    The geodesic's invariants are formed once (see
+    :class:`egmin.geometry.Geodesic`), and each trial is one
+    :func:`exp_map` call that reuses them.
+    """
+    x = np.asarray(x, dtype=float)
+    geodesic = Geodesic.along(x, direction)
+
+    def trial(tau: float) -> tuple[np.ndarray, bool]:
+        step = exp_map(x, direction, tau, geodesic)
+        return step.point, step.ok
+
+    return trial
 
 
 def armijo_backtrack(
@@ -140,11 +157,12 @@ def armijo_backtrack(
     if slope > 0.0:
         raise ValueError(f"not a descent direction: slope {slope} > 0")
 
+    trial = retract(x, direction, grad)
     tau = params.tau_bar
     halvings = 0
     saw_usable_trial = False
     while halvings <= params.max_halvings and tau >= params.tau_min:
-        point, ok = retract(x, direction, tau, grad)
+        point, ok = trial(tau)
         if ok:
             saw_usable_trial = True
             limit = value + params.sigma * tau * slope

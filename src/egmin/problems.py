@@ -97,14 +97,18 @@ def _huber_values(a, delta: float, out=None, c=None, half=None):
     ``a * a / 2`` bit for bit (below ``2**-1021`` both round to +0).  The
     derivative, ``clip(a, -delta, delta)``, needs no such argument.  Past
     ``delta * |a| ~ 1.8e308`` the value overflows to ``inf``; that is
-    expected, so it raises no warning.
+    expected, so it raises no warning.  Only ``delta > 1`` can overflow
+    a finite product, so only then is the guard set.
     """
     mag = np.abs(a, out=out)
     c = np.minimum(mag, delta, out=c)
     half = np.multiply(c, 0.5, out=half)
     mag -= half
-    with np.errstate(over="ignore"):
+    if delta <= 1.0:  # c <= 1, so |value| <= |a|; an infinite |a| raises no flag
         mag *= c
+    else:
+        with np.errstate(over="ignore"):
+            mag *= c
     return mag
 
 
@@ -200,12 +204,16 @@ def make_objective(instance: ProblemInstance) -> Objective:
     A trial with a finite ``limit`` is screened first.  By the log-sum
     inequality ``KL(b, Ax) >= KL(B, y)`` with ``B = sum(b)`` and
     ``y = sum(Ax) = c^T x``, where ``c = A^T 1`` comes from the operator,
-    so ``lb = B log(B / y) - B + y + tv`` bounds ``f`` from below at the
-    cost of one dot product.  When ``lb - limit > eta * (B + y + |tv|)``
-    the trial returns ``lb`` with no forward projection; otherwise it
-    returns the exact value.  ``eta`` covers the rounding of both
-    computed values, so a screened trial is one whose exact value, as
-    computed here, exceeds ``limit`` too:
+    so ``lb_kl = B log(B / y) - B + y`` bounds the KL term from below at
+    the cost of one dot product.  The Huber-TV value ``tv`` is at least
+    0, and so is every rounding of it, so ``lb_kl`` bounds ``f`` too: when
+    ``lb_kl - limit > eta * (B + y)`` the trial returns ``lb_kl`` with no
+    TV value and no forward projection.  Otherwise, with a TV term, it
+    computes ``tv`` and tries ``lb = lb_kl + tv`` with the margin
+    ``eta * (B + y + tv)``; failing both, it returns the exact value.
+    ``eta`` covers the rounding of both computed values, so a screened
+    trial is one whose exact value, as computed here, exceeds ``limit``
+    too:
 
     * ``y`` differs from the sum of the computed ``Ax`` by at most
       ``(n + s + r) u y`` (``u = 2**-53``; every term is nonnegative;
@@ -216,7 +224,10 @@ def make_objective(instance: ProblemInstance) -> Objective:
       ratio is finite), and if the exact path accepts, its terms
       ``b log(b / Ax)`` sum in absolute value to at most ``712 B + 2 y``,
       so the pairwise sums and the few operations around them are off by
-      under ``5e-12 (B + y)``, plus ``2 u |tv|`` for adding ``tv``.
+      under ``5e-12 (B + y)``, plus ``2 u tv`` for adding ``tv`` in the
+      second test.  The first needs no ``tv`` term: rounding is monotone,
+      so the exact path's ``kl + tv``, with ``tv >= 0``, rounds to at
+      least its computed ``kl``.
 
     ``eta = 1e-10 + (2n + m) * 2**-52`` holds both with room to spare.  A
     point whose computed ``Ax`` has a zero entry has ``f = inf``: the
@@ -314,14 +325,18 @@ class _Evaluation:
             self._setup()
         tv = None
         if limit < math.inf:
-            sum_b, lam = self.sum_b, self.lam
+            sum_b = self.sum_b
             y = float(self.col_sums @ x)
             ratio = sum_b / y if y > 0.0 else 0.0  # 0 for y = inf or NaN too
             if 0.0 < ratio < math.inf:
-                tv = self._tv(x) if lam > 0.0 else 0.0
-                lb = sum_b * math.log(ratio) - sum_b + y + tv
-                if math.isfinite(lb) and lb - limit > self.eta * (sum_b + y + abs(tv)):
+                lb = sum_b * math.log(ratio) - sum_b + y
+                if math.isfinite(lb) and lb - limit > self.eta * (sum_b + y):
                     return lb, True
+                if self.lam > 0.0:
+                    tv = self._tv(x)
+                    lb += tv
+                    if math.isfinite(lb) and lb - limit > self.eta * (sum_b + y + tv):
+                        return lb, True
         if not (self.cached and np.array_equal(self.x, x)):
             self._evaluate(x, tv)
         v = self.kl

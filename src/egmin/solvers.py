@@ -37,7 +37,7 @@ from .geometry import (  # noqa: F401  (exp_map: a patch point of perfbench/span
     riemannian_grad,
     transport_e,
 )
-from .linesearch import ArmijoParams, ConstantStep, Retraction, StepStatus, armijo_backtrack
+from .linesearch import ArmijoParams, ConstantStep, Retraction, StepStatus, Trial, armijo_backtrack
 from .linesearch import geodesic_retraction
 from .objective import Objective
 
@@ -155,11 +155,16 @@ class RunTrace:
     ``records`` may be given as any iterable of :class:`IterationRecord`;
     it is stored as :class:`TraceRecords` columns, which keep a record in
     about 56 bytes instead of an object per record and one per field.
+    ``search_status`` is the status of the failed Armijo search that ended
+    a ``step_tol`` run (``HIT_TAU_MIN`` or ``CLAMPED``), and ``None`` for
+    any other run, a ``step_tol`` run whose last step was accepted but
+    shorter than ``step_size_tol`` included.
     """
 
     records: TraceRecords
     terminal_status: TerminalStatus
     final_point: np.ndarray
+    search_status: StepStatus | None = None
 
     def __post_init__(self):
         if not isinstance(self.records, TraceRecords):
@@ -198,6 +203,7 @@ class RunTrace:
             "final_f": last.f,
             "final_grad_norm": last.riem_grad_norm,
             "total_matvecs": last.matvec_count,
+            "search_status": None if self.search_status is None else self.search_status.value,
         }
 
 
@@ -253,17 +259,23 @@ def step_ip_e_md(x, euclid_grad, tau: float) -> np.ndarray:
     return x / denom
 
 
-def quotient_retraction(x, direction, tau: float, grad) -> tuple[np.ndarray, bool]:
+def quotient_retraction(x, direction, grad) -> Trial:
     """:func:`step_ip_e_md` as a retraction along ``direction = -x**2 * grad``.
 
     It reads ``grad``, not ``direction``, whose quotient would round
     differently; an infeasible update or a zero coordinate is unusable.
+    Nothing is prepared: each denominator starts with ``tau * x``, so no
+    product the trials could share keeps their rounding.
     """
-    try:
-        point = step_ip_e_md(x, grad, tau)
-    except StepInfeasible:
-        return x, False
-    return point, bool(point.all())
+
+    def trial(tau: float) -> tuple[np.ndarray, bool]:
+        try:
+            point = step_ip_e_md(x, grad, tau)
+        except StepInfeasible:
+            return x, False
+        return point, bool(point.all())
+
+    return trial
 
 
 def relative_lipschitz_step(b) -> float:
@@ -364,11 +376,14 @@ def solve(config: SolverConfig, obj: Objective, x0) -> RunTrace:
 
     # Every inner product of the loop has rgrad as one argument, and
     # <rgrad, v>_x = <grad, v> in either metric: none needs the weights
-    # 1/x or 1/x**2, which overflow at subnormal coordinates.
+    # 1/x or 1/x**2, which overflow at subnormal coordinates.  A gradient
+    # too large to represent (x**2 * g past 1.8e308) overflows to inf
+    # quietly, and the run ends non_finite.
     def evaluate(point):
         value, grad = obj.value_and_grad(point)
-        rgrad = riemannian_grad(rule.metric, point, grad)
-        gnorm_sq = float(np.sum(grad * rgrad))
+        with np.errstate(over="ignore"):
+            rgrad = riemannian_grad(rule.metric, point, grad)
+            gnorm_sq = float(np.sum(grad * rgrad))
         return value, grad, rgrad, gnorm_sq, float(np.sqrt(gnorm_sq))
 
     value, grad, rgrad, gnorm_sq, gnorm = evaluate(x)
@@ -377,6 +392,7 @@ def solve(config: SolverConfig, obj: Objective, x0) -> RunTrace:
     records._append(record)
     status = check_termination(record, config)
     v = -rgrad
+    search_status = None
 
     k = 0
     while status is None:
@@ -396,11 +412,11 @@ def solve(config: SolverConfig, obj: Objective, x0) -> RunTrace:
             )
             if step.status is not StepStatus.ACCEPTED:
                 records._append(record_at(k, value, gnorm, step.tau, step.halvings))
-                status = TerminalStatus.STEP_TOL
+                status, search_status = TerminalStatus.STEP_TOL, step.status
                 break
             x_new, tau, halvings = step.new_point, step.tau, step.halvings
         else:
-            x_new, ok = rule.retraction(x, direction, policy.tau, grad)
+            x_new, ok = rule.retraction(x, direction, grad)(policy.tau)
             if not ok:
                 logger.warning("constant step left the representable orthant at iteration %d", k)
                 status = TerminalStatus.STEP_INFEASIBLE
@@ -421,4 +437,4 @@ def solve(config: SolverConfig, obj: Objective, x0) -> RunTrace:
         records._append(record)
         status = check_termination(record, config)
 
-    return RunTrace(records=records, terminal_status=status, final_point=x)
+    return RunTrace(records=records, terminal_status=status, final_point=x, search_status=search_status)

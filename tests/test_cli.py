@@ -51,6 +51,8 @@ class TestSolveCommand:
         assert set(summary["methods"]) == {"eg", "ipemd"}
         for stats in summary["methods"].values():
             assert stats["terminal_status"] in {"max_iter", "grad_tol", "step_tol", "step_infeasible"}
+            assert stats["search_status"] in {None, "hit_tau_min", "clamped"}
+            assert stats["search_status"] is None or stats["terminal_status"] == "step_tol"
             assert stats["iterations"] >= 0
             assert stats["total_matvecs"] > 0
 

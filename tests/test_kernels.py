@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from egmin import discrete_gradient, discrete_gradient_adjoint, exp_map, huber, multiplicative_update
-from egmin.geometry import EXP_ARG_MAX, POINT_CEILING
+from egmin.geometry import EXP_ARG_MAX, POINT_CEILING, Geodesic
 from egmin.problems import _huber_values
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -116,6 +116,17 @@ class TestHuberKernel:
                 assert_same_floats(value, want_value)
                 assert_same_floats(deriv, want_deriv)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_overflow_raises_no_warning(self, delta):
+        # Only delta > 1 can overflow a finite product (1e10 * 1e300 here);
+        # an infinite |a| gives inf without an overflow flag.
+        a = np.array([1e300, -1e300, np.nextafter(1e300, 0.0), 1.7e308, np.inf, -np.inf, 1.0])
+        want_value, _ = reference_huber(a, delta)
+        assert_same_floats(_huber_values(a, delta), want_value)
+        assert_same_floats(huber(a, delta)[0], want_value)
+        assert np.isinf(want_value[0]) == (delta > 1.0)
+
     @pytest.mark.parametrize("delta", [0.0, -1.0, np.inf, np.nan])
     def test_rejects_a_bad_delta(self, delta):
         with pytest.raises(ValueError, match="delta"):
@@ -202,6 +213,30 @@ class TestExpMapKernel:
         v = z * x  # exp_map(x, v, 1) has exponent v / x, close to z
         with np.errstate(all="ignore"):
             assert_same_step(exp_map(x, v, 1.0), reference_update(x, 1.0 * (v / x)))
+
+    @pytest.mark.parametrize(
+        "x, w",
+        [
+            ([POINT_CEILING, 1.0], [1e-3, 0.0]),  # ceiling: max(x) * e**(tau max w) just past it
+            ([1e300, 1.0], [0.01, -0.01]),
+            ([1e-300, 1.0], [-1.0, 0.0]),  # floor: the small coordinate underflows to zero
+            ([5e-324, 1.0], [-1.0, 0.0]),  # a subnormal coordinate rounds to zero
+            ([1e-300, 1e300], [-0.5, 0.5]),
+        ],
+    )
+    def test_steps_along_one_prepared_geodesic(self, x, w):
+        # The taus of a search, halving from far past both bounds to well
+        # inside them: every step must equal the clamp-and-flag reference.
+        x, w = np.array(x), np.array(w)
+        geodesic = Geodesic(x, w)
+        taus = [1e3 * 0.5**k for k in range(40)] + [-1.0, 0.0]
+        with np.errstate(all="ignore"):
+            for tau in taus:
+                assert_same_step(geodesic.step(tau), reference_update(x, w * tau))
+            v = w * x
+            geodesic = Geodesic.along(x, v)
+            for tau in taus:
+                assert_same_step(exp_map(x, v, tau, geodesic), reference_update(x, tau * (v / x)))
 
     def test_overflow_past_the_fast_path_raises_no_warning(self):
         with np.errstate(all="raise"):

@@ -1,11 +1,12 @@
 """The log-sum screen of Armijo trials against an objective that ignores it.
 
 ``make_objective``'s ``value(x, limit)`` may answer a trial with the lower
-bound ``B log(B / y) - B + y + tv`` (``B = sum(b)``, ``y = sum(A x)``)
-instead of ``f(x)``, but only when that proves ``f(x) > limit``.  These
-tests draw small random instances, points from 1e-300 to 1e300 and
-limits just below, at and above both ``f(x)`` and the bound, and check
-that a caller comparing with ``limit`` can never tell the difference.
+bound ``B log(B / y) - B + y`` (``B = sum(b)``, ``y = sum(A x)``), or that
+plus ``tv``, instead of ``f(x)``, but only when that proves
+``f(x) > limit``.  These tests draw small random instances, points from
+1e-300 to 1e300 and limits just below, at and above ``f(x)`` and both
+bounds, and check that a caller comparing with ``limit`` can never tell
+the difference.
 """
 
 import math
@@ -76,13 +77,14 @@ def exact_value(instance, x):
         return None
 
 
-def log_sum_bound(instance, x):
-    """The screen's bound, recomputed from the dense matrix."""
+def log_sum_bounds(instance, x):
+    """The screen's two bounds, without and with ``tv``, recomputed from the dense matrix."""
     y = float(np.sum(instance.A.toarray() @ x))
     sum_b = float(np.sum(instance.b))
     tv = huber_tv(x, instance.lam, instance.delta, instance.image_shape)[0] if instance.lam else 0.0
     with np.errstate(all="ignore"):
-        return sum_b * np.log(sum_b / y) - sum_b + y + tv
+        bound = sum_b * np.log(sum_b / y) - sum_b + y
+        return bound, bound + tv
 
 
 def same_float(a: float, b: float) -> bool:
@@ -96,7 +98,7 @@ def test_value_with_limit_is_exact_or_above_the_limit(data):
     x = data.draw(points(instance.A.cols))
     exact = exact_value(instance, x)
     with np.errstate(all="ignore"):
-        anchors = [v for v in (exact, log_sum_bound(instance, x)) if v is not None and math.isfinite(v)]
+        anchors = [v for v in (exact, *log_sum_bounds(instance, x)) if v is not None and math.isfinite(v)]
     assume(anchors)
     limit = data.draw(st.sampled_from(OFFSETS))(data.draw(st.sampled_from(anchors)))
     assume(math.isfinite(limit))
@@ -179,3 +181,31 @@ def test_no_screen_without_a_finite_limit(limit):
     instance.A.reset_counts()
     obj.value(50.0 * x_true, limit)
     assert (instance.A.forward_count, obj.screened_trials) == (1, 0)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.01])
+def test_a_tight_kl_bound_keeps_its_margin(lam):
+    # With b = A x computed and a constant image, the exact KL and TV values
+    # are 0 and the log-sum bound is tight: rounding alone puts it a few
+    # ulps of B above f = 0 at 11 of these 200 levels.  A limit of f must
+    # still get f.
+    base, _ = build_instance(16, seed=0)
+    for level in np.random.default_rng(0).uniform(0.5, 1.5, 200):
+        x = np.full(base.A.cols, level)
+        instance = ProblemInstance(A=base.A, b=base.A.forward(x), lam=lam, delta=0.01, image_shape=(16, 16))
+        obj = make_objective(instance)
+        exact = obj.value(x)
+        assert exact == 0.0
+        assert same_float(obj.value(x, exact), exact)
+        assert obj.screened_trials == 0
+
+
+def test_kl_bound_alone_rejects_without_a_tv_value(monkeypatch):
+    # A trial the KL bound rejects on its own computes no Huber-TV value.
+    instance, x_true = build_instance(16, seed=1)
+    obj = make_objective(instance)
+    limit = obj.value(x_true)
+    calls = []
+    monkeypatch.setattr("egmin.problems._huber_values", lambda *args: calls.append(args))
+    assert obj.value(50.0 * x_true, limit) > limit
+    assert obj.screened_trials == 1 and not calls

@@ -18,6 +18,7 @@ from egmin import (
     Objective,
     SolverConfig,
     StepInfeasible,
+    StepStatus,
     TerminalStatus,
     armijo_backtrack,
     build_instance,
@@ -116,16 +117,16 @@ class TestSteps:
     def test_quotient_retraction_reports_an_infeasible_update(self):
         x = np.array([1.0, 2.0])
         for g, tau in (([np.nan, 1.0], 0.1), ([-1.0, 1.0], 1.0)):
-            _, ok = quotient_retraction(x, -x * x * np.array(g), tau, np.array(g))
+            _, ok = quotient_retraction(x, -x * x * np.array(g), np.array(g))(tau)
             assert not ok
 
     def test_quotient_retraction_reports_a_zero_coordinate(self):
         x = np.array([1.0, 2.0])
         g = np.array([1e308, 1.0])
         with np.errstate(over="ignore"):  # tau * x * g overflows to an infinite denominator
-            point, ok = quotient_retraction(x, -x * x * g, 10.0, g)
+            point, ok = quotient_retraction(x, -x * x * g, g)(10.0)
         assert point[0] == 0.0 and not ok
-        point, ok = quotient_retraction(x, -x * x * g, 1e-310, g)
+        point, ok = quotient_retraction(x, -x * x * g, g)(1e-310)
         assert ok
         np.testing.assert_array_equal(point, step_ip_e_md(x, g, 1e-310))
 
@@ -464,6 +465,26 @@ class TestSolve:
         assert len(trace.records) == 2
         assert trace.records[1].tau < 1e-10
 
+    def test_step_tol_names_a_search_that_hit_tau_min(self):
+        # Every trial is usable and fails the decrease test.
+        obj = Objective(
+            value_and_grad=lambda x: (0.0, np.ones_like(x)),
+            value=lambda x, limit: (np.inf, False),
+        )
+        trace = solve(SolverConfig(method=Method.EG), obj, np.array([1.0]))
+        assert trace.terminal_status is TerminalStatus.STEP_TOL
+        assert trace.search_status is StepStatus.HIT_TAU_MIN
+        assert trace.summary_dict()["search_status"] == "hit_tau_min"
+
+    def test_step_tol_names_a_search_with_only_clamped_trials(self):
+        # |tau * g| > 700 down to tau_min = 1e-10: every trial point is clamped.
+        obj = Objective(value_and_grad=lambda x: (0.0, np.full_like(x, 1e13)))
+        trace = solve(SolverConfig(method=Method.EG), obj, np.array([1.0]))
+        assert trace.terminal_status is TerminalStatus.STEP_TOL
+        assert trace.search_status is StepStatus.CLAMPED
+        assert trace.summary_dict()["search_status"] == "clamped"
+        assert trace.records[1].tau < 1e-10
+
     def test_determinism_bit_identical(self):
         a = np.array([2.0, 3.0, 0.7])
         x0 = default_x0(3, seed=11)
@@ -559,6 +580,7 @@ class TestTraceSerialization:
         assert summary["final_f"] == trace.records[-1].f
         assert summary["final_grad_norm"] == trace.records[-1].riem_grad_norm
         assert summary["total_matvecs"] == trace.records[-1].matvec_count
+        assert summary["search_status"] is None  # no search failed
 
 
 class TestDefaultX0:
