@@ -209,6 +209,7 @@ def cmd_solve(spec: RunSpec) -> int:
         "relative_value_definition": RELATIVE_VALUE_DEFINITION,
         "f0": next(iter(traces.values())).records[0].f,
         "f_best": min(rec.f for t in traces.values() for rec in t.records),
+        "operator": instance.A.describe(),
         "methods": per_method,
     }
     with open(outdir / "summary.json", "w") as f:

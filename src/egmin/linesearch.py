@@ -143,8 +143,10 @@ def armijo_backtrack(
 
     ``direction`` must not be an ascent direction: its slope
     ``<grad, direction>``, the directional derivative of ``f``, must be
-    ``<= 0``.  A zero slope, which happens exactly at critical points, is
-    accepted immediately with the base point returned unchanged in value.
+    finite and ``<= 0``, or ``ValueError`` is raised before any trial (an
+    overflowed slope too).  A zero slope, which happens exactly at
+    critical points, is accepted immediately with the base point returned
+    unchanged in value.
     ``value``/``grad`` may be passed to reuse an evaluation at ``x``.
 
     Returns ``HIT_TAU_MIN`` when the trial step fell below ``tau_min``
@@ -153,9 +155,10 @@ def armijo_backtrack(
     """
     if value is None or grad is None:
         value, grad = obj.value_and_grad(x)
-    slope = float(np.sum(grad * direction))
-    if slope > 0.0:
-        raise ValueError(f"not a descent direction: slope {slope} > 0")
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = float(np.sum(grad * direction))
+    if not -math.inf < slope <= 0.0:
+        raise ValueError(f"not a descent direction: slope {slope} must be finite and <= 0")
 
     trial = retract(x, direction, grad)
     tau = params.tau_bar

@@ -219,7 +219,9 @@ def make_objective(instance: ProblemInstance) -> Objective:
       ``(n + s + r) u y`` (``u = 2**-53``; every term is nonnegative;
       ``s <= m`` and ``r <= n`` bound the entries of a column and a row),
       and ``|d KL(B, y) / dy| = |1 - B / y|`` turns that into at most
-      ``(2n + m) u (B + y)`` in the bound;
+      ``(2n + m) u (B + y)`` in the bound; ``c = A^T 1`` is a sum of
+      nonnegative terms in any order, so this holds however the
+      operator orders its sums;
     * the rest is size-free: ``B log(B / y)`` is at most ``710 B`` (the
       ratio is finite), and if the exact path accepts, its terms
       ``b log(b / Ax)`` sum in absolute value to at most ``712 B + 2 y``,

@@ -356,7 +356,8 @@ def solve(config: SolverConfig, obj: Objective, x0) -> RunTrace:
     one per completed iteration.  With Armijo policies the recorded
     objective values are nonincreasing; the conjugate-gradient method
     restarts to steepest descent whenever its direction fails the descent
-    test, and an unusable constant step aborts with a partial trace.
+    test or its slope is not finite, and an unusable constant step aborts
+    with a partial trace.
     """
     x = as_point(x0)
     rule = METHOD_RULES[config.method]
@@ -398,8 +399,9 @@ def solve(config: SolverConfig, obj: Objective, x0) -> RunTrace:
     while status is None:
         k += 1
         if rule.conjugate:
-            slope = float(np.sum(grad * v))
-            if slope >= 0.0 and gnorm > 0.0:
+            with np.errstate(over="ignore", invalid="ignore"):
+                slope = float(np.sum(grad * v))
+            if not math.isfinite(slope) or (slope >= 0.0 and gnorm > 0.0):
                 logger.info("restarting CG direction at iteration %d (slope %.3e)", k, slope)
                 v = -rgrad
             direction = v

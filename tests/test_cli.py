@@ -49,6 +49,9 @@ class TestSolveCommand:
         assert summary["spec"]["methods"] == ["eg", "ipemd"]
         assert summary["version"]
         assert set(summary["methods"]) == {"eg", "ipemd"}
+        operator = summary["operator"]
+        assert operator["shape"][1] == 64 and operator["nnz"] > 0
+        assert operator["split_products"] is False and operator["helper_thread"] is False
         for stats in summary["methods"].values():
             assert stats["terminal_status"] in {"max_iter", "grad_tol", "step_tol", "step_infeasible"}
             assert stats["search_status"] in {None, "hit_tau_min", "clamped"}

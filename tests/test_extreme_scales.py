@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -98,12 +98,15 @@ def test_armijo_terminates(data):
     params = ArmijoParams(tau_bar=tau_bar, tau_min=min(1e-10, tau_bar / 2))
     obj = make_objective(instance)
     value, grad = obj.value_and_grad(x)
-    with np.errstate(over="ignore"):  # x**2 * g, and the slope, may overflow
+    with np.errstate(over="ignore", invalid="ignore"):  # x**2 * g, and the slope, may overflow
         direction = -riemannian_grad(kind, x, grad)
         slope = float(np.sum(grad * direction))
-    assume(np.all(np.isfinite(direction)) and math.isfinite(slope))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
+        if not math.isfinite(slope):
+            with pytest.raises(ValueError, match="finite"):
+                armijo_backtrack(obj, x, direction, params, value, grad)
+            return
         step = armijo_backtrack(obj, x, direction, params, value, grad)
     assert step.halvings <= params.max_halvings + 1
     if step.status is StepStatus.ACCEPTED:
@@ -111,6 +114,25 @@ def test_armijo_terminates(data):
         assert step.new_value <= value + params.sigma * step.tau * slope
     else:
         assert step.new_point.tobytes() == x.tobytes()
+
+
+def test_an_overflowing_slope_is_rejected_before_any_trial():
+    instance = ProblemInstance(
+        A=SparseOperator(np.eye(2)), b=np.ones(2), lam=0.0, delta=0.01, image_shape=(1, 2)
+    )
+    x, grad = np.ones(2), np.array([0.0, -1e305])
+    direction = -riemannian_grad(GeometryKind.POISSON_FISHER_RAO, x, grad)
+
+    def no_trial(*args):
+        pytest.fail("a search with an overflowed slope prepared a trial")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="finite"):
+            armijo_backtrack(
+                make_objective(instance), x, direction, ArmijoParams(), 0.0, grad, no_trial
+            )
+    assert instance.A.application_count() == 0
 
 
 POLICIES = {

@@ -421,6 +421,23 @@ class TestSolve:
             traces[Method.EG].final_point, traces[Method.POI_CG].final_point
         )
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cg_restarts_on_a_non_finite_slope(self, rng, monkeypatch):
+        # A NaN transport makes every CG direction NaN: each must restart to
+        # steepest descent, so poicg retraces eg instead of failing its search.
+        n = 6
+        a = rng.uniform(0.5, 3.0, n)
+        x0 = rng.uniform(0.5, 1.5, n)
+        config = {m: SolverConfig(method=m, max_iterations=8) for m in (Method.EG, Method.POI_CG)}
+        eg = solve(config[Method.EG], quadratic_objective(a), x0)
+        monkeypatch.setattr("egmin.solvers.transport_e", lambda x, y, v: np.full_like(v, np.nan))
+        cg = solve(config[Method.POI_CG], quadratic_objective(a), x0)
+        assert cg.terminal_status is eg.terminal_status is TerminalStatus.MAX_ITER
+        assert [(r.f, r.tau, r.halvings) for r in cg.records] == [
+            (r.f, r.tau, r.halvings) for r in eg.records
+        ]
+        assert cg.final_point.tobytes() == eg.final_point.tobytes()
+
     def test_cg_accelerates_on_anisotropic_quadratic(self, rng):
         from conftest import general_quadratic_objective
 
