@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .imgio import write_image_csv, write_pgm
 from .linesearch import ArmijoParams, constant_step
-from .problems import build_instance, make_objective, make_phantom
+from .problems import SCREENS, build_instance, make_objective, make_phantom
 from .solvers import (
     Method,
     RunTrace,
@@ -197,6 +197,7 @@ def cmd_solve(spec: RunSpec) -> int:
             forward_applications=instance.A.forward_count,
             adjoint_applications=instance.A.adjoint_count,
             screened_trials=obj.screened_trials,
+            screened_by={name: obj.screened_by.get(name, 0) for name in SCREENS},
             wall_seconds=elapsed,
         )
         if trace.terminal_status in (TerminalStatus.STEP_INFEASIBLE, TerminalStatus.NON_FINITE):

@@ -132,9 +132,7 @@ class ExpMapResult:
 
     @property
     def ok(self) -> bool:
-        if self._clamped is None and self._underflow is None:
-            return True  # built without flags
-        return not (bool(self.clamped.any()) or bool(self.underflow.any()))
+        return not any(flags is not None and flags.any() for flags in (self._clamped, self._underflow))
 
 
 # A prepared step needs no flag when max(x) * e**max(z) is at most
@@ -159,8 +157,10 @@ class Geodesic:
     most ``POINT_CEILING`` from ``max(x) e**max(z)`` and
     ``min(x) e**min(z)``; it then forms ``x * exp(z)`` with no reduction,
     no flag array and no ``np.errstate``.  Otherwise it checks the point
-    itself, or flags it as :func:`multiplicative_update` says: the result
-    is the same bit for bit on every path.
+    itself: with every ``|z| <= EXP_ARG_MAX`` and the point at most
+    ``POINT_CEILING``, nothing is clamped and only zeros are flagged, as
+    underflow.  Anything else is flagged as :func:`multiplicative_update`
+    says.  The result is the same bit for bit on every path.
     """
 
     __slots__ = ("x", "w", "_extremes")
@@ -195,8 +195,11 @@ class Geodesic:
                     return ExpMapResult(point)
                 with np.errstate(over="ignore"):
                     point *= x
-                if point.max() <= POINT_CEILING and point.min() > 0.0:
-                    return ExpMapResult(point)
+                if point.max() <= POINT_CEILING:
+                    # Nothing was clamped, so only an underflow can need a flag.
+                    if point.min() > 0.0:
+                        return ExpMapResult(point)
+                    return ExpMapResult(point, underflow=point == 0.0)
         with np.errstate(over="ignore"):  # an infinite exponent is clamped and flagged
             z = w * tau
         return _flagged_update(x, z)

@@ -24,7 +24,10 @@ Each trial hands its right-hand side to ``Objective.value`` as the
 limit instead of ``f``, when a lower bound already proves the trial
 rejected (see :func:`egmin.problems.make_objective`); a value at or below
 the limit is always exact, so accepted steps and their values do not
-depend on whether the objective screens.
+depend on whether the objective screens.  A search along the geodesic
+also hands each trial the context ``Objective.search`` made for it, with
+the trial's ``tau``, so that the objective may bound a trial by the
+earlier trials on the same geodesic; the context ends with the search.
 
 The module also provides the exact-line-search residual
 ``Delta(tau) = -<rgrad(x), rgrad(x(tau))>_x``, which is the derivative of
@@ -161,6 +164,9 @@ def armijo_backtrack(
         raise ValueError(f"not a descent direction: slope {slope} must be finite and <= 0")
 
     trial = retract(x, direction, grad)
+    # Geodesic trials lie on one e-geodesic, whose earlier trials the
+    # objective may use to bound later ones; the context ends with the search.
+    search = obj.search(x) if retract is geodesic_retraction else None
     tau = params.tau_bar
     halvings = 0
     saw_usable_trial = False
@@ -169,7 +175,7 @@ def armijo_backtrack(
         if ok:
             saw_usable_trial = True
             limit = value + params.sigma * tau * slope
-            f_trial = obj.value(point, limit)
+            f_trial = obj.value(point, limit, search, tau)
             if f_trial <= limit:
                 return StepResult(tau, halvings, point, f_trial, StepStatus.ACCEPTED)
         tau *= params.beta

@@ -114,6 +114,8 @@ class SparseOperator:
             bad = int(np.argmin(row_nnz))
             raise ValueError(f"operator has an all-zero row (row {bad})")
         self._matrix = a
+        # The most entries in one row: it bounds the rounding of a row of A x.
+        self.max_row_nnz = int(row_nnz.max(initial=0))
         # A CSC view of the same three arrays: the adjoint's matrix, built
         # once instead of per call, at no cost in memory.
         self._transpose = a.T

@@ -58,6 +58,11 @@ class TestSolveCommand:
             assert stats["search_status"] is None or stats["terminal_status"] == "step_tol"
             assert stats["iterations"] >= 0
             assert stats["total_matvecs"] > 0
+            assert set(stats["screened_by"]) == {"kl", "kl_tv", "curve"}
+            assert sum(stats["screened_by"].values()) == stats["screened_trials"]
+        # n_side 8 is below the curve screen's gate, and ipemd makes no trial.
+        assert summary["methods"]["eg"]["screened_by"]["curve"] == 0
+        assert summary["methods"]["ipemd"]["screened_by"] == {"kl": 0, "kl_tv": 0, "curve": 0}
 
     def test_byte_identical_reruns(self, tmp_path):
         for name in ("a", "b"):

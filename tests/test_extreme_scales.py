@@ -35,7 +35,8 @@ from egmin import (
     riemannian_grad,
     solve,
 )
-from egmin.geometry import _flagged_update
+from egmin import geometry
+from egmin.geometry import EXP_ARG_MAX, _flagged_update
 
 PROPERTY = settings(
     max_examples=300,
@@ -85,6 +86,29 @@ def test_prepared_steps_match_the_flagged_update(data):
             np.testing.assert_array_equal(got.clamped, want.clamped)
             np.testing.assert_array_equal(got.underflow, want.underflow)
             assert got.ok == want.ok
+
+
+@pytest.mark.parametrize(
+    "x, w, tau",
+    [
+        ([1e-300, 1.0, 1e300], [-1.0, 0.0, -1.0], EXP_ARG_MAX),  # e**-700 of 1e-300 is 0
+        ([1e-300, 1e-300], [-1e-3, -1e-3], 7e5),  # every coordinate underflows
+        ([5e-324, 1.0], [-1.0, 1.0], 1.0),  # the smallest subnormal, over e, rounds to 0
+        ([1e-308, 2.0], [-1.0, 1.0], 40.0),  # a subnormal that survives beside one that does not
+    ],
+)
+def test_underflow_only_steps_need_no_second_pass(monkeypatch, x, w, tau):
+    # Every |z| <= EXP_ARG_MAX and the point is at most POINT_CEILING, so
+    # nothing is clamped: the step flags its zeros without the flagged update.
+    x, w = np.array(x), np.array(w)
+    want = _flagged_update(x, w * tau)
+    monkeypatch.setattr(geometry, "_flagged_update", lambda *args: pytest.fail("second pass"))
+    got = Geodesic(x, w).step(tau)
+    assert got.point.tobytes() == want.point.tobytes()
+    np.testing.assert_array_equal(got.clamped, want.clamped)
+    np.testing.assert_array_equal(got.underflow, want.underflow)
+    assert got.ok == want.ok
+    assert want.underflow.any() and not want.clamped.any()
 
 
 @PROPERTY

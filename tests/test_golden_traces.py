@@ -15,6 +15,12 @@ that moves only the last bit of some ``riem_grad_norm`` entries, so each
 trace without that column is the same with either form, and is pinned too;
 ``poicg`` feeds the inner products into its steps and drifts at rounding
 level.
+
+The default runs are below the curve screen's gate, so only the log-sum
+screen acts there.  Poisson counts at n_side 128 are above it: there,
+with and without every screen, the traces without ``matvec_count`` are
+the same bytes too, and each trial a screen rejects is one forward
+projection saved.
 """
 
 import csv
@@ -89,14 +95,26 @@ def _unscreened_objective(instance) -> Objective:
     )
 
 
-@pytest.fixture(scope="module")
-def golden_runs(tmp_path_factory):
-    root = tmp_path_factory.mktemp("golden")
-    assert cmd_solve(RunSpec(output_dir=str(root / "screened"))) == 0
+def _runs(root, **spec):
+    assert cmd_solve(RunSpec(output_dir=str(root / "screened"), **spec)) == 0
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(egmin.cli, "make_objective", _unscreened_objective)
-        assert cmd_solve(RunSpec(output_dir=str(root / "unscreened"))) == 0
+        assert cmd_solve(RunSpec(output_dir=str(root / "unscreened"), **spec)) == 0
     return root / "screened", root / "unscreened"
+
+
+@pytest.fixture(scope="module")
+def golden_runs(tmp_path_factory):
+    return _runs(tmp_path_factory.mktemp("golden"))
+
+
+# Poisson counts at n_side 128 (153 entries per row): above the curve screen's gate.
+ABOVE_THE_GATE = dict(n_side=128, noisy=True, lam=0.0, max_iterations=60, methods=("eg", "poicg", "ipgrgd"))
+
+
+@pytest.fixture(scope="module")
+def counts_runs(tmp_path_factory):
+    return _runs(tmp_path_factory.mktemp("counts"), **ABOVE_THE_GATE)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -129,3 +147,19 @@ def test_summary_counts_add_up(golden_runs):
         assert reference[name]["screened_trials"] == 0
     assert methods["eg"]["screened_trials"] >= 1
     assert methods["ipemd"]["screened_trials"] == 0  # a constant step makes no trial
+
+
+@pytest.mark.parametrize("method", ABOVE_THE_GATE["methods"])
+def test_curve_screen_changes_only_matvec_count(counts_runs, method):
+    screened, unscreened = (_rows(d / f"trace_{method}.csv") for d in counts_runs)
+    assert _without_column(screened, "matvec_count") == _without_column(unscreened, "matvec_count")
+    col = screened[0].index("matvec_count")
+    for got, before in zip(screened[1:], unscreened[1:]):
+        assert int(got[col]) <= int(before[col])
+    stats, reference = (json.loads((d / "summary.json").read_text())["methods"][method] for d in counts_runs)
+    assert stats["adjoint_applications"] == reference["adjoint_applications"]
+    assert stats["forward_applications"] + stats["screened_trials"] == reference["forward_applications"]
+    assert sum(stats["screened_by"].values()) == stats["screened_trials"]
+    assert reference["screened_trials"] == 0
+    if method == "eg":
+        assert stats["screened_by"]["curve"] >= 1
