@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .imgio import write_image_csv, write_pgm
 from .linesearch import ArmijoParams, constant_step
-from .problems import SCREENS, build_instance, make_objective, make_phantom
+from .problems import build_instance, make_objective, make_phantom
 from .solvers import (
     Method,
     RunTrace,
@@ -60,6 +60,11 @@ class RunSpec:
     tau_min: float = 1e-10
     max_halvings: int = 60
     output_dir: str = "runs"
+
+    def __post_init__(self):
+        valid = ",".join(method.value for method in Method)
+        if not self.methods or not set(self.methods) <= set(valid.split(",")):
+            raise ValueError(f"methods must be one or more of {valid}, not {','.join(self.methods)!r}")
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunSpec)}
@@ -197,7 +202,7 @@ def cmd_solve(spec: RunSpec) -> int:
             forward_applications=instance.A.forward_count,
             adjoint_applications=instance.A.adjoint_count,
             screened_trials=obj.screened_trials,
-            screened_by={name: obj.screened_by.get(name, 0) for name in SCREENS},
+            screened_by=dict(obj.screened_by),
             wall_seconds=elapsed,
         )
         if trace.terminal_status in (TerminalStatus.STEP_INFEASIBLE, TerminalStatus.NON_FINITE):
@@ -282,8 +287,11 @@ def main():
 def solve_command(config_file, methods, **kwargs):
     """Build one instance and run the selected methods on it."""
     if methods is not None:
-        kwargs["methods"] = tuple(m.strip() for m in methods.split(",") if m.strip())
-    spec = resolve_spec(config_file, **kwargs)
+        kwargs["methods"] = _coerce("methods", methods)
+    try:
+        spec = resolve_spec(config_file, **kwargs)
+    except ValueError as exc:  # a bad value, from a flag or the config file
+        raise click.UsageError(str(exc)) from exc
     sys.exit(cmd_solve(spec))
 
 

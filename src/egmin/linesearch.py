@@ -22,12 +22,14 @@ solver).  Unusable trial points are rejected.
 Each trial hands its right-hand side to ``Objective.value`` as the
 ``limit``.  An objective may then answer with a cheap number above the
 limit instead of ``f``, when a lower bound already proves the trial
-rejected (see :func:`egmin.problems.make_objective`); a value at or below
-the limit is always exact, so accepted steps and their values do not
-depend on whether the objective screens.  A search along the geodesic
-also hands each trial the context ``Objective.search`` made for it, with
-the trial's ``tau``, so that the objective may bound a trial by the
-earlier trials on the same geodesic; the context ends with the search.
+rejected (see :class:`egmin.problems.InstanceObjective`); a value at or
+below the limit is always exact, so accepted steps and their values do
+not depend on whether the objective screens.  A prepared trial whose
+points are the steps of one e-geodesic carries it as ``trial.geodesic``.
+The search gets a context from ``Objective.search(trial.geodesic)`` and
+hands it, with each trial's ``tau``, to ``Objective.value``, so that the
+objective may bound a trial by the earlier ones on the geodesic; the
+context ends with the search.
 
 The module also provides the exact-line-search residual
 ``Delta(tau) = -<rgrad(x), rgrad(x(tau))>_x``, which is the derivative of
@@ -109,7 +111,8 @@ class StepResult:
     status: StepStatus
 
 
-# trial(tau) -> (point, ok): the retracted point at step tau, and whether it is usable.
+# trial(tau) -> (point, ok): the retracted point at step tau, and whether it
+# is usable; trial.geodesic, when set, is the Geodesic whose steps these are.
 Trial = Callable[[float], tuple[np.ndarray, bool]]
 # retract(x, direction, grad) -> trial: a retraction prepares once what the
 # trials along one direction share; grad is the Euclidean gradient at x.
@@ -121,7 +124,8 @@ def geodesic_retraction(x, direction, grad) -> Trial:
 
     The geodesic's invariants are formed once (see
     :class:`egmin.geometry.Geodesic`), and each trial is one
-    :func:`exp_map` call that reuses them.
+    :func:`exp_map` call that reuses them; the trial carries the geodesic
+    as ``trial.geodesic``.
     """
     x = np.asarray(x, dtype=float)
     geodesic = Geodesic.along(x, direction)
@@ -130,6 +134,7 @@ def geodesic_retraction(x, direction, grad) -> Trial:
         step = exp_map(x, direction, tau, geodesic)
         return step.point, step.ok
 
+    trial.geodesic = geodesic
     return trial
 
 
@@ -164,9 +169,7 @@ def armijo_backtrack(
         raise ValueError(f"not a descent direction: slope {slope} must be finite and <= 0")
 
     trial = retract(x, direction, grad)
-    # Geodesic trials lie on one e-geodesic, whose earlier trials the
-    # objective may use to bound later ones; the context ends with the search.
-    search = obj.search(x) if retract is geodesic_retraction else None
+    search = obj.search(getattr(trial, "geodesic", None))
     tau = params.tau_bar
     halvings = 0
     saw_usable_trial = False

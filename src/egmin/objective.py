@@ -11,75 +11,82 @@ import numpy as np
 class Objective:
     """Smooth function on the positive orthant.
 
-    Wraps a combined value-and-gradient callable, an optional cheaper
-    value-only callable (line-search trials never need the gradient), an
-    optional Hessian-vector product, and an optional counter of linear
-    operator applications used for cost accounting.
+    Made from a combined value-and-gradient callable, an optional cheaper
+    value-only callable ``value(x) -> f`` (line-search trials never need
+    the gradient), an optional Hessian-vector product, and an optional
+    counter of linear operator applications used for cost accounting.  A
+    subclass that evaluates ``f`` itself overrides :meth:`_exact` and
+    :meth:`_exact_with_grad` instead, and may name screens in ``SCREENS``.
 
-    ``value(x, limit)``, when given, returns ``(f(x), False)``, or
-    ``(bound, screen)`` with ``bound > limit`` when a cheap lower bound
-    proves ``f(x) > limit``; ``screen`` names the bound.  Every bound
-    returned counts under its name in :attr:`screened_by`, and
-    :attr:`screened_trials` is their sum.  A callable without a screen
-    ignores ``limit`` and always returns ``(f(x), False)``.
-
-    ``search(x)``, when given, returns a context for the trials of one
-    line search from ``x`` along its e-geodesic, or ``None``; the search
-    hands it, with each trial's step ``tau``, to ``value`` as
-    ``value(x, limit, context, tau)``, so that a screen may bound a trial
-    by the trials before it.  The context lives as long as the search.
+    The screen named ``name`` is the method ``bound_<name>(x, search,
+    tau)``: a lower bound on ``f(x)`` with the margin its rounding needs,
+    as ``(bound, margin)``, or ``None``.  :meth:`value` tries the screens
+    in the order of ``SCREENS`` (a later one may use what an earlier one
+    computed for the same ``x``); the first whose ``bound - limit >
+    margin`` answers for ``x``, and counts under its name in
+    :attr:`screened_by`.
     """
+
+    SCREENS: tuple[str, ...] = ()
 
     def __init__(
         self,
-        value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
-        value: Callable[..., tuple[float, str | bool]] | None = None,
+        value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]] | None = None,
+        value: Callable[[np.ndarray], float] | None = None,
         hess_vec: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
         matvecs: Callable[[], int] | None = None,
-        search: Callable[[np.ndarray], object] | None = None,
     ):
         self._value_and_grad = value_and_grad
         self._value = value
         self._hess_vec = hess_vec
         self._matvecs = matvecs
-        self._search = search
-        self.screened_by: dict[str, int] = {}
+        self.screened_by: dict[str, int] = dict.fromkeys(self.SCREENS, 0)
+        # The class's functions, not bound methods: those would make each
+        # objective a reference cycle, freed only by the cyclic collector.
+        self._screens = [(name, getattr(type(self), "bound_" + name)) for name in self.SCREENS]
 
     @property
     def screened_trials(self) -> int:
         """How many trials got a bound instead of ``f``."""
         return sum(self.screened_by.values())
 
-    def search(self, x: np.ndarray):
-        """A context for the trials of one line search from ``x`` along its
-        e-geodesic ``x * exp(tau * w)``, or ``None`` when the objective
-        has no use for one."""
-        return None if self._search is None else self._search(x)
+    def search(self, geodesic):
+        """A context for the trials of one line search along ``geodesic``
+        (a :class:`egmin.geometry.Geodesic`, whose steps they are; ``None``
+        if they lie on no e-geodesic), or ``None`` when the objective has
+        no use for one."""
+        return None
 
     def value(self, x: np.ndarray, limit: float = math.inf, search=None, tau: float = 0.0) -> float:
-        """``f(x)``, or, only when the objective can prove ``f(x) > limit``,
-        a number above ``limit``.
+        """``f(x)``, or, only when a screen proves ``f(x) > limit``, its
+        bound, a number above ``limit``.
 
         A caller that only compares the result with ``limit`` (an Armijo
         trial) gets the same answer either way; any result ``<= limit`` is
-        the exact ``f(x)``.  The default ``limit = inf`` always asks for
-        ``f(x)``, and objectives without a screen ignore ``limit``.
-        ``search``, a context from :meth:`search`, says that ``x`` is the
-        point at step ``tau`` of that search's geodesic.
+        the exact ``f(x)``.  The default ``limit = inf`` always gets
+        ``f(x)``.  ``search``, a context from :meth:`search`, says that
+        ``x`` is the point at step ``tau`` of that search's geodesic.
         """
-        if self._value is None:
-            return float(self._value_and_grad(x)[0])
-        if search is None:
-            f, screened = self._value(x, limit)
-        else:
-            f, screened = self._value(x, limit, search, tau)
-        if screened:
-            self.screened_by[screened] = self.screened_by.get(screened, 0) + 1
-        return float(f)
+        x = np.asarray(x, dtype=float)
+        for name, screen in self._screens:
+            bound = screen(self, x, search, tau)
+            if bound is not None and bound[0] - limit > bound[1]:
+                self.screened_by[name] += 1
+                return bound[0]
+        return float(self._exact(x, search, tau))
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        f, g = self._value_and_grad(x)
+        f, g = self._exact_with_grad(np.asarray(x, dtype=float))
         return float(f), np.asarray(g, dtype=float)
+
+    def _exact(self, x: np.ndarray, search, tau: float) -> float:
+        """``f(x)``; ``search`` and ``tau`` are :meth:`value`'s."""
+        if self._value is None:
+            return self._value_and_grad(x)[0]
+        return self._value(x)
+
+    def _exact_with_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        return self._value_and_grad(x)
 
     def hess_vec(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         if self._hess_vec is None:

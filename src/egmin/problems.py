@@ -25,19 +25,16 @@ B_FLOOR = 1e-8  # replaces zero Poisson draws to keep the data positive
 PHANTOM_BACKGROUND = 1e-3
 
 # An objective bounds an Armijo trial by the earlier trials on its
-# e-geodesic (see make_objective) only when its operator stores at least
-# this many entries per row: one bound costs about 15 passes over the
-# rows, a forward product one pass over every entry.  Forced on at 76
+# e-geodesic (InstanceObjective.bound_curve) only when its operator stores
+# at least this many entries per row: one bound costs about 15 passes over
+# the rows, a forward product one pass over every entry.  Forced on at 76
 # entries per row (the n_side 64 projector), it made eg's iterations about
 # 3 % slower on a 2-core Xeon VM; at 153 (n_side 128, Poisson counts) it
 # saves about a quarter of eg's forward products.
 CURVE_NNZ_PER_ROW = 128
 # Widening of each row's interval for log(A x), relative in A x: it covers
-# the rounding of the rows the bound is made from (see make_objective).
+# the rounding of the rows the bound is made from (see bound_curve).
 CURVE_WIDENING = 1e-9
-# The names a screened trial is counted under: the log-sum bound alone, the
-# log-sum bound plus the Huber-TV value, and the bound from earlier trials.
-SCREENS = ("kl", "kl_tv", "curve")
 
 
 @dataclass
@@ -206,117 +203,9 @@ def full_objective(instance: ProblemInstance, x) -> tuple[float, np.ndarray]:
     return fv + tv, fg + tg
 
 
-def make_objective(instance: ProblemInstance) -> Objective:
-    """Bundle an instance into a solver-ready :class:`Objective`.
-
-    Line-search trials compute values only: the KL term and the Huber
-    values of the forward differences, with no Huber derivative and no
-    adjoint.  Both paths give bit for bit what :func:`full_objective`
-    gives.  The KL term is bound to the data, which
-    :class:`ProblemInstance` validated once (``b > 0``, so every term is
-    ``b log(b / Ax)``); per call only ``Ax`` is checked.
-
-    A trial with a finite ``limit`` is screened first.  By the log-sum
-    inequality ``KL(b, Ax) >= KL(B, y)`` with ``B = sum(b)`` and
-    ``y = sum(Ax) = c^T x``, where ``c = A^T 1`` comes from the operator,
-    so ``lb_kl = B log(B / y) - B + y`` bounds the KL term from below at
-    the cost of one dot product.  The Huber-TV value ``tv`` is at least
-    0, and so is every rounding of it, so ``lb_kl`` bounds ``f`` too: when
-    ``lb_kl - limit > eta * (B + y)`` the trial returns ``lb_kl`` with no
-    TV value and no forward projection.  Otherwise, with a TV term, it
-    computes ``tv`` and tries ``lb = lb_kl + tv`` with the margin
-    ``eta * (B + y + tv)``; failing both, it returns the exact value.
-    ``eta`` covers the rounding of both computed values, so a screened
-    trial is one whose exact value, as computed here, exceeds ``limit``
-    too:
-
-    * ``y`` differs from the sum of the computed ``Ax`` by at most
-      ``(n + s + r) u y`` (``u = 2**-53``; every term is nonnegative;
-      ``s <= m`` and ``r <= n`` bound the entries of a column and a row),
-      and ``|d KL(B, y) / dy| = |1 - B / y|`` turns that into at most
-      ``(2n + m) u (B + y)`` in the bound; ``c = A^T 1`` is a sum of
-      nonnegative terms in any order, so this holds however the
-      operator orders its sums;
-    * the rest is size-free: ``B log(B / y)`` is at most ``710 B`` (the
-      ratio is finite), and if the exact path accepts, its terms
-      ``b log(b / Ax)`` sum in absolute value to at most ``712 B + 2 y``,
-      so the pairwise sums and the few operations around them are off by
-      under ``5e-12 (B + y)``, plus ``2 u tv`` for adding ``tv`` in the
-      second test.  The first needs no ``tv`` term: rounding is monotone,
-      so the exact path's ``kl + tv``, with ``tv >= 0``, rounds to at
-      least its computed ``kl``.
-
-    ``eta = 1e-10 + (2n + m) * 2**-52`` holds both with room to spare.  A
-    point whose computed ``Ax`` has a zero entry has ``f = inf``: the
-    exact path raises ``ValueError`` for it, the screen may reject it
-    first.
-
-    A trial of an Armijo search along the e-geodesic
-    ``x(tau) = x * exp(tau * w)`` (the search passes the context that
-    :meth:`Objective.search` made) has a third screen, tried when both
-    log-sum tests fail: the curve.  Each row ``(A x(tau))_i`` is a
-    positive sum of exponentials in ``tau``, so it is log-convex, and
-    ``q_i(tau) = log(b_i / (A x(tau))_i)`` is concave.  With the exact
-    ``q`` of the base point (the cached evaluation) and of the two
-    nearest exact trials above ``tau``, ``q(tau)`` lies above the chord
-    from 0 to the nearest and below the secant through the two; each
-    interval is widened by ``CURVE_WIDENING = 1e-9`` on the chord side
-    and ``(1 + s) * 1e-9`` on the secant side (``s`` the secant's
-    extrapolation ratio).  The KL term ``b q - b + b e**-q`` of a row is
-    convex in ``q`` and least at ``q = 0``, so ``sum(b (q_c + e**-q_c)) -
-    B`` with ``q_c`` 0 clipped to the interval, plus ``tv`` with a TV
-    term, bounds ``f`` from below; it is tested with the second test's
-    margin ``eta * (B + y + tv)`` (``tv = 0`` without a TV term).  The
-    rounding argument extends row by row:
-
-    * a row of the computed ``Ax`` at a trial differs from the row of the
-      exact curve by a relative ``2**-42 + r u``: the exponent
-      ``w * tau`` (``|w tau| <= 700``) by ``700 u``, ``exp`` by
-      ``2**-43``, the product by ``u``, and the row's sum of ``r``
-      nonnegative terms by ``r u``.  A product or coordinate that rounds
-      in the subnormal range is off by ``2**-1075`` at most, which is
-      ``2**-46`` of any row at or above the floor
-      ``r (max(c) + 1) 2**-1028``.  The screen keeps the rows of an exact
-      trial only when all of them, and all of ``b``, are at or above the
-      floor; the kept ``log(b / Ax)`` adds ``746 u``.  With
-      ``r <= 2**20`` that is ``eps < 2.4e-10``;
-    * the chord weighs two rows by ``1 - t`` and ``t``, the secant two by
-      ``1 + s`` and ``-s``: with the trial's own row, the computed row
-      lies within ``2 eps`` of the chord and ``(2 + 2s) eps`` of the
-      secant, and forming them rounds by about ``1e-12 (1 + 2s)``; the
-      widening covers both.  So the exact path's ``log(b / Ax)`` lies
-      above every row's chord bound (whose ``A x`` is at or above the
-      floor), and below its secant bound wherever that is below 0 (there
-      the row's ``A x`` exceeds ``b``, so it is at or above the floor too);
-    * so each ``q_c`` lies between 0 and the exact path's ``log(b / Ax)``:
-      the bound's terms are no larger than the exact path's, and its one
-      ``exp`` and pairwise sum are off by under ``5e-12 (B + y)`` too.
-
-    ``eta`` holds this with room to spare as well.  ``q_c`` is kept at or
-    above ``q_floor``, so ``sum(b e**-q_c) <= 2**1000`` and every ``exp``
-    and ``log`` stays finite, with no warning.  A bound costs about 15
-    passes over the rows, and the screen runs only for operators with at
-    least ``CURVE_NNZ_PER_ROW`` entries per row; it changes no accepted
-    step, no value and no other trace column, only ``matvec_count``.
-
-    The last exact evaluation is cached by value (``np.array_equal``, so
-    an in-place edit of ``x`` is seen): its point, ``Ax``, KL value, TV
-    value and forward differences ``Dx``.  The gradient at that point (the
-    accepted line-search trial) then costs one adjoint application plus
-    ``1 - b / Ax``, ``clip(Dx, -delta, delta)`` and ``D^T``; a screened
-    trial never replaces the cached point.  The objective owns its scratch
-    buffers (the differences, the Huber scratch, one data-sized vector and
-    one image); they and the screen's constants are set up by its first
-    evaluation, so that building an objective stays cheap.  So an
-    objective is not re-entrant: use one per solve.
-    """
-    evaluation = _Evaluation(instance)
-    return Objective(
-        value_and_grad=evaluation.value_and_grad,
-        value=evaluation.value,
-        matvecs=instance.A.application_count,
-        search=evaluation.search,
-    )
+def make_objective(instance: ProblemInstance) -> InstanceObjective:
+    """Bundle an instance into a solver-ready :class:`InstanceObjective`."""
+    return InstanceObjective(instance)
 
 
 class _Curve:
@@ -349,7 +238,8 @@ class _Curve:
         """Per row, ``(low, high)``, the chord and secant bounds on ``q`` of
         a trial at ``tau``, or ``None`` with fewer than two trials above
         ``tau``.  The trial's exact ``q`` is at least ``low``, and at most
-        ``high`` where ``high < 0`` (see :func:`make_objective`)."""
+        ``high`` where ``high < 0`` (see
+        :meth:`InstanceObjective.bound_curve`)."""
         if not (len(self.seen) == 2 and 0.0 < tau < self.seen[0][0]):
             return None
         (tau1, q1), (tau2, q2) = self.seen
@@ -391,30 +281,51 @@ class _Curve:
         return float(terms.sum()) - self.sum_b
 
 
-class _Evaluation:
-    """The state behind :func:`make_objective`'s callables.
+class InstanceObjective(Objective):
+    """``f(x) = KL(b, A x) + lam * sum(huber(D x, delta))`` of one instance.
 
-    ``x`` (a kept copy), ``ax``, ``kl``, ``tv`` and ``dx`` (the forward
-    differences) describe the last exact evaluation, when ``cached`` is
-    set.  ``trial_dx`` holds the differences of the latest trial, ``terms``
-    the KL terms or the gradient weights, ``mag``, ``c`` and ``half`` the
-    Huber scratch (``mag`` also the derivative) and ``image`` ``D^T``'s
-    output.  The buffers and the screen's constants are set up by the first
-    evaluation; the difference buffers' down-axis last rows are zeroed
-    once, as :func:`_differences` needs.
+    Line-search trials compute values only: the KL term and the Huber
+    values of the forward differences, with no Huber derivative and no
+    adjoint.  Both paths give bit for bit what :func:`full_objective`
+    gives.  The KL term is bound to the data, which
+    :class:`ProblemInstance` validated once (``b > 0``, so every term is
+    ``b log(b / Ax)``); per call only ``Ax`` is checked.
+
+    A trial first tries three screens, each a lower bound on ``f`` with
+    the margin ``eta * (B + y + tv)``: ``B = sum(b)``, ``y = c^T x`` for
+    ``c = A^T 1``, ``tv`` the trial's Huber-TV value (0 until it is
+    computed) and ``eta = 1e-10 + (2n + m) * 2**-52``.  Each screen's
+    docstring shows that the margin covers the rounding of its bound and
+    of the exact value, so that a screened trial is one whose exact value,
+    as computed here, exceeds ``limit`` too.  No screen changes an
+    accepted step, a value or a trace column other than ``matvec_count``.
+    ``trial_y``, ``trial_lb`` and ``trial_tv`` hold what the screens
+    computed for the latest trial, ``trial_dx`` its differences.
+
+    The last exact evaluation is cached by value (``np.array_equal``, so
+    an in-place edit of ``x`` is seen): its point ``x`` (a kept copy),
+    ``ax``, ``kl_value``, ``tv``, the differences ``dx`` and, where the
+    curve screen can use them, the rows ``q = log(b / Ax)``.  The gradient
+    at that point (the accepted line-search trial) then costs one adjoint
+    application plus ``1 - b / Ax``, ``clip(Dx, -delta, delta)`` and
+    ``D^T``; a screened trial never replaces the cached point.  The
+    buffers (``terms`` for the KL terms or the gradient weights, ``mag``,
+    ``c`` and ``half`` for the Huber scratch and the derivative, ``image``
+    for ``D^T``'s output) and the screens' constants are set up by the
+    first evaluation, so that building an objective stays cheap.  So an
+    objective is not re-entrant: use one per solve.
     """
 
-    __slots__ = (
-        "A", "b", "lam", "delta", "w", "sum_b", "col_sums", "eta", "cached", "x", "ax", "kl",
-        "tv", "dx", "trial_dx", "terms", "mag", "c", "half", "image", "q", "curve_floor",
-        "curve_ceiling", "q_floor",
-    )
+    SCREENS = ("kl", "kl_tv", "curve")
 
     def __init__(self, instance: ProblemInstance):
+        super().__init__()
         self.A, self.b = instance.A, instance.b
         self.lam, self.delta, self.w = instance.lam, instance.delta, instance.image_shape[1]
-        self.cached = False
         self.x = self.q = None
+
+    def matvec_count(self) -> int:
+        return self.A.application_count()
 
     def _setup(self) -> None:
         A, n = self.A, self.A.cols
@@ -422,8 +333,10 @@ class _Evaluation:
         self.sum_b = float(self.b.sum())
         self.col_sums = A.column_sums()
         self.eta = 1e-10 + (2 * n + A.rows) * 2.0**-52
-        self.x, self.terms = np.empty(n), np.empty(A.rows)
+        # A NaN point equals no point: nothing is cached yet.
+        self.x, self.terms = np.full(n, np.nan), np.empty(A.rows)
         if self.lam > 0.0:
+            # _differences needs the down-axis last rows zeroed once.
             self.dx, self.trial_dx = np.zeros(2 * n), np.zeros(2 * n)
             self.mag, self.c, self.half = np.empty(2 * n), np.empty(2 * n), np.empty(2 * n)
             self.image = np.empty(n)
@@ -439,6 +352,109 @@ class _Evaluation:
                 self.curve_floor, self.curve_ceiling = floor, b_min * 2.0**1000
                 # q >= q_floor keeps sum(b e**-q) <= 2**1000 and e**-q finite.
                 self.q_floor = -min(EXP_ARG_MAX, 1000.0 * math.log(2.0) - math.log(self.sum_b))
+
+    def search(self, geodesic) -> _Curve | None:
+        # A curve needs the base point's exact log(b / Ax): its cached one.
+        if geodesic is None or self.q is None or not np.array_equal(self.x, geodesic.x):
+            return None
+        return _Curve(self.b, self.sum_b, self.q_floor, self.q)
+
+    def bound_kl(self, x: np.ndarray, search, tau: float):
+        """The log-sum bound ``lb = B log(B / y) - B + y``, with ``tv = 0``.
+
+        By the log-sum inequality ``KL(b, Ax) >= KL(B, y)``, so ``lb``
+        bounds the KL term at the cost of one dot product; the Huber-TV
+        value is at least 0, and so is every rounding of it, so ``lb``
+        bounds ``f`` too.  The margin covers the rounding:
+
+        * ``y`` differs from the sum of the computed ``Ax`` by at most
+          ``(n + s + r) u y`` (``u = 2**-53``; every term is nonnegative;
+          ``s <= m`` and ``r <= n`` bound the entries of a column and a
+          row), and ``|d KL(B, y) / dy| = |1 - B / y|`` turns that into at
+          most ``(2n + m) u (B + y)`` in the bound; ``c = A^T 1`` is a sum
+          of nonnegative terms in any order, so this holds however the
+          operator and the dot product order their sums;
+        * the rest is size-free: ``B log(B / y)`` is at most ``710 B`` (the
+          ratio is finite), and if the exact path accepts, its terms
+          ``b log(b / Ax)`` sum in absolute value to at most
+          ``712 B + 2 y``, so the pairwise sums and the few operations
+          around them are off by under ``5e-12 (B + y)``.  No ``tv`` is
+          needed: rounding is monotone, so the exact path's ``kl + tv``,
+          with ``tv >= 0``, rounds to at least its computed ``kl``.
+
+        ``eta`` holds both with room to spare.  Without a ``y`` in
+        ``(0, inf)`` no screen bounds the trial.  A point whose computed
+        ``Ax`` has a zero entry has ``f = inf``: the exact path raises
+        ``ValueError`` for it, a screen may reject it first.
+        """
+        if self.x is None:
+            self._setup()
+        self.trial_tv, sum_b = None, self.sum_b
+        # Not col_sums @ x: OpenBLAS threads that ddot, and concurrent solves stall.
+        y = float(np.einsum("i,i->", self.col_sums, x))
+        ratio = sum_b / y if y > 0.0 else 0.0  # 0 for y = inf or NaN too
+        self.trial_y = y if 0.0 < ratio < math.inf else None
+        if self.trial_y is None:
+            return None
+        self.trial_lb = lb = sum_b * math.log(ratio) - sum_b + y
+        return (lb, self.eta * (sum_b + y)) if math.isfinite(lb) else None
+
+    def bound_kl_tv(self, x: np.ndarray, search, tau: float):
+        """The log-sum bound plus ``tv``: :meth:`bound_kl`'s argument
+        holds, plus ``2 u tv`` for adding ``tv``.  ``tv`` and its
+        differences in ``trial_dx`` are kept for the later screen and the
+        exact path."""
+        if self.trial_y is None or self.lam == 0.0:
+            return None
+        self.trial_tv = tv = self._tv(x)
+        lb = self.trial_lb + tv
+        return (lb, self.eta * (self.sum_b + self.trial_y + tv)) if math.isfinite(lb) else None
+
+    def bound_curve(self, x: np.ndarray, search: _Curve | None, tau: float):
+        """The curve's bound on the KL term (see :class:`_Curve`) plus
+        ``tv``, for the trial at step ``tau`` of a search along its
+        e-geodesic.
+
+        Each ``q_c``, 0 clipped to its row's interval, must lie between 0
+        and the exact path's ``log(b / Ax)``.  Row by row:
+
+        * a row of the computed ``Ax`` at a trial differs from the row of
+          the exact curve by a relative ``2**-42 + r u``: the exponent
+          ``w * tau`` (``|w tau| <= 700``) by ``700 u``, ``exp`` by
+          ``2**-43``, the product by ``u``, and the row's sum of ``r``
+          nonnegative terms by ``r u``.  A product or coordinate that
+          rounds in the subnormal range is off by ``2**-1075`` at most,
+          which is ``2**-46`` of any row at or above the floor
+          ``r (max(c) + 1) 2**-1028``.  An exact evaluation keeps its rows
+          only when all of them, and all of ``b``, are at or above the
+          floor; the kept ``log(b / Ax)`` adds ``746 u``.  With
+          ``r <= 2**20`` that is ``eps < 2.4e-10``;
+        * the chord weighs two rows by ``1 - t`` and ``t``, the secant two
+          by ``1 + s`` and ``-s``: with the trial's own row, the computed
+          row lies within ``2 eps`` of the chord and ``(2 + 2s) eps`` of
+          the secant, and forming them rounds by about
+          ``1e-12 (1 + 2s)``; the widening, ``CURVE_WIDENING`` on the
+          chord side and ``(1 + s)`` times it on the secant side, covers
+          both.  So the exact path's ``log(b / Ax)`` lies above every
+          row's chord bound (whose ``A x`` is at or above the floor), and
+          below its secant bound wherever that is below 0 (there the row's
+          ``A x`` exceeds ``b``, so it is at or above the floor too);
+        * so the bound's terms are no larger than the exact path's, and
+          its one ``exp`` and pairwise sum are off by under
+          ``5e-12 (B + y)``, as in :meth:`bound_kl`, which ``eta`` covers.
+
+        ``q_c >= q_floor`` keeps ``sum(b e**-q_c) <= 2**1000`` and every
+        ``exp`` and ``log`` finite, with no warning.  A bound costs about
+        15 passes over the rows, so :meth:`search` makes a curve only for
+        operators with at least ``CURVE_NNZ_PER_ROW`` entries per row.
+        """
+        if search is None or self.trial_y is None:
+            return None
+        lb = search.bound(tau)
+        if lb is None:
+            return None
+        tv = self.trial_tv or 0.0  # 0 without a TV term
+        return lb + tv, self.eta * (self.sum_b + self.trial_y + tv)
 
     def _kl(self, ax: np.ndarray) -> tuple[float, np.ndarray | None]:
         # Same terms, in the same order, as divergence.kl(b, ax); also
@@ -462,9 +478,11 @@ class _Evaluation:
         return self.lam * float(values.sum())
 
     def _evaluate(self, x: np.ndarray, tv: float | None) -> None:
-        # Exact value at x, made the cached evaluation.  A given tv is x's,
-        # with its differences in trial_dx.  Nothing cached changes before
-        # the KL term has validated Ax.
+        # Make x's exact value the cached evaluation, unless it is.  A given
+        # tv is x's, with its differences in trial_dx.  Nothing cached
+        # changes before the KL term has validated Ax.
+        if np.array_equal(self.x, x):
+            return
         ax = self.A.forward(x)
         kl_value, q = self._kl(ax)
         if self.lam > 0.0:
@@ -472,69 +490,29 @@ class _Evaluation:
                 tv = self._tv(x)
             self.dx, self.trial_dx = self.trial_dx, self.dx
         np.copyto(self.x, x)
-        self.cached, self.ax, self.kl, self.tv, self.q = True, ax, kl_value, tv, q
+        self.ax, self.kl_value, self.tv, self.q = ax, kl_value, tv or 0.0, q
 
-    def search(self, x: np.ndarray) -> _Curve | None:
-        # A curve needs the base point's exact log(b / Ax): its cached one.
-        if self.q is None or not np.array_equal(self.x, x):
-            return None
-        return _Curve(self.b, self.sum_b, self.q_floor, self.q)
-
-    def value(self, x: np.ndarray, limit: float, search: _Curve | None = None,
-              tau: float = 0.0) -> tuple[float, str | bool]:
-        x = np.asarray(x, dtype=float)
-        if self.x is None:
-            self._setup()
-        tv = None
-        if limit < math.inf:
-            sum_b = self.sum_b
-            y = float(self.col_sums @ x)
-            ratio = sum_b / y if y > 0.0 else 0.0  # 0 for y = inf or NaN too
-            if 0.0 < ratio < math.inf:
-                lb = sum_b * math.log(ratio) - sum_b + y
-                margin = self.eta * (sum_b + y)
-                if math.isfinite(lb) and lb - limit > margin:
-                    return lb, "kl"
-                if self.lam > 0.0:
-                    tv = self._tv(x)
-                    lb += tv
-                    margin = self.eta * (sum_b + y + tv)
-                    if math.isfinite(lb) and lb - limit > margin:
-                        return lb, "kl_tv"
-                lb = None if search is None else search.bound(tau)
-                if lb is not None:
-                    if tv is not None:
-                        lb += tv
-                    if lb - limit > margin:
-                        return lb, "curve"
-        if not (self.cached and np.array_equal(self.x, x)):
-            self._evaluate(x, tv)
+    def _exact(self, x: np.ndarray, search: _Curve | None, tau: float) -> float:
+        self._evaluate(x, self.trial_tv)
         if search is not None and self.q is not None:
             search.record(tau, self.q)
-        v = self.kl
-        if self.lam > 0.0:
-            v += self.tv
-        return v, False
+        return self.kl_value + self.tv
 
-    def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        x = np.asarray(x, dtype=float)
+    def _exact_with_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         if self.x is None:
             self._setup()
-        if not (self.cached and np.array_equal(self.x, x)):
-            self._evaluate(x, None)
-        value = self.kl
+        self._evaluate(x, None)
         weights = np.divide(self.b, self.ax, out=self.terms)
         np.subtract(1.0, weights, out=weights)
         grad = self.A.adjoint(weights)
         if self.lam > 0.0:
-            value += self.tv
             deriv = np.clip(self.dx, -self.delta, self.delta, out=self.mag)
             image = self.image
             image.fill(0.0)
             _add_difference_adjoint(deriv, self.w, image)
             image *= self.lam
             grad += image
-        return value, grad
+        return self.kl_value + self.tv, grad
 
 
 def make_phantom(n_side: int) -> np.ndarray:

@@ -118,6 +118,31 @@ class TestSolveCommand:
             assert stats["iterations"] == 0
             assert stats["final_grad_norm"] is None
 
+    @pytest.mark.parametrize("methods", ["eg,foo", "", " , "])
+    def test_bad_methods_flag_is_a_usage_error_before_any_work(self, tmp_path, methods):
+        outdir = tmp_path / "run"
+        result = CliRunner().invoke(main, ["solve", "--n-side", "8", "--methods", methods,
+                                           "--output-dir", str(outdir)])
+        assert result.exit_code == 2, result.output
+        assert "eg,ipgrgd,ipemd,poicg" in result.output
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("methods", ["eg,foo", ""])
+    def test_bad_methods_in_a_config_file_is_a_usage_error(self, tmp_path, methods):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n_side = 8\nmethods = {methods}\n")
+        outdir = tmp_path / "run"
+        result = CliRunner().invoke(main, ["solve", "--config", str(cfg), "--output-dir", str(outdir)])
+        assert result.exit_code == 2, result.output
+        assert "eg,ipgrgd,ipemd,poicg" in result.output
+        assert not outdir.exists()
+
+    def test_run_spec_rejects_unknown_methods(self):
+        with pytest.raises(ValueError, match="eg,ipgrgd,ipemd,poicg"):
+            RunSpec(methods=("eg", "foo"))
+        with pytest.raises(ValueError):
+            RunSpec(methods=())
+
 
 class TestConfigResolution:
     def test_file_then_flags(self, tmp_path):

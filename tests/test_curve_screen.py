@@ -24,6 +24,8 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import egmin.solvers
+from egmin.linesearch import geodesic_retraction
+from egmin.solvers import quotient_retraction
 from egmin import (
     ArmijoParams,
     Geodesic,
@@ -74,7 +76,7 @@ def cases(draw):
 
 def unscreened(instance) -> Objective:
     obj = make_objective(instance)
-    return Objective(value_and_grad=obj.value_and_grad, value=lambda x, limit: (obj.value(x), False))
+    return Objective(value_and_grad=obj.value_and_grad, value=obj.value)
 
 
 def exact_value(instance, x) -> float:
@@ -113,7 +115,7 @@ def test_rows_clipped_to_their_intervals_lie_between_zero_and_the_exact_rows(dat
             assume(False)  # A x has a zero row: no search starts here
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        search = obj.search(x)
+        search = obj.search(geodesic)
     assume(search is not None)
     checked = 0
     for k in range(12):
@@ -157,8 +159,8 @@ def test_a_log_linear_curve_keeps_its_widening():
     for rate in (-3.0, -0.3, 0.7):
         obj = make_objective(instance)
         obj.value_and_grad(x)
-        search = obj.search(x)
         geodesic = Geodesic(x, np.full(n, rate))
+        search = obj.search(geodesic)
         for k in range(20):
             tau = 0.5**k
             point = geodesic.step(tau).point
@@ -254,6 +256,45 @@ def test_searches_match_the_unscreened_ones(data):
         assert exact_value(instance, point) > limit
 
 
+def test_the_trial_not_the_retraction_says_it_lies_on_a_geodesic():
+    # A wrapped geodesic retraction prepares the same geodesic trials, so
+    # its searches keep the curve screen; the quotient map's trials lie on
+    # no e-geodesic, so no search of them gets a context.
+    rng = np.random.default_rng(0)
+    m, n = 64, 256
+    rows = np.repeat(np.arange(m), CURVE_NNZ_PER_ROW)
+    cols = np.concatenate([rng.choice(n, CURVE_NNZ_PER_ROW, replace=False) for _ in range(m)])
+    a = sparse.csr_matrix((rng.uniform(0.1, 1.5, m * CURVE_NNZ_PER_ROW), (rows, cols)), shape=(m, n))
+    y = a @ (rng.uniform(0.0, 1.0, n) ** 3 + 1e-3)
+    b = np.maximum(rng.poisson(y * (5.0 / y.mean())), 1e-8) / 5.0
+    instance = ProblemInstance(A=SparseOperator(a), b=b, lam=0.0, delta=0.01, image_shape=(1, n))
+    plain, wrapped, quotient = (make_objective(instance) for _ in range(3))
+    contexts = []
+    value_of = quotient.value
+
+    def spying_value(point, limit=math.inf, search=None, tau=0.0):
+        contexts.append(search)
+        return value_of(point, limit, search, tau)
+
+    quotient.value = spying_value
+    x = rng.uniform(0.5, 1.5, n)
+    for _ in range(40):
+        value, grad = plain.value_and_grad(x)
+        for obj in (wrapped, quotient):
+            obj.value_and_grad(x)
+        want = armijo_backtrack(plain, x, -x * grad, ArmijoParams(), value, grad)
+        got = armijo_backtrack(wrapped, x, -x * grad, ArmijoParams(), value, grad,
+                               lambda x, d, g: geodesic_retraction(x, d, g))
+        assert (got.tau, got.halvings, got.status) == (want.tau, want.halvings, want.status)
+        assert got.new_point.tobytes() == want.new_point.tobytes()
+        armijo_backtrack(quotient, x, -x * x * grad, ArmijoParams(), value, grad, quotient_retraction)
+        x = want.new_point
+    assert plain.screened_by["curve"] > 0
+    assert wrapped.screened_by == plain.screened_by
+    assert contexts and all(search is None for search in contexts)
+    assert quotient.screened_by["curve"] == 0
+
+
 def test_a_tight_curve_keeps_its_margin():
     # With b the computed A x of the trial, a hundred-trillionth off, and
     # log-linear rows, 0 lies in every row's interval: the bound is 0.0
@@ -271,7 +312,7 @@ def test_a_tight_curve_keeps_its_margin():
         instance = ProblemInstance(A=operator, b=b, lam=0.0, delta=0.01, image_shape=(1, n))
         obj = make_objective(instance)
         obj.value_and_grad(x)
-        search = obj.search(x)
+        search = obj.search(geodesic)
         for tau in (1.0, 0.5):
             obj.value(geodesic.step(tau).point, math.inf, search, tau)
         assert search.bound(0.25) == 0.0
@@ -297,7 +338,7 @@ def test_no_search_from_rows_that_round_coarsely(x_scale, b):
     obj = make_objective(instance)
     with np.errstate(over="ignore"):  # the exact path's b / Ax
         obj.value_and_grad(x)
-    assert obj.search(x) is None
+    assert obj.search(Geodesic(x, -x)) is None
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.01])
@@ -309,4 +350,4 @@ def test_below_the_gate_no_search_is_made(lam):
     instance = ProblemInstance(A=SparseOperator(a), b=a @ x, lam=lam, delta=0.01, image_shape=(1, n))
     obj = make_objective(instance)
     obj.value_and_grad(x)
-    assert obj.search(x) is None
+    assert obj.search(Geodesic(x, -x)) is None

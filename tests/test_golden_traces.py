@@ -90,7 +90,7 @@ def _unscreened_objective(instance) -> Objective:
     obj = make_objective(instance)
     return Objective(
         value_and_grad=obj.value_and_grad,
-        value=lambda x, limit: (obj.value(x), False),
+        value=obj.value,
         matvecs=obj.matvec_count,
     )
 

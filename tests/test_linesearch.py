@@ -121,7 +121,7 @@ class TestArmijoBacktrack:
         # A trial objective that never improves forces the failure path.
         obj = Objective(
             value_and_grad=lambda x: (0.0, np.ones_like(x)),
-            value=lambda x, limit: (np.inf, False),
+            value=lambda x: np.inf,
         )
         x = np.array([1.0])
         result = armijo_backtrack(obj, x, np.array([-1.0]), ArmijoParams())

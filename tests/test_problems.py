@@ -1,7 +1,9 @@
 """The tomography test bed: fidelity, regularizer, projector, phantom, data."""
 
+import gc
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -378,6 +380,21 @@ class TestMakeObjective:
             obj.value(np.array([np.inf]))
         with pytest.raises(ValueError, match="non-finite"):
             obj.value(np.array([np.nan]))
+
+    def test_a_used_objective_is_freed_without_the_cycle_collector(self):
+        # Each solve makes one objective with its buffers; a reference cycle
+        # would keep them until the cyclic collector runs, and peak memory
+        # would grow with the number of solves.
+        instance, _ = build_instance(16, seed=0)
+        obj = make_objective(instance)
+        solve(SolverConfig(method=Method.EG, max_iterations=5), obj, default_x0(256, 0))
+        gc.disable()
+        try:
+            freed = weakref.ref(obj)
+            del obj
+            assert freed() is None
+        finally:
+            gc.enable()
 
     def test_far_armijo_trials_raise_no_warning(self):
         instance, _ = build_instance(32, noisy=True, seed=0)

@@ -139,7 +139,7 @@ def test_armijo_is_the_same_with_and_without_the_screen(data):
     unscreened = make_objective(instance)
     reference = Objective(
         value_and_grad=unscreened.value_and_grad,
-        value=lambda x, limit: (unscreened.value(x), False),  # no limit: never screened
+        value=unscreened.value,  # no limit: never screened
     )
     with np.errstate(all="ignore"):
         try:

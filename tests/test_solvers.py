@@ -73,11 +73,12 @@ def armijo_slope(x, g, direction) -> float:
     and ``tau_bar = 1`` the first trial's limit is exactly ``slope / 2``."""
     limits = []
 
-    def value(u, limit):
+    def value(u, limit, search=None, tau=0.0):
         limits.append(limit)
-        return limit, False
+        return limit
 
-    obj = Objective(value_and_grad=lambda u: (0.0, g), value=value)
+    obj = Objective(value_and_grad=lambda u: (0.0, g))
+    obj.value = value
     armijo_backtrack(obj, x, direction, ArmijoParams(sigma=0.5), value=0.0, grad=g)
     return 2.0 * limits[0]
 
@@ -366,7 +367,7 @@ class TestSolve:
     def test_ipemd_armijo_failure_terminates_with_step_tol(self):
         obj = Objective(
             value_and_grad=lambda x: (0.0, np.ones_like(x)),
-            value=lambda x, limit: (np.inf, False),
+            value=lambda x: np.inf,
         )
         config = SolverConfig(method=Method.IP_E_MD, linesearch=ArmijoParams())
         trace = solve(config, obj, np.array([1.0]))
@@ -475,7 +476,7 @@ class TestSolve:
     def test_linesearch_failure_terminates_with_step_tol(self):
         obj = Objective(
             value_and_grad=lambda x: (0.0, np.ones_like(x)),
-            value=lambda x, limit: (np.inf, False),
+            value=lambda x: np.inf,
         )
         trace = solve(SolverConfig(method=Method.EG), obj, np.array([1.0]))
         assert trace.terminal_status is TerminalStatus.STEP_TOL
@@ -486,7 +487,7 @@ class TestSolve:
         # Every trial is usable and fails the decrease test.
         obj = Objective(
             value_and_grad=lambda x: (0.0, np.ones_like(x)),
-            value=lambda x, limit: (np.inf, False),
+            value=lambda x: np.inf,
         )
         trace = solve(SolverConfig(method=Method.EG), obj, np.array([1.0]))
         assert trace.terminal_status is TerminalStatus.STEP_TOL
