@@ -42,7 +42,11 @@ RELATIVE_VALUE_DEFINITION = "(f_k - f_best) / (f_0 - f_best)"
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Fully resolved parameters of one ``solve`` run."""
+    """Fully resolved parameters of one ``solve`` run.
+
+    ``config`` is the :class:`SolverConfig` of the Armijo methods, built
+    when the spec is made, so that a bad value fails before any work.
+    """
 
     n_side: int = 64
     undersampling: float = 0.2
@@ -51,20 +55,30 @@ class RunSpec:
     noisy: bool = False
     seed: int = 0
     methods: tuple[str, ...] = ("eg", "poicg", "ipgrgd", "ipemd")
-    max_iterations: int = 300
-    grad_norm_tol: float = 1e-6
-    step_size_tol: float = 1e-10
-    sigma: float = 1e-4
-    beta: float = 0.5
-    tau_bar: float = 1.0
-    tau_min: float = 1e-10
-    max_halvings: int = 60
+    max_iterations: int = SolverConfig.max_iterations
+    grad_norm_tol: float = SolverConfig.grad_norm_tol
+    step_size_tol: float = SolverConfig.step_size_tol
+    sigma: float = ArmijoParams.sigma
+    beta: float = ArmijoParams.beta
+    tau_bar: float = ArmijoParams.tau_bar
+    tau_min: float = ArmijoParams.tau_min
+    max_halvings: int = ArmijoParams.max_halvings
     output_dir: str = "runs"
 
     def __post_init__(self):
-        valid = ",".join(method.value for method in Method)
-        if not self.methods or not set(self.methods) <= set(valid.split(",")):
-            raise ValueError(f"methods must be one or more of {valid}, not {','.join(self.methods)!r}")
+        valid = [method.value for method in Method]
+        given = set(self.methods)
+        if not given or not given <= set(valid) or len(given) < len(self.methods):
+            raise ValueError(
+                f"methods must be one or more of {','.join(valid)}, each once,"
+                f" not {','.join(self.methods)!r}"
+            )
+        armijo = ArmijoParams(**self._shared(ArmijoParams))
+        object.__setattr__(self, "config", SolverConfig(Method.EG, armijo, **self._shared(SolverConfig)))
+
+    def _shared(self, cls) -> dict:
+        """This spec's values of the fields that dataclass ``cls`` shares with it."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(cls) if f.name in _FIELD_TYPES}
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunSpec)}
@@ -120,23 +134,11 @@ def _solver_config(spec: RunSpec, method: Method, b: np.ndarray) -> SolverConfig
     if method is Method.IP_E_MD:
         policy = constant_step(relative_lipschitz_step(b))
     else:
-        policy = ArmijoParams(
-            sigma=spec.sigma,
-            beta=spec.beta,
-            tau_bar=spec.tau_bar,
-            tau_min=spec.tau_min,
-            max_halvings=spec.max_halvings,
-        )
-    return SolverConfig(
-        method=method,
-        linesearch=policy,
-        max_iterations=spec.max_iterations,
-        grad_norm_tol=spec.grad_norm_tol,
-        step_size_tol=spec.step_size_tol,
-    )
+        policy = spec.config.linesearch
+    return dataclasses.replace(spec.config, method=method, linesearch=policy)
 
 
-def _write_relative_values(path, traces: dict[str, RunTrace]) -> None:
+def _write_relative_values(path, traces: dict[str, RunTrace], f0: float, f_best: float) -> None:
     """Cross-method comparison table of normalized objective values.
 
     Normalization: (f_k - f_best) / (f_0 - f_best), where f_best is the
@@ -144,8 +146,6 @@ def _write_relative_values(path, traces: dict[str, RunTrace]) -> None:
     starting value.  The header row carries the definition; columns end
     when their method terminated.
     """
-    f0 = next(iter(traces.values())).records[0].f
-    f_best = min(rec.f for trace in traces.values() for rec in trace.records)
     span = f0 - f_best
     names = list(traces)
     depth = max(len(trace.records) for trace in traces.values())
@@ -208,13 +208,15 @@ def cmd_solve(spec: RunSpec) -> int:
         if trace.terminal_status in (TerminalStatus.STEP_INFEASIBLE, TerminalStatus.NON_FINITE):
             exit_code = 1
 
-    _write_relative_values(outdir / "relative_values.csv", traces)
+    f0 = next(iter(traces.values())).records[0].f
+    f_best = min(rec.f for trace in traces.values() for rec in trace.records)
+    _write_relative_values(outdir / "relative_values.csv", traces, f0, f_best)
     summary = {
         "spec": dict(dataclasses.asdict(spec), methods=list(spec.methods)),
         "version": __version__,
         "relative_value_definition": RELATIVE_VALUE_DEFINITION,
-        "f0": next(iter(traces.values())).records[0].f,
-        "f_best": min(rec.f for t in traces.values() for rec in t.records),
+        "f0": f0,
+        "f_best": f_best,
         "operator": instance.A.describe(),
         "methods": per_method,
     }
@@ -240,12 +242,11 @@ def cmd_verify(inject_fault: bool = False, out=None) -> int:
     """Run the oracle battery, print JSON-line reports, return 0 iff all pass."""
     out = out if out is not None else sys.stdout
     reports = run_battery(inject_fault=inject_fault)
-    ok = True
     for rep in reports:
         print(rep.to_json(), file=out)
-        ok = ok and rep.passed
-    print(f"{sum(r.passed for r in reports)}/{len(reports)} checks passed", file=out)
-    return 0 if ok else 1
+    passed = sum(rep.passed for rep in reports)
+    print(f"{passed}/{len(reports)} checks passed", file=out)
+    return 0 if passed == len(reports) else 1
 
 
 def cmd_phantom(n_side: int, output: str) -> int:

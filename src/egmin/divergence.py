@@ -59,13 +59,12 @@ def kl(x, y) -> float:
 class BregmanGenerator:
     """Convex generator of a Bregman divergence.
 
-    Convexity on the stated domain is a documented contract of the
+    Convexity on the positive orthant is a documented contract of the
     supplied callables, not checked at runtime.
     """
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
-    domain: str = "positive orthant"
 
 
 NEG_ENTROPY = BregmanGenerator(value=neg_entropy, gradient=np.log)

@@ -61,18 +61,9 @@ def write_image_csv(path, image) -> None:
     img = np.asarray(image, dtype=float)
     if img.ndim != 2:
         raise ValueError(f"expected a 2-d image, got shape {img.shape}")
-    with open(path, "w", newline="") as f:
-        for row in img:
-            f.write(",".join(format(v, ".17e") for v in row))
-            f.write("\r\n")
+    np.savetxt(path, img, fmt="%.17e", delimiter=",", newline="\r\n")
 
 
 def read_image_csv(path) -> np.ndarray:
     """Read an image written by :func:`write_image_csv`."""
-    rows = []
-    with open(path, "r", newline="") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                rows.append([float(v) for v in line.split(",")])
-    return np.asarray(rows, dtype=float)
+    return np.loadtxt(path, delimiter=",", ndmin=2)

@@ -22,7 +22,7 @@ import math
 import time
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import starmap
 
@@ -106,8 +106,8 @@ class IterationRecord:
 
 
 # Column order of the CSV serialization.
-TRACE_FIELDS = ("k", "f", "riem_grad_norm", "tau", "halvings", "matvec_count", "wall_nanos")
-_INT_FIELDS = {"k", "halvings", "matvec_count", "wall_nanos"}
+TRACE_FIELDS = tuple(field.name for field in fields(IterationRecord))
+_INT_FIELDS = {field.name for field in fields(IterationRecord) if field.type == "int"}
 
 
 class TraceRecords(Sequence):
@@ -210,23 +210,16 @@ class RunTrace:
 def read_trace_csv(path) -> list[IterationRecord]:
     """Parse records written by :meth:`RunTrace.to_csv`.
 
-    A missing wall-clock column reads back as zero.
+    Columns are read by name, in any order; unknown columns are ignored,
+    and a missing wall-clock column reads back as zero.
     """
     records = []
     with open(path, "r", newline="") as f:
-        reader = csv.DictReader(f)
-        for row in reader:
-            records.append(
-                IterationRecord(
-                    k=int(row["k"]),
-                    f=float(row["f"]),
-                    riem_grad_norm=float(row["riem_grad_norm"]),
-                    tau=float(row["tau"]),
-                    halvings=int(row["halvings"]),
-                    matvec_count=int(row["matvec_count"]),
-                    wall_nanos=int(row.get("wall_nanos", 0) or 0),
-                )
-            )
+        for row in csv.DictReader(f):
+            row["wall_nanos"] = row.get("wall_nanos") or 0
+            records.append(IterationRecord(**{
+                name: (int if name in _INT_FIELDS else float)(row[name]) for name in TRACE_FIELDS
+            }))
     return records
 
 

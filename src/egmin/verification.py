@@ -12,12 +12,13 @@ optimization API.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .divergence import h_derivatives, kappa, kl, kl_duality_check, scl_mu
 from .geometry import GeometryKind, as_point, exp_map, metric_inner, transport_e
+from .linesearch import exact_residual
 from .objective import Objective
 from .problems import build_instance, full_objective, huber_tv, kl_fidelity
 from .operators import SparseOperator
@@ -64,17 +65,7 @@ class OracleReport:
         )
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "reference": self.reference,
-                "computed": self.computed,
-                "abs_err": self.abs_err,
-                "rel_err": self.rel_err,
-                "tol": self.tol,
-                "passed": self.passed,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def fd_gradient_check(obj: Objective, x, h=None, tol: float = 1e-6) -> list[OracleReport]:
@@ -146,21 +137,16 @@ def md_argmin_oracle(x, euclid_grad, tau: float, max_expand: int = 200) -> np.nd
         if val == 0.0:
             out[i] = x[i]
             continue
-        lo, hi = x[i], x[i]
-        if val > 0.0:  # root below x_i
-            for _ in range(max_expand):
-                lo *= 0.5
-                if phi(lo) < 0.0:
-                    break
-            else:
-                raise RuntimeError(f"bracketing failed for coordinate {i}")
+        # Halve towards a root below x_i (phi(x_i) > 0), else double, until phi changes sign.
+        sign, factor = (1.0, 0.5) if val > 0.0 else (-1.0, 2.0)
+        u = x[i]
+        for _ in range(max_expand):
+            u *= factor
+            if sign * phi(u) < 0.0:
+                break
         else:
-            for _ in range(max_expand):
-                hi *= 2.0
-                if phi(hi) > 0.0:
-                    break
-            else:
-                raise RuntimeError(f"bracketing failed for coordinate {i}")
+            raise RuntimeError(f"bracketing failed for coordinate {i}")
+        lo, hi = sorted((x[i], u))
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if phi(mid) > 0.0:
@@ -201,19 +187,15 @@ def exact_linesearch_oracle(
     if np.all(rgrad == 0.0):
         return ExactLineSearchResult(0.0, "degenerate")
 
-    taus = np.linspace(0.0, tau_max, grid + 1)
-    values = np.array([obj.value(exp_map(x, -rgrad, t).point) for t in taus])
-    k = int(np.argmin(values))
-    if k == grid:
-        return ExactLineSearchResult(float(tau_max), "boundary")
-
-    lo = taus[max(k - 1, 0)]
-    hi = taus[k + 1]
-
     def f_of(t):
         return obj.value(exp_map(x, -rgrad, t).point)
 
-    a, b = lo, hi
+    taus = np.linspace(0.0, tau_max, grid + 1)
+    k = int(np.argmin([f_of(t) for t in taus]))
+    if k == grid:
+        return ExactLineSearchResult(float(tau_max), "boundary")
+
+    a, b = taus[max(k - 1, 0)], taus[k + 1]
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f_of(c), f_of(d)
@@ -236,14 +218,14 @@ def exact_linesearch_oracle(
 # ---------------------------------------------------------------------------
 
 
-def _quadratic_objective(a: np.ndarray) -> Objective:
-    a = np.asarray(a, dtype=float)
+def _quadratic(a: np.ndarray, grad_sign: float = 1.0):
+    """Value and gradient of ``||u - a||^2 / 2``; ``grad_sign = -1`` flips the gradient."""
 
-    def vg(x):
-        diff = x - a
-        return 0.5 * float(np.dot(diff, diff)), diff
+    def value_and_grad(u):
+        diff = u - a
+        return 0.5 * float(np.dot(diff, diff)), grad_sign * diff
 
-    return Objective(value_and_grad=vg, hess_vec=lambda x, v: v)
+    return value_and_grad
 
 
 def _worst_pair(reference: np.ndarray, computed: np.ndarray) -> tuple[float, float]:
@@ -251,6 +233,13 @@ def _worst_pair(reference: np.ndarray, computed: np.ndarray) -> tuple[float, flo
     scale = np.maximum(1.0, np.abs(reference))
     i = int(np.argmax(np.abs(computed - reference) / scale))
     return float(reference[i]), float(computed[i])
+
+
+def _fd_report(name: str, value_and_grad, x) -> OracleReport:
+    """The worst coordinate of :func:`fd_gradient_check` as one report."""
+    reports = fd_gradient_check(Objective(value_and_grad=value_and_grad), x)
+    worst = max(reports, key=lambda rep: rep.rel_err)
+    return OracleReport.compare(name, worst.reference, worst.computed, 1e-6)
 
 
 def run_battery(inject_fault: bool = False) -> list[OracleReport]:
@@ -291,45 +280,27 @@ def run_battery(inject_fault: bool = False) -> list[OracleReport]:
         A = SparseOperator(rng.uniform(0.1, 1.0, (m, n)))
         b = rng.uniform(0.5, 2.0, m)
         x = rng.uniform(0.5, 2.0, n)
-        obj = Objective(value_and_grad=lambda u, A=A, b=b: kl_fidelity(A, b, u))
-        worst = max(fd_gradient_check(obj, x), key=lambda rep: rep.rel_err)
-        reports.append(
-            OracleReport.compare(f"fd_kl_fidelity[{i}]", worst.reference, worst.computed, 1e-6)
-        )
+        reports.append(_fd_report(f"fd_kl_fidelity[{i}]", lambda u: kl_fidelity(A, b, u), x))
     for i in range(3):
-        shape = (4, 4)
-        lam, delta = float(rng.uniform(0.05, 0.5)), 0.237
+        lam = float(rng.uniform(0.05, 0.5))
         x = rng.uniform(0.5, 2.0, 16)
-        obj = Objective(
-            value_and_grad=lambda u, lam=lam, delta=delta: huber_tv(u, lam, delta, shape)
-        )
-        worst = max(fd_gradient_check(obj, x), key=lambda rep: rep.rel_err)
-        reports.append(
-            OracleReport.compare(f"fd_huber_tv[{i}]", worst.reference, worst.computed, 1e-6)
-        )
+        reports.append(_fd_report(f"fd_huber_tv[{i}]", lambda u: huber_tv(u, lam, 0.237, (4, 4)), x))
     instance, _ = build_instance(8, seed=3)
-    obj_full = Objective(value_and_grad=lambda u: full_objective(instance, u))
     for i in range(3):
         x = rng.uniform(0.5, 2.0, instance.A.cols)
-        worst = max(fd_gradient_check(obj_full, x), key=lambda rep: rep.rel_err)
         reports.append(
-            OracleReport.compare(f"fd_full_objective[{i}]", worst.reference, worst.computed, 1e-6)
+            _fd_report(f"fd_full_objective[{i}]", lambda u: full_objective(instance, u), x)
         )
 
     # Exact line search: residual must vanish at the reported optimum (3).
     for i in range(3):
         a = np.array([rng.uniform(0.5, 1.5)])
         x = a * rng.uniform(1.5, 2.5)
-        obj = _quadratic_objective(a)
-        _, grad = obj.value_and_grad(x)
-        rgrad = x * grad
-        norm_sq = metric_inner(GeometryKind.POISSON_FISHER_RAO, x, rgrad, rgrad)
+        obj = Objective(value_and_grad=_quadratic(a))
         res = exact_linesearch_oracle(x, obj, tau_max=5.0)
-        x_tau = exp_map(x, -rgrad, res.tau).point
-        _, grad_tau = obj.value_and_grad(x_tau)
-        residual = abs(
-            metric_inner(GeometryKind.POISSON_FISHER_RAO, x, rgrad, x_tau * grad_tau)
-        )
+        # exp_map at tau = 0 returns x exactly, so this is the squared gradient norm.
+        norm_sq = -exact_residual(x, obj, 0.0)
+        residual = abs(exact_residual(x, obj, res.tau))
         reports.append(
             OracleReport.compare(f"exact_ls_residual[{i}]", 0.0, residual / norm_sq, 1e-6)
         )
@@ -393,15 +364,7 @@ def run_battery(inject_fault: bool = False) -> list[OracleReport]:
 
     if inject_fault:
         # Harness self-test: a sign-flipped gradient must be caught.
-        a = np.array([1.0, 2.0])
-        obj_bad = Objective(
-            value_and_grad=lambda u: (0.5 * float(np.dot(u - a, u - a)), -(u - a))
-        )
-        worst = max(fd_gradient_check(obj_bad, np.array([2.0, 3.0])), key=lambda r: r.rel_err)
-        reports.append(
-            OracleReport.compare(
-                "fault_injection_wrong_sign", worst.reference, worst.computed, 1e-6
-            )
-        )
+        wrong = _quadratic(np.array([1.0, 2.0]), grad_sign=-1.0)
+        reports.append(_fd_report("fault_injection_wrong_sign", wrong, np.array([2.0, 3.0])))
 
     return reports

@@ -1,5 +1,6 @@
 """The command-line front end: solve, verify, phantom."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import egmin.cli
-from egmin import BATTERY_SIZE, Objective, read_trace_csv
+from egmin import BATTERY_SIZE, ArmijoParams, Method, Objective, SolverConfig, read_trace_csv
 from egmin.cli import RunSpec, cmd_solve, load_config, main, resolve_spec
 from egmin.imgio import quantize, read_image_csv, read_pgm
 
@@ -137,11 +138,46 @@ class TestSolveCommand:
         assert "eg,ipgrgd,ipemd,poicg" in result.output
         assert not outdir.exists()
 
+    # A repeated method, and Armijo and termination values that ArmijoParams
+    # or SolverConfig reject: (flag, config key, value, words of the message).
+    BAD_VALUES = [
+        ("--methods", "methods", "eg,eg", "eg,ipgrgd,ipemd,poicg"),
+        ("--sigma", "sigma", "2", "sigma"),
+        ("--max-iterations", "max_iterations", "0", "max_iterations"),
+        ("--tau-min", "tau_min", "2", "tau_min"),
+    ]
+
+    @pytest.mark.parametrize("flag, key, value, message", BAD_VALUES)
+    def test_bad_value_flag_is_a_usage_error_before_any_work(self, tmp_path, flag, key, value, message):
+        outdir = tmp_path / "run"
+        result = CliRunner().invoke(main, ["solve", "--n-side", "8", flag, value,
+                                           "--output-dir", str(outdir)])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("flag, key, value, message", BAD_VALUES)
+    def test_bad_value_in_a_config_file_is_a_usage_error(self, tmp_path, flag, key, value, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n_side = 8\n{key} = {value}\n")
+        outdir = tmp_path / "run"
+        result = CliRunner().invoke(main, ["solve", "--config", str(cfg), "--output-dir", str(outdir)])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not outdir.exists()
+
+    def test_run_spec_takes_the_solver_defaults(self):
+        spec = RunSpec()
+        assert spec.config == SolverConfig(Method.EG, ArmijoParams())
+        assert dataclasses.replace(spec, sigma=0.25).config.linesearch == ArmijoParams(sigma=0.25)
+
     def test_run_spec_rejects_unknown_methods(self):
         with pytest.raises(ValueError, match="eg,ipgrgd,ipemd,poicg"):
             RunSpec(methods=("eg", "foo"))
         with pytest.raises(ValueError):
             RunSpec(methods=())
+        with pytest.raises(ValueError, match="each once"):
+            RunSpec(methods=("eg", "poicg", "eg"))
 
 
 class TestConfigResolution:

@@ -45,6 +45,16 @@ class TestImageCSV:
         write_image_csv(path, img)
         np.testing.assert_array_equal(read_image_csv(path), img)
 
+    def test_bytes(self, tmp_path):
+        path = tmp_path / "img.csv"
+        write_image_csv(path, np.array([[-0.0, 5e-324], [1e300, 0.1]]))
+        assert path.read_bytes() == (
+            b"-0.00000000000000000e+00,4.94065645841246544e-324\r\n"
+            b"1.00000000000000005e+300,1.00000000000000006e-01\r\n"
+        )
+        back = read_image_csv(path)
+        assert back.shape == (2, 2) and np.signbit(back[0, 0]) and back[0, 1] == 5e-324
+
     def test_quantized_agreement_with_pgm(self, tmp_path, rng):
         img = rng.uniform(0.0, 1.0, size=(8, 8))
         write_pgm(tmp_path / "img.pgm", img)

@@ -568,6 +568,19 @@ class TestTraceSerialization:
         parsed = read_trace_csv(path)
         assert parsed[-1].wall_nanos > 0
 
+    def test_csv_columns_read_by_name(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text(
+            "tau,k,extra,matvec_count,f,halvings,riem_grad_norm\r\n"
+            "1.00000000000000000e+00,0,x,4,2.50000000000000000e+00,0,5.00000000000000000e-01\r\n"
+            "5.00000000000000000e-01,1,y,9,1.25000000000000000e+00,1,2.50000000000000000e-01\r\n"
+        )
+        assert read_trace_csv(path) == [
+            IterationRecord(k=0, f=2.5, riem_grad_norm=0.5, tau=1.0, halvings=0, matvec_count=4, wall_nanos=0),
+            IterationRecord(k=1, f=1.25, riem_grad_norm=0.25, tau=0.5, halvings=1, matvec_count=9, wall_nanos=0),
+        ]
+        assert all(type(rec.halvings) is int and type(rec.tau) is float for rec in read_trace_csv(path))
+
     def test_records_are_columns_read_as_records(self, tmp_path):
         trace = self.build_trace()
         records = list(trace.records)
