@@ -25,7 +25,8 @@ import numpy as np
 from . import __version__
 from .imgio import write_image_csv, write_pgm
 from .linesearch import ArmijoParams, constant_step
-from .problems import build_instance, make_objective, make_phantom
+from .problems import build_instance, check_regularization, make_objective, make_phantom
+from .projector import check_geometry
 from .solvers import (
     Method,
     RunTrace,
@@ -45,7 +46,8 @@ class RunSpec:
     """Fully resolved parameters of one ``solve`` run.
 
     ``config`` is the :class:`SolverConfig` of the Armijo methods, built
-    when the spec is made, so that a bad value fails before any work.
+    when the spec is made, and the instance parameters are checked then
+    too, so that a bad value fails before any work.
     """
 
     n_side: int = 64
@@ -73,6 +75,8 @@ class RunSpec:
                 f"methods must be one or more of {','.join(valid)}, each once,"
                 f" not {','.join(self.methods)!r}"
             )
+        check_geometry(self.n_side, self.undersampling)
+        check_regularization(self.lam, self.delta)
         armijo = ArmijoParams(**self._shared(ArmijoParams))
         object.__setattr__(self, "config", SolverConfig(Method.EG, armijo, **self._shared(SolverConfig)))
 
@@ -203,6 +207,8 @@ def cmd_solve(spec: RunSpec) -> int:
             adjoint_applications=instance.A.adjoint_count,
             screened_trials=obj.screened_trials,
             screened_by=dict(obj.screened_by),
+            probes=obj.probes,
+            probes_wasted=obj.probes_wasted,
             wall_seconds=elapsed,
         )
         if trace.terminal_status in (TerminalStatus.STEP_INFEASIBLE, TerminalStatus.NON_FINITE):

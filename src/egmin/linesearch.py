@@ -29,7 +29,13 @@ points are the steps of one e-geodesic carries it as ``trial.geodesic``.
 The search gets a context from ``Objective.search(trial.geodesic)`` and
 hands it, with each trial's ``tau``, to ``Objective.value``, so that the
 objective may bound a trial by the earlier ones on the geodesic; the
-context ends with the search.
+context ends with the search.  A search whose context offers a ``probe``
+step, one of its trial steps below ``tau_bar``, tries that step first,
+then the larger steps from ``tau_bar`` down, and accepts the first of
+those that passes, else the probe if it passed, else halves on below the
+probe.  So it accepts exactly the step, point and value of the
+search from ``tau_bar``; it evaluates the probe first so that the
+objective can bound the larger trials by the exact rows at the probe.
 
 The module also provides the exact-line-search residual
 ``Delta(tau) = -<rgrad(x), rgrad(x(tau))>_x``, which is the derivative of
@@ -159,7 +165,9 @@ def armijo_backtrack(
 
     Returns ``HIT_TAU_MIN`` when the trial step fell below ``tau_min``
     (or the halving cap) without acceptance, and ``CLAMPED`` when every
-    trial point was unusable.
+    trial point was unusable.  Given a probe by its context, the search
+    runs in the probe-first order of the module docstring and returns the
+    same result; it counts in ``obj.probes`` and ``obj.probes_wasted``.
     """
     if value is None or grad is None:
         value, grad = obj.value_and_grad(x)
@@ -170,21 +178,47 @@ def armijo_backtrack(
 
     trial = retract(x, direction, grad)
     search = obj.search(getattr(trial, "geodesic", None))
+    saw_usable_trial = False
+
+    def passed(tau: float):
+        # (point, value) of the trial at tau if it passes, else None.
+        nonlocal saw_usable_trial
+        point, ok = trial(tau)
+        if not ok:
+            return None
+        saw_usable_trial = True
+        limit = value + params.sigma * tau * slope
+        f_trial = obj.value(point, limit, search, tau)
+        return (point, f_trial) if f_trial <= limit else None
+
+    at = _index(params, search.probe) if search is not None and search.probe else None
+    if at is not None:
+        obj.probes += 1
+        at_probe = passed(search.probe)
     tau = params.tau_bar
     halvings = 0
-    saw_usable_trial = False
     while halvings <= params.max_halvings and tau >= params.tau_min:
-        point, ok = trial(tau)
-        if ok:
-            saw_usable_trial = True
-            limit = value + params.sigma * tau * slope
-            f_trial = obj.value(point, limit, search, tau)
-            if f_trial <= limit:
-                return StepResult(tau, halvings, point, f_trial, StepStatus.ACCEPTED)
+        found = at_probe if halvings == at else passed(tau)
+        if found:
+            if at is not None and halvings < at:
+                obj.probes_wasted += 1
+            return StepResult(tau, halvings, *found, StepStatus.ACCEPTED)
         tau *= params.beta
         halvings += 1
     status = StepStatus.HIT_TAU_MIN if saw_usable_trial else StepStatus.CLAMPED
     return StepResult(tau, halvings, np.asarray(x, dtype=float), float(value), status)
+
+
+def _index(params: ArmijoParams, step: float) -> int | None:
+    """The halvings of the trial step below ``tau_bar`` equal to ``step``,
+    formed as the search forms its steps; ``None`` if no such step is."""
+    tau, halvings = params.tau_bar * params.beta, 1
+    while halvings <= params.max_halvings and tau >= params.tau_min:
+        if tau == step:
+            return halvings
+        tau *= params.beta
+        halvings += 1
+    return None
 
 
 def exact_residual(x: np.ndarray, obj: Objective, tau: float) -> float:

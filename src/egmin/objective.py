@@ -25,6 +25,12 @@ class Objective:
     computed for the same ``x``); the first whose ``bound - limit >
     margin`` answers for ``x``, and counts under its name in
     :attr:`screened_by`.
+
+    ``probes`` counts the line searches that tried a step offered by
+    their :meth:`search` context before the larger ones, and
+    ``probes_wasted`` those of them that accepted a larger step: the
+    probe then cost an evaluation that a search from the largest step
+    never makes.
     """
 
     SCREENS: tuple[str, ...] = ()
@@ -41,6 +47,7 @@ class Objective:
         self._hess_vec = hess_vec
         self._matvecs = matvecs
         self.screened_by: dict[str, int] = dict.fromkeys(self.SCREENS, 0)
+        self.probes = self.probes_wasted = 0
         # The class's functions, not bound methods: those would make each
         # objective a reference cycle, freed only by the cyclic collector.
         self._screens = [(name, getattr(type(self), "bound_" + name)) for name in self.SCREENS]
@@ -54,7 +61,8 @@ class Objective:
         """A context for the trials of one line search along ``geodesic``
         (a :class:`egmin.geometry.Geodesic`, whose steps they are; ``None``
         if they lie on no e-geodesic), or ``None`` when the objective has
-        no use for one."""
+        no use for one.  A context's ``probe``, when not ``None``, is a
+        step the search may try before the larger ones."""
         return None
 
     def value(self, x: np.ndarray, limit: float = math.inf, search=None, tau: float = 0.0) -> float:
@@ -73,14 +81,14 @@ class Objective:
             if bound is not None and bound[0] - limit > bound[1]:
                 self.screened_by[name] += 1
                 return bound[0]
-        return float(self._exact(x, search, tau))
+        return float(self._exact(x, limit, search, tau))
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         f, g = self._exact_with_grad(np.asarray(x, dtype=float))
         return float(f), np.asarray(g, dtype=float)
 
-    def _exact(self, x: np.ndarray, search, tau: float) -> float:
-        """``f(x)``; ``search`` and ``tau`` are :meth:`value`'s."""
+    def _exact(self, x: np.ndarray, limit: float, search, tau: float) -> float:
+        """``f(x)``; ``limit``, ``search`` and ``tau`` are :meth:`value`'s."""
         if self._value is None:
             return self._value_and_grad(x)[0]
         return self._value(x)

@@ -10,6 +10,7 @@ solvers are built for.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -26,15 +27,27 @@ PHANTOM_BACKGROUND = 1e-3
 
 # An objective bounds an Armijo trial by the earlier trials on its
 # e-geodesic (InstanceObjective.bound_curve) only when its operator stores
-# at least this many entries per row: one bound costs about 15 passes over
+# at least this many entries per row: one bound costs about 20 passes over
 # the rows, a forward product one pass over every entry.  Forced on at 76
-# entries per row (the n_side 64 projector), it made eg's iterations about
-# 3 % slower on a 2-core Xeon VM; at 153 (n_side 128, Poisson counts) it
-# saves about a quarter of eg's forward products.
+# entries per row (the n_side 64 projector), an earlier, cheaper form of
+# the screen made eg's iterations about 3 % slower on a 2-core Xeon VM; at
+# 153 (n_side 128, Poisson counts), with probe-first searches, this one
+# saves 45 % of eg's forward products.
 CURVE_NNZ_PER_ROW = 128
 # Widening of each row's interval for log(A x), relative in A x: it covers
 # the rounding of the rows the bound is made from (see bound_curve).
 CURVE_WIDENING = 1e-9
+# A search offers a probe, a step for the line search to try before the
+# larger ones, only after a search in which at least PROBE_AFTER trials
+# above the accepted step got past the log-sum screens; the probe is the
+# step accepted two searches back.  Measured on n_side 128 Poisson counts
+# (seed 0, instance 0, 300 iterations), eg's accepted steps alternate
+# between 1/8 and 1/16, and its forward products fell from 984 to 539 with
+# the step of two searches back, to 663 with that of the previous search.
+# The gate keeps n_side 256 tomography on the plain order: at 1 instead of
+# 2, eg's forward products there rose from 43 to 52 in 30 iterations; at 3,
+# ipgrgd's on the Poisson counts rose from 447 to 496.
+PROBE_AFTER = 2
 
 
 @dataclass
@@ -60,10 +73,15 @@ class ProblemInstance:
             raise ValueError(
                 f"image shape {self.image_shape} does not match operator columns {self.A.cols}"
             )
-        if self.lam < 0.0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
-        if not 0.0 < self.delta < math.inf:
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        check_regularization(self.lam, self.delta)
+
+
+def check_regularization(lam: float, delta: float) -> None:
+    """Raise ``ValueError`` unless ``lam >= 0`` and ``0 < delta < inf``."""
+    if not lam >= 0.0:
+        raise ValueError(f"lam must be nonnegative, got {lam}")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
 
 
 def kl_fidelity(A: SparseOperator, b, x) -> tuple[float, np.ndarray]:
@@ -208,77 +226,151 @@ def make_objective(instance: ProblemInstance) -> InstanceObjective:
     return InstanceObjective(instance)
 
 
+def _fill(values: np.ndarray, weights: np.ndarray, volume: float, k: int = 32) -> float:
+    """The level ``L`` at which ``sum(weights * max(L - values, 0))``
+    reaches ``volume > 0``, from the ``k + 1`` smallest values; if more
+    lie below ``L``, the largest of those, which is below ``L``."""
+    k = min(k, values.size - 1)
+    under = np.argpartition(values, k)[: k + 1]
+    v = values[under]
+    order = np.argsort(v)
+    v, w = v[order], weights[under[order]]
+    # levels[j]: the level if exactly the j + 1 smallest values lie below it.
+    levels = (volume + np.cumsum(w * v)) / np.cumsum(w)
+    fits = np.flatnonzero(levels[:-1] <= v[1:])
+    if fits.size:
+        return float(levels[fits[0]])
+    return float(levels[-1] if v.size == values.size else v[-1])
+
+
 class _Curve:
     """What one line search has seen of ``q(tau) = log(b / A x(tau))`` along
-    its e-geodesic ``x(tau) = x * exp(tau * w)``: ``q0`` at ``tau = 0`` and
-    ``seen``, its latest exact trials as ``(tau, q)``, nearest first.
+    its e-geodesic ``x(tau) = x * exp(tau * w)``: the exact rows at
+    ``tau = 0`` and at each exact trial, as ``taus`` and ``rows``, in
+    increasing ``tau``.
 
     Each row ``(A x(tau))_i = sum_j a_ij x_j e**(tau w_j)`` is log-convex in
-    ``tau``, so each ``q_i`` is concave: it lies above the chord from 0 to
-    the nearest trial above ``tau`` and below the secant through the two
-    nearest.  :meth:`bound` turns these intervals, widened by
-    ``CURVE_WIDENING``, into a lower bound on the KL term at ``tau``.  A
-    bound is tried only with two trials above ``tau``: from the chord
-    alone it rejected none of about 800 trials on n_side 128 Poisson
-    data.
+    ``tau``, so each ``q_i`` is concave: it lies above the chord through
+    the nearest exact points below and above ``tau``, and below the secant
+    through two exact points on one side of ``tau``, extended past them to
+    ``tau``.  :meth:`interval` widens these by ``CURVE_WIDENING`` and
+    :meth:`bound` turns them, with the sum ``y = c^T x(tau)``, into a lower
+    bound on the KL term at ``tau``.
+
+    A search also offers ``probe``, a step for a line search to try before
+    the larger ones (or ``None``), and notes for the next searches' probes
+    the largest step whose exact value met its limit (``accepted``) and the
+    steps of the trials that got past the log-sum screens
+    (``past_screens``).
     """
 
-    __slots__ = ("b", "sum_b", "q_floor", "q0", "seen")
+    __slots__ = ("b", "sum_b", "q_floor", "taus", "rows", "probe", "accepted", "past_screens")
 
-    def __init__(self, b: np.ndarray, sum_b: float, q_floor: float, q0: np.ndarray):
-        self.b, self.sum_b, self.q_floor, self.q0 = b, sum_b, q_floor, q0
-        self.seen: list[tuple[float, np.ndarray]] = []
+    def __init__(self, b: np.ndarray, sum_b: float, q_floor: float, q0: np.ndarray,
+                 probe: float | None = None):
+        self.b, self.sum_b, self.q_floor = b, sum_b, q_floor
+        self.taus, self.rows = [0.0], [q0]
+        self.probe = probe
+        self.accepted: float | None = None
+        self.past_screens: list[float] = []
 
     def record(self, tau: float, q: np.ndarray) -> None:
         """Note the exact ``q`` of the trial at ``tau``."""
-        above = [seen for seen in self.seen if seen[0] > tau][:1]
-        self.seen = [(tau, q)] + above
+        i = bisect.bisect_left(self.taus, tau)
+        if i == len(self.taus) or self.taus[i] != tau:
+            self.taus.insert(i, tau)
+            self.rows.insert(i, q)
 
-    def interval(self, tau: float) -> tuple[np.ndarray, np.ndarray] | None:
-        """Per row, ``(low, high)``, the chord and secant bounds on ``q`` of
-        a trial at ``tau``, or ``None`` with fewer than two trials above
-        ``tau``.  The trial's exact ``q`` is at least ``low``, and at most
-        ``high`` where ``high < 0`` (see
-        :meth:`InstanceObjective.bound_curve`)."""
-        if not (len(self.seen) == 2 and 0.0 < tau < self.seen[0][0]):
+    def interval(self, tau: float):
+        """Per row, ``(low, high)``: the chord bound below ``q`` of a trial
+        at ``tau`` (``None`` without an exact point above ``tau``) and the
+        secant bound above it, which is at least ``q_floor``; ``None``
+        without a secant, or at an exact point."""
+        taus, rows = self.taus, self.rows
+        i = bisect.bisect_left(taus, tau)  # taus[i - 1] < tau <= taus[i]
+        if i == 0 or (i < len(taus) and taus[i] == tau) or not (i + 1 < len(taus) or i >= 2):
             return None
-        (tau1, q1), (tau2, q2) = self.seen
-        s = (tau1 - tau) / (tau2 - tau1)
-        if not s <= 1e6:  # farther out the secant bounds little, and its terms grow
-            return None
-        # The chord: q >= (1 - t) q0 + t q1 with t = tau / tau1, less the widening.
-        low = np.subtract(q1, self.q0)
-        low *= tau / tau1
-        low += self.q0
-        low -= CURVE_WIDENING
-        # The secant: q <= (1 + s) q1 - s q2, plus the widening of both trials
-        # and this one; q_floor only widens it further.
-        high = np.subtract(q1, q2)
+        # The secant: q <= (1 + s) q_near - s q_far, through the two exact
+        # points above tau, else the two below.
+        near, far = (i, i + 1) if i + 1 < len(taus) else (i - 1, i - 2)
+        s = (tau - taus[near]) / (taus[near] - taus[far])
+        high = np.subtract(rows[near], rows[far])
         high *= s
-        high += q1
+        high += rows[near]
         high += (1.0 + s) * CURVE_WIDENING
         np.maximum(high, self.q_floor, out=high)
+        low = None
+        if i < len(taus):
+            # The chord: q >= (1 - t) q_a + t q_c with t = (tau - tau_a) / (tau_c - tau_a).
+            low = np.subtract(rows[i], rows[i - 1])
+            low *= (tau - taus[i - 1]) / (taus[i] - taus[i - 1])
+            low += rows[i - 1]
+            low -= CURVE_WIDENING
         return low, high
 
-    def bound(self, tau: float) -> float | None:
-        """A lower bound on ``KL(b, A x(tau))``, or ``None`` without an interval.
+    def bound(self, tau: float, y: float):
+        """``(lb, weight)``: a lower bound ``lb`` on ``KL(b, A x(tau))`` when
+        ``sum(A x(tau)) = y`` and each row lies in its :meth:`interval`, and
+        the ``weight`` its margin scales with; ``None`` without a secant.
 
-        With ``A x = b e**-q``, each KL term ``b q - b + b e**-q`` is convex
-        in ``q`` and least at ``q = 0``; over the row's interval it is least
-        at ``q = 0`` clipped to the interval.
+        With ``u = A x`` and ``r = u / b``, for any multiplier ``lam`` the
+        dual function ``g(lam) = sum_i min over the row's interval of
+        (b_i log(b_i / u_i) - b_i + u_i + lam u_i) - lam y`` is a lower
+        bound.  Each minimum is at ``r_i = clip(t, r_lo_i, r_hi_i)`` with
+        ``t = 1 / (1 + lam)``, so ``g = sum(b (r - log r)) - B + lam (F - y)``
+        with ``F = sum(b r)``.  ``g`` is concave in ``lam`` and greatest
+        where ``F(t) = y``; any ``t`` gives a lower bound.
+
+        * With both ends, ``t = 1``, the bound of the intervals alone.  On
+          n_side 128 Poisson counts, trying a water level as below too
+          screened 1 more of 272 such eg and poicg trials.
+        * With lower ends only (a secant through ``tau = 0`` and a probe
+          below ``tau``), the ends are tight: ``sum(b r_lo)`` is close to
+          ``y``, few rows are unclipped at the root, and ``t`` is the water
+          level that :func:`_fill` finds from the 33 lowest ends.  On those
+          counts this screened 818 of 898 eg trials, ``t = 1`` 17.
+        * A chord alone gives no bound: there it screened 1 of 87 eg
+          trials and 11 of 148 poicg trials, too few to pay for the bounds.
+
+        ``t`` stays in ``[e**-EXP_ARG_MAX, e**-q_floor]``, which keeps
+        ``|log r| <= 700`` and ``F <= 2**1000``.
         """
         bounds = self.interval(tau)
         if bounds is None:
             return None
-        q, high = bounds
-        np.maximum(q, 0.0, out=q)
-        np.minimum(q, high, out=q)
-        # sum(b (q + e**-q)) - sum(b): the KL term at the clipped q.
-        terms = np.negative(q)
-        np.exp(terms, out=terms)
-        terms += q
-        terms *= self.b
-        return float(terms.sum()) - self.sum_b
+        low, high = bounds
+        b = self.b
+        t_min, t_max = math.exp(-EXP_ARG_MAX), math.exp(-self.q_floor)
+        # r_lo = e**-high less the slack of rows below the floor, r_hi = e**-low.
+        r_lo = np.exp(np.negative(high, out=high), out=high)
+        r_lo -= 2.0**-46
+        t = 1.0
+        if low is None:
+            # F(t) = sum(b r_lo) + sum(b max(t - r_lo, 0)): a water level.
+            volume = y - float(np.einsum("i,i->", b, r_lo))
+            t = min(max(_fill(r_lo, b, volume) if volume > 0.0 else t_min, t_min), t_max)
+        # r = clip(t, r_lo, r_hi), formed in r_lo's buffer.
+        r = np.maximum(r_lo, t, out=r_lo)
+        if low is not None:
+            np.minimum(r, np.exp(np.negative(low, out=low), out=low), out=r)
+        total = float(np.einsum("i,i->", b, r))
+        lam = 1.0 / t - 1.0
+        terms = np.log(r)
+        np.subtract(r, terms, out=terms)
+        terms *= b
+        lb = float(terms.sum()) - self.sum_b + lam * (total - y)
+        return lb, self.sum_b + y + total + abs(lam) * (y + total)
+
+
+class _Evaluation:
+    """One exact evaluation: its point ``x`` (a kept copy), ``ax``, the KL
+    and Huber-TV values, the differences ``dx`` and, where the curve screen
+    can use them, the rows ``q = log(b / Ax)``."""
+
+    __slots__ = ("x", "ax", "kl_value", "tv", "dx", "q")
+
+    def __init__(self, x: np.ndarray, dx: np.ndarray | None):
+        self.x, self.dx, self.q = x, dx, None
 
 
 class InstanceObjective(Objective):
@@ -292,28 +384,29 @@ class InstanceObjective(Objective):
     ``b log(b / Ax)``); per call only ``Ax`` is checked.
 
     A trial first tries three screens, each a lower bound on ``f`` with
-    the margin ``eta * (B + y + tv)``: ``B = sum(b)``, ``y = c^T x`` for
-    ``c = A^T 1``, ``tv`` the trial's Huber-TV value (0 until it is
-    computed) and ``eta = 1e-10 + (2n + m) * 2**-52``.  Each screen's
-    docstring shows that the margin covers the rounding of its bound and
-    of the exact value, so that a screened trial is one whose exact value,
-    as computed here, exceeds ``limit`` too.  No screen changes an
-    accepted step, a value or a trace column other than ``matvec_count``.
-    ``trial_y``, ``trial_lb`` and ``trial_tv`` hold what the screens
-    computed for the latest trial, ``trial_dx`` its differences.
+    the margin ``eta * (B + y + tv)`` (the curve screen's is wider):
+    ``B = sum(b)``, ``y = c^T x`` for ``c = A^T 1``, ``tv`` the trial's
+    Huber-TV value (0 until it is computed) and
+    ``eta = 1e-10 + (2n + m) * 2**-52``.  Each screen's docstring shows
+    that the margin covers the rounding of its bound and of the exact
+    value, so that a screened trial is one whose exact value, as computed
+    here, exceeds ``limit`` too.  No screen changes an accepted step, a
+    value or a trace column other than ``matvec_count``.  ``trial_y``,
+    ``trial_lb`` and ``trial_tv`` hold what the screens computed for the
+    latest trial, ``trial_dx`` its differences.
 
-    The last exact evaluation is cached by value (``np.array_equal``, so
-    an in-place edit of ``x`` is seen): its point ``x`` (a kept copy),
-    ``ax``, ``kl_value``, ``tv``, the differences ``dx`` and, where the
-    curve screen can use them, the rows ``q = log(b / Ax)``.  The gradient
-    at that point (the accepted line-search trial) then costs one adjoint
-    application plus ``1 - b / Ax``, ``clip(Dx, -delta, delta)`` and
-    ``D^T``; a screened trial never replaces the cached point.  The
-    buffers (``terms`` for the KL terms or the gradient weights, ``mag``,
-    ``c`` and ``half`` for the Huber scratch and the derivative, ``image``
-    for ``D^T``'s output) and the screens' constants are set up by the
-    first evaluation, so that building an objective stays cheap.  So an
-    objective is not re-entrant: use one per solve.
+    The latest exact evaluation (``last``, an :class:`_Evaluation`) is
+    cached by value (``np.array_equal``, so an in-place edit of ``x`` is
+    seen), and so is a search's probe whose value met its limit
+    (``kept``): the search may accept it after evaluating larger steps.
+    The gradient at a cached point (the accepted line-search trial) then
+    costs one adjoint application plus ``1 - b / Ax``, ``clip(Dx, -delta,
+    delta)`` and ``D^T``; a screened trial never replaces a cached point.
+    The buffers (an evaluation, ``terms`` for the KL terms or the gradient
+    weights, ``mag``, ``c`` and ``half`` for the Huber scratch and the
+    derivative, ``image`` for ``D^T``'s output) and the screens' constants
+    are set up by the first evaluation, so that building an objective
+    stays cheap.  So an objective is not re-entrant: use one per solve.
     """
 
     SCREENS = ("kl", "kl_tv", "curve")
@@ -322,7 +415,10 @@ class InstanceObjective(Objective):
         super().__init__()
         self.A, self.b = instance.A, instance.b
         self.lam, self.delta, self.w = instance.lam, instance.delta, instance.image_shape[1]
-        self.x = self.q = None
+        self.last = self.kept = self._curve = None
+        # (accepted step, trials above it past the log-sum screens) of the
+        # two latest searches, oldest first.
+        self._outcomes = ((None, 0), (None, 0))
 
     def matvec_count(self) -> int:
         return self.A.application_count()
@@ -333,13 +429,14 @@ class InstanceObjective(Objective):
         self.sum_b = float(self.b.sum())
         self.col_sums = A.column_sums()
         self.eta = 1e-10 + (2 * n + A.rows) * 2.0**-52
-        # A NaN point equals no point: nothing is cached yet.
-        self.x, self.terms = np.full(n, np.nan), np.empty(A.rows)
+        # A NaN point equals no point: nothing is cached yet.  _differences
+        # needs the down-axis last rows of every dx zeroed once.
+        x, self.terms, dx = np.full(n, np.nan), np.empty(A.rows), None
         if self.lam > 0.0:
-            # _differences needs the down-axis last rows zeroed once.
-            self.dx, self.trial_dx = np.zeros(2 * n), np.zeros(2 * n)
+            dx, self.trial_dx = np.zeros(2 * n), np.zeros(2 * n)
             self.mag, self.c, self.half = np.empty(2 * n), np.empty(2 * n), np.empty(2 * n)
             self.image = np.empty(n)
+        self.last, self._spare = _Evaluation(x, dx), None
         self.curve_floor = None  # no curve screen
         if A.rows and A.nnz >= CURVE_NNZ_PER_ROW * A.rows and A.max_row_nnz <= 2**20:
             # Rows of A x at or above the floor round to within 2**-46 of
@@ -354,10 +451,20 @@ class InstanceObjective(Objective):
                 self.q_floor = -min(EXP_ARG_MAX, 1000.0 * math.log(2.0) - math.log(self.sum_b))
 
     def search(self, geodesic) -> _Curve | None:
+        # Note how the previous search went, for the probes of the next ones.
+        curve, self._curve = self._curve, None
+        outcome = (None, 0)
+        if curve is not None and curve.accepted is not None:
+            outcome = (curve.accepted, sum(tau > curve.accepted for tau in curve.past_screens))
+        self._outcomes = (self._outcomes[1], outcome)
         # A curve needs the base point's exact log(b / Ax): its cached one.
-        if geodesic is None or self.q is None or not np.array_equal(self.x, geodesic.x):
+        last = self.last
+        if geodesic is None or last is None or last.q is None or not np.array_equal(last.x, geodesic.x):
             return None
-        return _Curve(self.b, self.sum_b, self.q_floor, self.q)
+        (two_back, _), (_, past_screens) = self._outcomes
+        probe = two_back if past_screens >= PROBE_AFTER else None
+        self._curve = _Curve(self.b, self.sum_b, self.q_floor, last.q, probe)
+        return self._curve
 
     def bound_kl(self, x: np.ndarray, search, tau: float):
         """The log-sum bound ``lb = B log(B / y) - B + y``, with ``tv = 0``.
@@ -387,7 +494,7 @@ class InstanceObjective(Objective):
         ``Ax`` has a zero entry has ``f = inf``: the exact path raises
         ``ValueError`` for it, a screen may reject it first.
         """
-        if self.x is None:
+        if self.last is None:
             self._setup()
         self.trial_tv, sum_b = None, self.sum_b
         # Not col_sums @ x: OpenBLAS threads that ddot, and concurrent solves stall.
@@ -411,50 +518,72 @@ class InstanceObjective(Objective):
         return (lb, self.eta * (self.sum_b + self.trial_y + tv)) if math.isfinite(lb) else None
 
     def bound_curve(self, x: np.ndarray, search: _Curve | None, tau: float):
-        """The curve's bound on the KL term (see :class:`_Curve`) plus
+        """The curve's bound on the KL term (see :meth:`_Curve.bound`) plus
         ``tv``, for the trial at step ``tau`` of a search along its
-        e-geodesic.
+        e-geodesic, with the margin ``eta * (B + y + F + tv + |lam| (y + F))``.
 
-        Each ``q_c``, 0 clipped to its row's interval, must lie between 0
-        and the exact path's ``log(b / Ax)``.  Row by row:
+        Each row of the exact path's computed ``Ax``, as a ratio
+        ``r = Ax / b``, must lie in ``[r_lo, r_hi]``:
 
         * a row of the computed ``Ax`` at a trial differs from the row of
           the exact curve by a relative ``2**-42 + r u``: the exponent
           ``w * tau`` (``|w tau| <= 700``) by ``700 u``, ``exp`` by
           ``2**-43``, the product by ``u``, and the row's sum of ``r``
-          nonnegative terms by ``r u``.  A product or coordinate that
-          rounds in the subnormal range is off by ``2**-1075`` at most,
-          which is ``2**-46`` of any row at or above the floor
+          nonnegative terms by ``r u``, plus an absolute ``2**-1075`` per
+          product or coordinate that rounds in the subnormal range, which
+          is at most ``floor * 2**-47`` for the row, with the floor
           ``r (max(c) + 1) 2**-1028``.  An exact evaluation keeps its rows
           only when all of them, and all of ``b``, are at or above the
           floor; the kept ``log(b / Ax)`` adds ``746 u``.  With
-          ``r <= 2**20`` that is ``eps < 2.4e-10``;
-        * the chord weighs two rows by ``1 - t`` and ``t``, the secant two
-          by ``1 + s`` and ``-s``: with the trial's own row, the computed
-          row lies within ``2 eps`` of the chord and ``(2 + 2s) eps`` of
-          the secant, and forming them rounds by about
-          ``1e-12 (1 + 2s)``; the widening, ``CURVE_WIDENING`` on the
-          chord side and ``(1 + s)`` times it on the secant side, covers
-          both.  So the exact path's ``log(b / Ax)`` lies above every
-          row's chord bound (whose ``A x`` is at or above the floor), and
-          below its secant bound wherever that is below 0 (there the row's
-          ``A x`` exceeds ``b``, so it is at or above the floor too);
-        * so the bound's terms are no larger than the exact path's, and
-          its one ``exp`` and pairwise sum are off by under
-          ``5e-12 (B + y)``, as in :meth:`bound_kl`, which ``eta`` covers.
+          ``r <= 2**20`` the relative part is ``eps < 2.4e-10``;
+        * the chord weighs two kept rows by ``1 - t`` and ``t``, a secant
+          by ``1 + s`` and ``-s``, where ``s`` is the distance from the
+          nearer point to ``tau`` over the distance between the two
+          points: so with the trial's own row, the computed row lies
+          within ``2 eps`` of the chord and ``(2 + 2s) eps`` of the
+          secant, and forming them from rows of at most 694 in absolute
+          value, ``s`` and ``t`` included, rounds by under
+          ``1e-12 (1 + 2s)``.  The widening, ``CURVE_WIDENING`` on the
+          chord and ``(1 + s)`` times it on the secant, covers both and
+          the ``2**-43`` of each ``exp`` below, for any ``s`` (a secant
+          from ``tau = 0`` through a probe at ``tau / 2**60`` has
+          ``s ~ 2**60`` and bounds nothing, soundly);
+        * so ``r_hi = e**-low`` bounds every row at or above the floor, and
+          every row below it too: ``low`` is below the kept rows'
+          ``log(b / floor)``.  ``r_lo = e**-high - 2**-46`` bounds every
+          row, the absolute ``floor * 2**-47`` included, as
+          ``floor <= b``;
+        * the computed rows sum to ``y`` within ``(2n + m) u y`` (see
+          :meth:`bound_kl`), so ``KL(b, Ax) >= g(lam) - |lam| (2n + m) u y``
+          by weak duality, at ``lam = 1 / t - 1`` for the float ``t``
+          whose ``r = clip(t, r_lo, r_hi)`` are exact;
+        * ``g``'s terms ``b (r - log r)`` sum to at most ``F + 700 B`` and
+          are summed pairwise, ``F`` is one dot product of ``m``
+          nonnegative terms, and ``lam`` rounds by ``u (1 + 2 |lam|)``: so
+          ``g`` is off by under ``5e-12 (B + F) + (m + 2) u (1 + |lam|)
+          (F + y)``, and the exact path by ``5e-12 (B + y)``.  ``eta``
+          covers all of these, with ``tv`` added as in :meth:`bound_kl_tv`.
 
-        ``q_c >= q_floor`` keeps ``sum(b e**-q_c) <= 2**1000`` and every
-        ``exp`` and ``log`` finite, with no warning.  A bound costs about
-        15 passes over the rows, so :meth:`search` makes a curve only for
-        operators with at least ``CURVE_NNZ_PER_ROW`` entries per row.
+        ``t`` in ``[e**-700, e**-q_floor]`` keeps every ``exp`` and ``log``
+        finite and ``F <= 2**1000``, with no warning; a ``lam`` term past
+        the float range makes the bound or its margin infinite or NaN,
+        which screens nothing.  A bound costs about 20 passes over the
+        rows, so :meth:`search` makes a curve only for operators with at
+        least ``CURVE_NNZ_PER_ROW`` entries per row.  Every trial that
+        reaches this screen got past the log-sum screens; the search notes
+        its step.
         """
-        if search is None or self.trial_y is None:
+        if search is None:
             return None
-        lb = search.bound(tau)
-        if lb is None:
+        search.past_screens.append(tau)
+        if self.trial_y is None:
             return None
+        bound = search.bound(tau, self.trial_y)
+        if bound is None:
+            return None
+        lb, weight = bound
         tv = self.trial_tv or 0.0  # 0 without a TV term
-        return lb + tv, self.eta * (self.sum_b + self.trial_y + tv)
+        return lb + tv, self.eta * (weight + tv)
 
     def _kl(self, ax: np.ndarray) -> tuple[float, np.ndarray | None]:
         # Same terms, in the same order, as divergence.kl(b, ax); also
@@ -477,42 +606,63 @@ class InstanceObjective(Objective):
         values = _huber_values(self.trial_dx, self.delta, self.mag, self.c, self.half)
         return self.lam * float(values.sum())
 
-    def _evaluate(self, x: np.ndarray, tv: float | None) -> None:
-        # Make x's exact value the cached evaluation, unless it is.  A given
-        # tv is x's, with its differences in trial_dx.  Nothing cached
+    def _evaluate(self, x: np.ndarray, tv: float | None) -> _Evaluation:
+        # x's exact evaluation, made the latest one unless it is cached.  A
+        # given tv is x's, with its differences in trial_dx.  Nothing cached
         # changes before the KL term has validated Ax.
-        if np.array_equal(self.x, x):
-            return
+        last = self.last
+        if np.array_equal(last.x, x):
+            return last
         ax = self.A.forward(x)
         kl_value, q = self._kl(ax)
+        # Write over the latest evaluation, unless that is the kept one:
+        # then over the spare, made at its first use.  So a solve that never
+        # probes pays neither its memory (1.5 MB at n_side 256) nor a shift
+        # of the scratch buffers, which moves _tv's speed by 15-20 % with
+        # where they land mod 4096.
+        new = last
+        if self.kept is last:
+            new = self._spare or _Evaluation(np.empty(x.size), None if last.dx is None else np.zeros(last.dx.size))
+            self._spare = last
         if self.lam > 0.0:
             if tv is None:
                 tv = self._tv(x)
-            self.dx, self.trial_dx = self.trial_dx, self.dx
-        np.copyto(self.x, x)
-        self.ax, self.kl_value, self.tv, self.q = ax, kl_value, tv or 0.0, q
+            new.dx, self.trial_dx = self.trial_dx, new.dx
+        np.copyto(new.x, x)
+        new.ax, new.kl_value, new.tv, new.q = ax, kl_value, tv or 0.0, q
+        self.last = new
+        return new
 
-    def _exact(self, x: np.ndarray, search: _Curve | None, tau: float) -> float:
-        self._evaluate(x, self.trial_tv)
-        if search is not None and self.q is not None:
-            search.record(tau, self.q)
-        return self.kl_value + self.tv
+    def _exact(self, x: np.ndarray, limit: float, search: _Curve | None, tau: float) -> float:
+        evaluation = self._evaluate(x, self.trial_tv)
+        f = evaluation.kl_value + evaluation.tv
+        if f <= limit and search is not None:
+            search.accepted = max(search.accepted or 0.0, tau)
+            if tau == search.probe:
+                self.kept = evaluation  # the search tries larger steps next
+        if search is not None and evaluation.q is not None:
+            search.record(tau, evaluation.q)
+        return f
 
     def _exact_with_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        if self.x is None:
+        if self.last is None:
             self._setup()
-        self._evaluate(x, None)
-        weights = np.divide(self.b, self.ax, out=self.terms)
+        kept, self.kept = self.kept, None
+        if kept is not None and kept is not self.last and np.array_equal(kept.x, x):
+            # A search accepted a step it tried before larger ones.
+            self.last, self._spare = kept, self.last
+        evaluation = self._evaluate(x, None)
+        weights = np.divide(self.b, evaluation.ax, out=self.terms)
         np.subtract(1.0, weights, out=weights)
         grad = self.A.adjoint(weights)
         if self.lam > 0.0:
-            deriv = np.clip(self.dx, -self.delta, self.delta, out=self.mag)
+            deriv = np.clip(evaluation.dx, -self.delta, self.delta, out=self.mag)
             image = self.image
             image.fill(0.0)
             _add_difference_adjoint(deriv, self.w, image)
             image *= self.lam
             grad += image
-        return self.kl_value + self.tv, grad
+        return evaluation.kl_value + evaluation.tv, grad
 
 
 def make_phantom(n_side: int) -> np.ndarray:

@@ -139,6 +139,14 @@ def _write_angle(chords, n: int, counts, pixels, lengths, start: int) -> int:
     return end
 
 
+def check_geometry(n_side: int, undersampling: float) -> None:
+    """Raise ``ValueError`` unless ``n_side >= 4`` and ``undersampling`` is in ``(0, 1]``."""
+    if n_side < 4:
+        raise ValueError(f"n_side must be at least 4, got {n_side}")
+    if not 0.0 < undersampling <= 1.0:
+        raise ValueError(f"undersampling must be in (0, 1], got {undersampling}")
+
+
 def build_projector(
     n_side: int, n_angles: int | None = None, undersampling: float = 0.2
 ) -> SparseOperator:
@@ -163,8 +171,7 @@ def build_projector(
     if n_side < 4:
         raise ValueError(f"n_side must be at least 4, got {n_side}")
     if n_angles is None:
-        if not 0.0 < undersampling <= 1.0:
-            raise ValueError(f"undersampling must be in (0, 1], got {undersampling}")
+        check_geometry(n_side, undersampling)
         n_angles = max(1, round(undersampling * n_side))
     if n_angles < 1:
         raise ValueError(f"n_angles must be positive, got {n_angles}")

@@ -61,9 +61,12 @@ class TestSolveCommand:
             assert stats["total_matvecs"] > 0
             assert set(stats["screened_by"]) == {"kl", "kl_tv", "curve"}
             assert sum(stats["screened_by"].values()) == stats["screened_trials"]
-        # n_side 8 is below the curve screen's gate, and ipemd makes no trial.
+        # n_side 8 is below the curve screen's gate, so no search probes, and
+        # ipemd makes no trial.
         assert summary["methods"]["eg"]["screened_by"]["curve"] == 0
         assert summary["methods"]["ipemd"]["screened_by"] == {"kl": 0, "kl_tv": 0, "curve": 0}
+        for stats in summary["methods"].values():
+            assert stats["probes"] == stats["probes_wasted"] == 0
 
     def test_byte_identical_reruns(self, tmp_path):
         for name in ("a", "b"):
@@ -138,13 +141,18 @@ class TestSolveCommand:
         assert "eg,ipgrgd,ipemd,poicg" in result.output
         assert not outdir.exists()
 
-    # A repeated method, and Armijo and termination values that ArmijoParams
-    # or SolverConfig reject: (flag, config key, value, words of the message).
+    # A repeated method, Armijo and termination values that ArmijoParams or
+    # SolverConfig reject, and instance values that the projector or the
+    # problem reject: (flag, config key, value, words of the message).
     BAD_VALUES = [
         ("--methods", "methods", "eg,eg", "eg,ipgrgd,ipemd,poicg"),
         ("--sigma", "sigma", "2", "sigma"),
         ("--max-iterations", "max_iterations", "0", "max_iterations"),
         ("--tau-min", "tau_min", "2", "tau_min"),
+        ("--n-side", "n_side", "2", "n_side"),
+        ("--undersampling", "undersampling", "0", "undersampling"),
+        ("--lam", "lam", "-1", "lam"),
+        ("--delta", "delta", "0", "delta"),
     ]
 
     @pytest.mark.parametrize("flag, key, value, message", BAD_VALUES)

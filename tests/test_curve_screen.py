@@ -2,9 +2,9 @@
 
 Each row of ``A x(tau)`` along ``x(tau) = x * exp(tau * w)`` is log-convex
 in ``tau``, so ``make_objective`` bounds ``q(tau) = log(b / A x(tau))``
-row by row from the exact rows of a search's base point and of its two
-latest exact trials, widened by ``CURVE_WIDENING``, and may reject a trial
-from that bound with no forward projection.  These tests use operators
+row by row from the exact rows of a search's base point and of its exact
+trials, widened by ``CURVE_WIDENING``, and may reject a trial from that
+bound and the sum ``c^T x(tau)`` with no forward projection.  These tests use operators
 above the gate (at least ``CURVE_NNZ_PER_ROW`` entries per row), points
 from 1e-300 to 1e300, and check that the exact rows lie where the bound
 needs them, that a curve-screened trial's exact value exceeds its limit,
@@ -133,9 +133,10 @@ def test_rows_clipped_to_their_intervals_lie_between_zero_and_the_exact_rows(dat
                 continue
             q = exact_q(instance, step.point)
         if bounds is not None:
-            # The bound takes 0 clipped to the interval: it must lie between
-            # 0 and the exact row, so that no term exceeds the exact one.
+            # At t = 1 the bound takes 0 clipped to the interval: it must lie
+            # between 0 and the exact row, so that no term exceeds the exact one.
             low, high = bounds
+            low = np.full(q.size, -np.inf) if low is None else low
             clipped = np.minimum(np.maximum(low, 0.0), high)
             between = np.where(q >= 0.0, (0.0 <= clipped) & (clipped <= q), (q <= clipped) & (clipped <= 0.0))
             assert np.all(between)
@@ -168,7 +169,8 @@ def test_a_log_linear_curve_keeps_its_widening():
             if bounds is not None:
                 low, high = bounds
                 q = exact_q(instance, point)
-                assert np.all(low <= q) and np.all(q <= high)
+                assert low is None or np.all(low <= q)
+                assert np.all(q <= high)
             obj.value(point, math.inf, search, tau)
 
 
@@ -315,7 +317,9 @@ def test_a_tight_curve_keeps_its_margin():
         search = obj.search(geodesic)
         for tau in (1.0, 0.5):
             obj.value(geodesic.step(tau).point, math.inf, search, tau)
-        assert search.bound(0.25) == 0.0
+        y = float(operator.column_sums() @ point)
+        lb, weight = search.bound(0.25, y)
+        assert lb == 0.0
         exact = exact_value(instance, point)
         below_zero += exact < 0.0
         assert same_float(obj.value(point, exact, search, 0.25), exact)
@@ -351,3 +355,56 @@ def test_below_the_gate_no_search_is_made(lam):
     obj = make_objective(instance)
     obj.value_and_grad(x)
     assert obj.search(Geodesic(x, -x)) is None
+
+
+@PROPERTY
+@given(data=st.data())
+def test_probe_secants_bound_the_larger_trials_within_the_margin(data):
+    # A probe-first search projects the probe at tau_bar * 2**-p, then tries
+    # the steps from tau_bar down.  Each is bounded from the secant through
+    # tau = 0 and the probe, extended by up to 2**p - 1, or from the exact
+    # trials above it, and from the sum y; with equal rates on every
+    # coordinate the rows are log-linear, the secant is exact and the lower
+    # ends sum to y within their widening.  No bound may exceed the trial's
+    # exact value by more than its margin, and none may raise a warning.
+    instance, x = data.draw(cases())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    spread = data.draw(st.sampled_from([0.0, 0.0, 1e-9, 1e-3, 1.0]))
+    w = data.draw(st.sampled_from([-1.0, 1.0])) + spread * rng.uniform(-1.0, 1.0, x.size)
+    w *= data.draw(st.sampled_from([1e-3, 1.0, 1e3, 1e300]))
+    tau_bar = data.draw(st.sampled_from([1e-3, 1.0, 30.0, 600.0])) / float(np.abs(w).max())
+    p = data.draw(st.integers(1, ArmijoParams().max_halvings))
+    obj = make_objective(instance)
+    with np.errstate(all="ignore"):
+        try:
+            obj.value(x)
+        except ValueError:
+            assume(False)  # A x has a zero row: no search starts here
+    geodesic = Geodesic(x, w)
+    search = obj.search(geodesic)
+    assume(search is not None)
+    taus = [tau_bar]
+    while len(taus) <= p:
+        taus.append(taus[-1] * 0.5)
+    checked = 0
+    for k in [p] + list(range(p)):
+        step = geodesic.step(taus[k])
+        if not step.ok:
+            continue
+        exact = exact_value(instance, step.point)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            obj.bound_kl(step.point, search, taus[k])
+            obj.bound_kl_tv(step.point, search, taus[k])
+            bound = obj.bound_curve(step.point, search, taus[k])
+        if bound is not None and exact < math.inf:
+            assert bound[0] - exact <= bound[1]
+            checked += 1
+        if k == p or data.draw(st.booleans()):  # projected, as when no screen rejects it
+            with np.errstate(all="ignore"):
+                try:
+                    obj.value(step.point, math.inf, search, taus[k])
+                except ValueError:
+                    pass
+    event(f"bounds checked: {'0' if not checked else '1-9' if checked < 10 else '10+'}")
+

@@ -17,10 +17,13 @@ trace without that column is the same with either form, and is pinned too;
 level.
 
 The default runs are below the curve screen's gate, so only the log-sum
-screen acts there.  Poisson counts at n_side 128 are above it: there,
-with and without every screen, the traces without ``matvec_count`` are
-the same bytes too, and each trial a screen rejects is one forward
-projection saved.
+screen acts there, and no search probes.  Poisson counts at n_side 128 are
+above it: there, with and without every screen, and with and without the
+probe-first order of the line searches, the traces without
+``matvec_count`` are the same bytes too.  Each trial a screen rejects is
+one forward projection saved, and each wasted probe (a probe below the
+step its search accepts) is one trial the search from ``tau_bar`` never
+makes.
 """
 
 import csv
@@ -145,6 +148,7 @@ def test_summary_counts_add_up(golden_runs):
         assert stats["adjoint_applications"] == reference[name]["adjoint_applications"]
         assert stats["forward_applications"] + stats["screened_trials"] == reference[name]["forward_applications"]
         assert reference[name]["screened_trials"] == 0
+        assert stats["probes"] == stats["probes_wasted"] == 0
     assert methods["eg"]["screened_trials"] >= 1
     assert methods["ipemd"]["screened_trials"] == 0  # a constant step makes no trial
 
@@ -158,8 +162,12 @@ def test_curve_screen_changes_only_matvec_count(counts_runs, method):
         assert int(got[col]) <= int(before[col])
     stats, reference = (json.loads((d / "summary.json").read_text())["methods"][method] for d in counts_runs)
     assert stats["adjoint_applications"] == reference["adjoint_applications"]
-    assert stats["forward_applications"] + stats["screened_trials"] == reference["forward_applications"]
+    # A wasted probe is the one trial, screened or projected, that the
+    # unscreened search from tau_bar does not make.
+    assert (stats["forward_applications"] + stats["screened_trials"] - stats["probes_wasted"]
+            == reference["forward_applications"])
     assert sum(stats["screened_by"].values()) == stats["screened_trials"]
-    assert reference["screened_trials"] == 0
+    assert reference["screened_trials"] == reference["probes"] == 0
     if method == "eg":
         assert stats["screened_by"]["curve"] >= 1
+        assert stats["probes"] >= 1

@@ -1,6 +1,7 @@
 """Armijo backtracking, constant steps, and exact line-search diagnostics."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -273,3 +274,97 @@ class TestExactResidualModel:
             ]
             slope = np.polyfit(np.log(taus), np.log(gaps), 1)[0]
             assert slope >= 1.9
+
+
+def _offering(obj, step):
+    # obj, with every search context offering step as its probe.
+    obj.search = lambda geodesic: SimpleNamespace(probe=step)
+    return obj
+
+
+def _steps(params, count):
+    # The search's trial steps, formed as it forms them.
+    steps = [params.tau_bar]
+    while len(steps) < count:
+        steps.append(steps[-1] * params.beta)
+    return steps
+
+
+class TestProbeFirst:
+    """A search that tries the offered probe first returns the result of
+    the search from ``tau_bar``, bit for bit, and counts the probe."""
+
+    @staticmethod
+    def _same(got, want):
+        assert (got.tau, got.halvings, got.status) == (want.tau, want.halvings, want.status)
+        assert got.new_point.tobytes() == want.new_point.tobytes()
+        assert np.float64(got.new_value).tobytes() == np.float64(want.new_value).tobytes()
+
+    def test_accepted_step_above_at_and_below_the_probe(self, rng):
+        seen = set()
+        for i in range(200):
+            n, m = int(rng.integers(1, 20)), int(rng.integers(1, 12))
+            a, b = rng.uniform(0.1, 1.0, (m, n)), rng.uniform(0.5, 2.0, m)
+            obj = dense_kl_objective(a, b)
+            x = rng.uniform(0.1, 3.0, n) * 10.0 ** rng.uniform(-3, 3)
+            value, grad = obj.value_and_grad(x)
+            direction = -riemannian_grad(POI, x, grad)
+            params = ArmijoParams(tau_bar=10.0 ** rng.uniform(-2, 4), beta=rng.choice([0.5, 0.3]))
+            want = armijo_backtrack(obj, x, direction, params, value, grad)
+            assert want.status is StepStatus.ACCEPTED
+            index = max(1, want.halvings + int(rng.integers(-3, 4)))
+            probing = _offering(dense_kl_objective(a, b), _steps(params, index + 1)[index])
+            got = armijo_backtrack(probing, x, direction, params, value, grad)
+            self._same(got, want)
+            assert probing.probes == 1
+            assert probing.probes_wasted == (want.halvings < index)
+            seen.add(int(np.sign(index - want.halvings)))
+        assert seen == {-1, 0, 1}
+
+    def test_no_probe_off_the_grid(self):
+        obj = quadratic_objective([1.0, 2.0])
+        x = np.array([3.0, 0.5])
+        value, grad = obj.value_and_grad(x)
+        direction = -riemannian_grad(POI, x, grad)
+        want = armijo_backtrack(obj, x, direction, ArmijoParams(), value, grad)
+        for step in (0.3, 1.0, 2.0, None):
+            probing = _offering(quadratic_objective([1.0, 2.0]), step)
+            self._same(armijo_backtrack(probing, x, direction, ArmijoParams(), value, grad), want)
+            assert probing.probes == 0
+
+    def test_hit_tau_min(self):
+        params = ArmijoParams(max_halvings=10)
+        for index in (1, 5, 10):
+            results = []
+            for probe in (False, True):
+                obj = Objective(value_and_grad=lambda x: (0.0, np.ones_like(x)), value=lambda x: np.inf)
+                if probe:
+                    obj = _offering(obj, _steps(params, index + 1)[index])
+                results.append(armijo_backtrack(obj, np.array([1.0]), np.array([-1.0]), params))
+            self._same(results[1], results[0])
+            assert results[0].status is StepStatus.HIT_TAU_MIN and results[0].halvings == 11
+            assert obj.probes == 1 and obj.probes_wasted == 0
+
+    def test_all_trials_clamped(self):
+        for index in (1, 30, 60):
+            results = []
+            for probe in (False, True):
+                obj = Objective(value_and_grad=lambda x: (0.0, np.array([-1.0])))
+                if probe:
+                    obj = _offering(obj, _steps(ArmijoParams(), index + 1)[index])
+                results.append(armijo_backtrack(obj, np.array([1.0]), np.array([1e308]), ArmijoParams()))
+            self._same(results[1], results[0])
+            assert results[0].status is StepStatus.CLAMPED
+
+    def test_unusable_probe(self):
+        # The exponent overflows down to tau = 2**-4 (|w tau| = 1000 tau > 700 above
+        # it), so a probe at 2**-2 is unusable, and the search accepts below it.
+        obj = quadratic_objective([0.5])
+        x = np.array([1.0])
+        value, grad = obj.value_and_grad(x)
+        direction = np.array([-1000.0])
+        want = armijo_backtrack(obj, x, direction, ArmijoParams(), value, grad)
+        assert want.status is StepStatus.ACCEPTED and want.halvings > 2
+        probing = _offering(quadratic_objective([0.5]), 0.25)
+        self._same(armijo_backtrack(probing, x, direction, ArmijoParams(), value, grad), want)
+        assert probing.probes == 1 and probing.probes_wasted == 0
