@@ -11,16 +11,11 @@ built-in parallel-beam projector, and an independent oracle battery.
 """
 
 from .divergence import (
-    NEG_ENTROPY,
-    BregmanGenerator,
     HDerivatives,
-    bregman,
     h_derivatives,
     kappa,
     kl,
     kl_duality_check,
-    log_partition,
-    neg_entropy,
     scl_mu,
 )
 from .geometry import (

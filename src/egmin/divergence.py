@@ -1,8 +1,7 @@
-"""Entropies, Bregman/KL divergences, and scalar decay bounds.
+"""The KL divergence and scalar decay bounds along the descent curve.
 
-The negative entropy generates the Kullback-Leibler divergence as its
-Bregman divergence on the positive orthant; its convex conjugate is the
-log-partition function ``sum(exp(.))``.  The module also exposes the
+``kl`` is the Kullback-Leibler divergence on the positive orthant, the
+Bregman divergence of the negative entropy.  The module also exposes the
 scalar curve ``h(tau) = <1, x * exp(-tau * g)>`` whose derivatives control
 step-size selection: ``h`` is convex and self-concordant-like with
 modulus ``mu = max|g|``, which yields a quadratic lower bound on how fast
@@ -12,29 +11,10 @@ modulus ``mu = max|g|``, which yields a quadratic lower bound on how fast
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .geometry import EXP_ARG_MAX, as_point
-
-
-def neg_entropy(x) -> float:
-    """Negative entropy ``sum(x * log x) - sum(x)``."""
-    x = as_point(x)
-    return float(np.sum(x * np.log(x)) - np.sum(x))
-
-
-def log_partition(x_star) -> float:
-    """Convex conjugate of the negative entropy, ``sum(exp(x_star))``.
-
-    Its gradient at ``log x`` recovers ``x`` (Legendre duality).  Entries
-    above the overflow clamp are saturated.
-    """
-    z = np.atleast_1d(np.asarray(x_star, dtype=float))
-    if not np.all(np.isfinite(z)):
-        raise ValueError("log_partition argument must be finite")
-    return float(np.sum(np.exp(np.minimum(z, EXP_ARG_MAX))))
 
 
 def kl(x, y) -> float:
@@ -53,29 +33,6 @@ def kl(x, y) -> float:
     terms = np.zeros_like(x)
     terms[pos] = x[pos] * np.log(x[pos] / y[pos])
     return float(np.sum(terms) - np.sum(x) + np.sum(y))
-
-
-@dataclass(frozen=True)
-class BregmanGenerator:
-    """Convex generator of a Bregman divergence.
-
-    Convexity on the positive orthant is a documented contract of the
-    supplied callables, not checked at runtime.
-    """
-
-    value: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
-
-
-NEG_ENTROPY = BregmanGenerator(value=neg_entropy, gradient=np.log)
-
-
-def bregman(phi: BregmanGenerator, x, y) -> float:
-    """Bregman divergence ``phi(x) - phi(y) - <grad phi(y), x - y>``."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    grad_y = np.asarray(phi.gradient(y), dtype=float)
-    return float(phi.value(x) - phi.value(y) - np.dot(grad_y, x - y))
 
 
 @dataclass(frozen=True)

@@ -65,12 +65,6 @@ def as_point(coords) -> np.ndarray:
     return x
 
 
-def _metric_weights(kind: GeometryKind, x: np.ndarray) -> np.ndarray:
-    if kind is GeometryKind.POISSON_FISHER_RAO:
-        return 1.0 / x
-    return 1.0 / (x * x)
-
-
 def metric_inner(kind: GeometryKind, x, u, v) -> float:
     """Inner product <u, G(x) v> with G(x) = diag(1/x) or diag(1/x^2)."""
     x = np.asarray(x, dtype=float)
@@ -80,7 +74,8 @@ def metric_inner(kind: GeometryKind, x, u, v) -> float:
         raise ValueError(
             f"dimension mismatch: x {x.shape}, u {u.shape}, v {v.shape}"
         )
-    return float(np.sum(u * v * _metric_weights(kind, x)))
+    weights = 1.0 / x if kind is GeometryKind.POISSON_FISHER_RAO else 1.0 / (x * x)
+    return float(np.sum(u * v * weights))
 
 
 def riemannian_grad(kind: GeometryKind, x, euclid_grad) -> np.ndarray:

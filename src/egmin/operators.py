@@ -215,18 +215,3 @@ class SparseOperator:
 
     def toarray(self) -> np.ndarray:
         return self._matrix.toarray()
-
-    def to_matrix_market(self, path) -> None:
-        """Write the matrix as a Matrix Market coordinate file.
-
-        17 significant digits guarantee exact float64 round trips.
-        """
-        from scipy.io import mmwrite  # imported on use: scipy.io costs 1.4 MB of memory
-
-        mmwrite(str(path), self._matrix.tocoo(), precision=17)
-
-    @classmethod
-    def from_matrix_market(cls, path) -> "SparseOperator":
-        from scipy.io import mmread
-
-        return cls(mmread(str(path)))

@@ -90,7 +90,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.grad_norm_tol < 0 or self.step_size_tol < 0:
+        if not (self.grad_norm_tol >= 0 and self.step_size_tol >= 0):
             raise ValueError("tolerances must be nonnegative")
 
 

@@ -153,6 +153,8 @@ class TestSolveCommand:
         ("--undersampling", "undersampling", "0", "undersampling"),
         ("--lam", "lam", "-1", "lam"),
         ("--delta", "delta", "0", "delta"),
+        ("--grad-norm-tol", "grad_norm_tol", "nan", "tolerances"),
+        ("--step-size-tol", "step_size_tol", "nan", "tolerances"),
     ]
 
     @pytest.mark.parametrize("flag, key, value, message", BAD_VALUES)

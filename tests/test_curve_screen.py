@@ -27,6 +27,7 @@ import egmin.solvers
 from egmin.linesearch import geodesic_retraction
 from egmin.solvers import quotient_retraction
 from egmin import (
+    EXP_ARG_MAX,
     ArmijoParams,
     Geodesic,
     Method,
@@ -38,7 +39,7 @@ from egmin import (
     make_objective,
     solve,
 )
-from egmin.problems import CURVE_NNZ_PER_ROW
+from egmin.problems import CURVE_NNZ_PER_ROW, _Curve
 
 PROPERTY = settings(
     max_examples=300,
@@ -325,6 +326,45 @@ def test_a_tight_curve_keeps_its_margin():
         assert same_float(obj.value(point, exact, search, 0.25), exact)
         assert obj.screened_trials == 0
     assert below_zero
+
+
+def closed_form_curve(m: int, exact) -> _Curve:
+    """A curve over ``b = ones(m)`` with ``q = 0`` at ``tau = 0``, each
+    ``(tau, q)`` of ``exact`` recorded on every row, and a floor far below."""
+    curve = _Curve(np.ones(m), float(m), -EXP_ARG_MAX, np.zeros(m))
+    for tau, q in exact:
+        curve.record(tau, np.full(m, q))
+    return curve
+
+
+def test_a_water_level_weighs_its_multiplier():
+    # Past the only trial, at tau = 0.5, the secant gives each row
+    # r_lo = e**0.5 less the widening, and no upper end.  The water level
+    # with sum y = 2.5 m is t = y / m = 2.5 above every r_lo, so each
+    # r = t, F = y, the multiplier is 1 / t - 1 = -0.6, and the weight
+    # m + y + F + |1 / t - 1| (y + F) is 72, not the 48 without its last term.
+    m = 8
+    curve = closed_form_curve(m, [(0.5, -0.25)])
+    y = 2.5 * m
+    lb, weight = curve.bound(1.0, y)
+    assert weight == pytest.approx(72.0, rel=1e-14)
+    assert lb == pytest.approx(m * (2.5 - math.log(2.5)) - m, rel=1e-14)
+
+
+def test_rows_clipped_at_their_lower_end_keep_the_slack():
+    # Between exact trials at 0.25 and 1, tau = 0.5 has the chord below and
+    # the secant through 0 and 0.25 above, both near q = -0.5.  With both
+    # ends t = 1 lies below r_lo = e**-high - 2**-46 > 1, so every row is
+    # r = r_lo, and the bound and its weight carry the slack.
+    m, y = 8, 12.0
+    curve = closed_form_curve(m, [(0.25, -0.25), (1.0, -1.0)])
+    low, high = curve.interval(0.5)
+    assert np.all(low < high) and np.all(np.exp(-high) > 1.0)
+    r = np.exp(-high) - 2.0**-46
+    lb, weight = curve.bound(0.5, y)
+    # Without the slack the bound moves by 4e-14 relative, the weight by 3e-15.
+    assert lb == pytest.approx(float(np.sum(r - np.log(r))) - m, rel=4e-15, abs=0.0)
+    assert weight == pytest.approx(m + y + float(np.sum(r)), rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize(

@@ -1,63 +1,19 @@
-"""Entropy functionals, divergences, and the scalar decay bounds."""
+"""The KL divergence and the scalar decay bounds."""
 
 import numpy as np
 import pytest
 
 from egmin import (
-    NEG_ENTROPY,
-    BregmanGenerator,
     GeometryKind,
-    bregman,
     h_derivatives,
     kappa,
     kl,
     kl_duality_check,
-    log_partition,
     metric_inner,
-    neg_entropy,
     scl_mu,
 )
 
 POI = GeometryKind.POISSON_FISHER_RAO
-
-
-class TestNegEntropy:
-    def test_at_one(self):
-        assert neg_entropy([1.0]) == pytest.approx(-1.0)
-
-    def test_at_e(self):
-        assert neg_entropy([np.e]) == pytest.approx(0.0, abs=1e-15)
-
-    def test_additivity(self):
-        assert neg_entropy([1.0, 1.0, 1.0]) == pytest.approx(-3.0)
-
-    def test_minus_n_at_ones(self, rng):
-        n = int(rng.integers(1, 20))
-        assert neg_entropy(np.ones(n)) == pytest.approx(-float(n))
-
-
-class TestLogPartition:
-    def test_values(self):
-        assert log_partition([0.0]) == pytest.approx(1.0)
-        assert log_partition([0.0, 0.0]) == pytest.approx(2.0)
-        assert log_partition([np.log(3.0)]) == pytest.approx(3.0)
-
-    def test_legendre_pair(self, rng):
-        # The gradient of the conjugate at log x recovers x.  Fourth-order
-        # stencil: plain central differences cannot reach 1e-10 through
-        # the summed conjugate.
-        for _ in range(20):
-            n = int(rng.integers(1, 8))
-            x = rng.uniform(0.2, 3.0, n)
-            z = np.log(x)
-            h = 1e-3
-            for i in range(n):
-                shifted = [z.copy() for _ in range(4)]
-                for s, mult in zip(shifted, (2.0, 1.0, -1.0, -2.0)):
-                    s[i] += mult * h
-                f2p, f1p, f1m, f2m = (log_partition(s) for s in shifted)
-                fd = (-f2p + 8.0 * f1p - 8.0 * f1m + f2m) / (12.0 * h)
-                assert fd == pytest.approx(x[i], rel=1e-10)
 
 
 class TestKL:
@@ -83,27 +39,16 @@ class TestKL:
         with pytest.raises(ValueError):
             kl([-0.1], [1.0])
 
-
-class TestBregman:
-    def test_zero_at_equal_points(self, rng):
-        x = rng.uniform(0.5, 2.0, 4)
-        assert bregman(NEG_ENTROPY, x, x) == pytest.approx(0.0, abs=1e-15)
-
-    def test_matches_kl(self):
-        assert bregman(NEG_ENTROPY, [1.0], [np.e]) == pytest.approx(np.e - 2.0)
-
-    def test_euclidean_half_square(self):
-        phi = BregmanGenerator(
-            value=lambda x: 0.5 * float(np.dot(x, x)), gradient=lambda x: x
-        )
-        assert bregman(phi, [3.0], [1.0]) == pytest.approx(2.0)
-
-    def test_kl_equals_bregman_of_neg_entropy(self, rng):
+    def test_equals_bregman_of_neg_entropy(self, rng):
+        # Second route: phi(x) - phi(y) - <log y, x - y> with the negative
+        # entropy phi(x) = sum(x log x - x).
         for _ in range(50):
             n = int(rng.integers(1, 10))
             x = rng.uniform(0.2, 3.0, n)
             y = rng.uniform(0.2, 3.0, n)
-            a, b = kl(x, y), bregman(NEG_ENTROPY, x, y)
+            phi_x = np.sum(x * np.log(x) - x)
+            phi_y = np.sum(y * np.log(y) - y)
+            a, b = kl(x, y), phi_x - phi_y - np.dot(np.log(y), x - y)
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 

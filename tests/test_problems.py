@@ -462,14 +462,6 @@ class TestProjector:
         rhs = float(np.dot(x, a.adjoint(y)))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
-    def test_matrix_market_round_trip(self, tmp_path, rng):
-        a = build_projector(8)
-        path = tmp_path / "projector.mtx"
-        a.to_matrix_market(path)
-        back = SparseOperator.from_matrix_market(path)
-        assert back.shape == a.shape
-        np.testing.assert_array_equal(back.toarray(), a.toarray())
-
     def test_rejects_small_images(self):
         with pytest.raises(ValueError):
             build_projector(3)
