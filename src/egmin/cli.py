@@ -6,8 +6,10 @@ CSV and one reconstruction PGM per method plus a cross-method relative
 objective comparison and a JSON summary; ``verify`` runs the oracle
 battery and exits nonzero on any failure; ``phantom`` writes the
 synthetic test image.  Options resolve in the order defaults < config
-file < flags, and the fully resolved run configuration is echoed into
-the summary.
+file < flags: the config file's values become the defaults of the
+``solve`` options of the same name, so click reads each one with its
+flag's own converter.  The fully resolved run configuration is echoed
+into the summary.
 """
 
 from __future__ import annotations
@@ -75,6 +77,8 @@ class RunSpec:
                 f"methods must be one or more of {','.join(valid)}, each once,"
                 f" not {','.join(self.methods)!r}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         check_geometry(self.n_side, self.undersampling)
         check_regularization(self.lam, self.delta)
         armijo = ArmijoParams(**self._shared(ArmijoParams))
@@ -82,33 +86,15 @@ class RunSpec:
 
     def _shared(self, cls) -> dict:
         """This spec's values of the fields that dataclass ``cls`` shares with it."""
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(cls) if f.name in _FIELD_TYPES}
+        own = {f.name for f in dataclasses.fields(self)}
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(cls) if f.name in own}
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunSpec)}
-
-
-def _coerce(name: str, raw: str):
-    if name == "methods":
-        return tuple(m.strip() for m in raw.split(",") if m.strip())
-    if name == "noisy":
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"cannot parse boolean {raw!r}")
-    kind = _FIELD_TYPES[name]
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    return raw
-
-
-def load_config(path) -> dict:
-    """Parse a flat ``key=value`` file; '#' starts a comment line."""
+def load_config(path) -> dict[str, str]:
+    """Parse a flat ``key=value`` file into raw strings, keyed by ``RunSpec``
+    field; '#' starts a comment line."""
     values = {}
-    known = set(_FIELD_TYPES)
+    known = {f.name for f in dataclasses.fields(RunSpec)}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -119,19 +105,17 @@ def load_config(path) -> dict:
         key = key.strip()
         if key not in known:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _coerce(key, raw.strip())
+        values[key] = raw.strip()
     return values
 
 
-def resolve_spec(config_file=None, **overrides) -> RunSpec:
-    """Merge defaults, an optional config file, and explicit flag values."""
-    values = {}
-    if config_file is not None:
-        values.update(load_config(config_file))
-    for key, val in overrides.items():
-        if val is not None:
-            values[key] = val
-    return RunSpec(**values)
+def _read_config(ctx, param, path):
+    """Make the file's values the defaults of the options of the same name."""
+    if path is not None:
+        try:
+            ctx.default_map = load_config(path)
+        except ValueError as exc:
+            raise click.BadParameter(str(exc), ctx, param) from exc
 
 
 def _solver_config(spec: RunSpec, method: Method, b: np.ndarray) -> SolverConfig:
@@ -244,25 +228,6 @@ def _finite_or_null(value):
     return value
 
 
-def cmd_verify(inject_fault: bool = False, out=None) -> int:
-    """Run the oracle battery, print JSON-line reports, return 0 iff all pass."""
-    out = out if out is not None else sys.stdout
-    reports = run_battery(inject_fault=inject_fault)
-    for rep in reports:
-        print(rep.to_json(), file=out)
-    passed = sum(rep.passed for rep in reports)
-    print(f"{passed}/{len(reports)} checks passed", file=out)
-    return 0 if passed == len(reports) else 1
-
-
-def cmd_phantom(n_side: int, output: str) -> int:
-    """Write the synthetic phantom as <output>.pgm and <output>.csv."""
-    img = make_phantom(n_side)
-    write_pgm(f"{output}.pgm", img)
-    write_image_csv(f"{output}.csv", img)
-    return 0
-
-
 @click.group()
 @click.version_option(version=__version__)
 def main():
@@ -270,8 +235,8 @@ def main():
 
 
 @main.command(name="solve")
-@click.option("--config", "config_file", type=click.Path(exists=True), default=None,
-              help="Flat key=value file; flags override it.")
+@click.option("--config", type=click.Path(exists=True), is_eager=True, expose_value=False,
+              callback=_read_config, help="Flat key=value file; flags override it.")
 @click.option("--n-side", type=int, default=None, help="Image side length in pixels.")
 @click.option("--undersampling", type=float, default=None,
               help="Measurement-to-unknown ratio of the projector.")
@@ -291,12 +256,12 @@ def main():
 @click.option("--tau-min", type=float, default=None, help="Armijo failure floor.")
 @click.option("--max-halvings", type=int, default=None)
 @click.option("--output-dir", type=str, default=None)
-def solve_command(config_file, methods, **kwargs):
+def solve_command(methods, **kwargs):
     """Build one instance and run the selected methods on it."""
     if methods is not None:
-        kwargs["methods"] = _coerce("methods", methods)
+        kwargs["methods"] = tuple(m.strip() for m in methods.split(",") if m.strip())
     try:
-        spec = resolve_spec(config_file, **kwargs)
+        spec = RunSpec(**{key: val for key, val in kwargs.items() if val is not None})
     except ValueError as exc:  # a bad value, from a flag or the config file
         raise click.UsageError(str(exc)) from exc
     sys.exit(cmd_solve(spec))
@@ -307,7 +272,12 @@ def solve_command(config_file, methods, **kwargs):
               help="Append a deliberately failing check (harness self-test).")
 def verify_command(inject_fault):
     """Run the numerical oracle battery."""
-    sys.exit(cmd_verify(inject_fault=inject_fault))
+    reports = run_battery(inject_fault=inject_fault)
+    for rep in reports:
+        click.echo(rep.to_json())
+    passed = sum(rep.passed for rep in reports)
+    click.echo(f"{passed}/{len(reports)} checks passed")
+    sys.exit(0 if passed == len(reports) else 1)
 
 
 @main.command(name="phantom")
@@ -316,7 +286,12 @@ def verify_command(inject_fault):
               help="Output path prefix (writes .pgm and .csv).")
 def phantom_command(n_side, output):
     """Write the synthetic phantom image."""
-    sys.exit(cmd_phantom(n_side, output))
+    try:
+        img = make_phantom(n_side)
+    except ValueError as exc:  # an image too small for the phantom
+        raise click.UsageError(str(exc)) from exc
+    write_pgm(f"{output}.pgm", img)
+    write_image_csv(f"{output}.csv", img)
 
 
 if __name__ == "__main__":

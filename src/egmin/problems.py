@@ -77,9 +77,9 @@ class ProblemInstance:
 
 
 def check_regularization(lam: float, delta: float) -> None:
-    """Raise ``ValueError`` unless ``lam >= 0`` and ``0 < delta < inf``."""
-    if not lam >= 0.0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
+    """Raise ``ValueError`` unless ``0 <= lam < inf`` and ``0 < delta < inf``."""
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
     if not 0.0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
 

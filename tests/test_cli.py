@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 import egmin.cli
 from egmin import BATTERY_SIZE, ArmijoParams, Method, Objective, SolverConfig, read_trace_csv
-from egmin.cli import RunSpec, cmd_solve, load_config, main, resolve_spec
+from egmin.cli import RunSpec, cmd_solve, load_config, main
 from egmin.imgio import quantize, read_image_csv, read_pgm
 
 
@@ -142,8 +142,9 @@ class TestSolveCommand:
         assert not outdir.exists()
 
     # A repeated method, Armijo and termination values that ArmijoParams or
-    # SolverConfig reject, and instance values that the projector or the
-    # problem reject: (flag, config key, value, words of the message).
+    # SolverConfig reject, instance values that the projector or the problem
+    # reject, a negative seed, and a value that is not of its option's type:
+    # (flag, config key, value, words of the message).
     BAD_VALUES = [
         ("--methods", "methods", "eg,eg", "eg,ipgrgd,ipemd,poicg"),
         ("--sigma", "sigma", "2", "sigma"),
@@ -152,9 +153,12 @@ class TestSolveCommand:
         ("--n-side", "n_side", "2", "n_side"),
         ("--undersampling", "undersampling", "0", "undersampling"),
         ("--lam", "lam", "-1", "lam"),
+        ("--lam", "lam", "inf", "lam"),
         ("--delta", "delta", "0", "delta"),
         ("--grad-norm-tol", "grad_norm_tol", "nan", "tolerances"),
         ("--step-size-tol", "step_size_tol", "nan", "tolerances"),
+        ("--seed", "seed", "-1", "seed"),
+        ("--n-side", "n_side", "8.5", "--n-side"),
     ]
 
     @pytest.mark.parametrize("flag, key, value, message", BAD_VALUES)
@@ -200,11 +204,15 @@ class TestConfigResolution:
             "methods = eg,poicg\n"
             "noisy = true\n"
         )
-        spec = resolve_spec(cfg, lam=0.25, output_dir=str(tmp_path))
-        assert spec.n_side == 8
-        assert spec.lam == 0.25  # flag overrides file
-        assert spec.methods == ("eg", "poicg")
-        assert spec.noisy is True
+        outdir = tmp_path / "run"
+        result = CliRunner().invoke(main, ["solve", "--config", str(cfg), "--lam", "0.25",
+                                           "--max-iterations", "5", "--output-dir", str(outdir)])
+        assert result.exit_code == 0, result.output
+        spec = json.loads((outdir / "summary.json").read_text())["spec"]
+        assert spec["n_side"] == 8
+        assert spec["lam"] == 0.25  # flag overrides file
+        assert spec["methods"] == ["eg", "poicg"]
+        assert spec["noisy"] is True
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -249,6 +257,14 @@ class TestPhantomCommand:
         assert pgm.shape == (16, 16)
         assert csv_img.shape == (16, 16)
         np.testing.assert_array_equal(quantize(csv_img), pgm)
+
+    def test_too_small_is_a_usage_error_before_any_work(self, tmp_path):
+        prefix = tmp_path / "tiny"
+        result = CliRunner().invoke(main, ["phantom", "--n-side", "2", "--output", str(prefix)])
+        assert result.exit_code == 2, result.output
+        assert "n_side" in result.output
+        assert not Path(f"{prefix}.pgm").exists()
+        assert not Path(f"{prefix}.csv").exists()
 
     def test_deterministic(self, tmp_path):
         runner = CliRunner()
