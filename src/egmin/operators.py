@@ -50,36 +50,41 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_halves(first, second) -> None:
-    """Run ``first()`` here and ``second()`` on the helper thread.
+def _run_halves(first, second) -> tuple:
+    """Run ``first()`` here and ``second()`` on the helper thread, and
+    return both results.
 
     When the helper has not started ``second`` by the time ``first`` is
     done (it is busy, or its CPU is taken), ``second`` is cancelled there
     and run here.  With one usable CPU both run here.
     """
     if usable_cpus() < 2:
-        first()
-        second()
-        return
+        return first(), second()
     future = _helper_pool().submit(second)
     try:
-        first()
+        top = first()
     finally:
         on_helper = not future.cancel()
         if on_helper:
-            future.result()
+            bottom = future.result()
     if not on_helper:
-        second()
+        bottom = second()
+    return top, bottom
 
 
 class SparseOperator:
     """Nonnegative sparse matrix with forward/adjoint application counters.
 
-    Rows with no stored nonzero entry are rejected at construction: with
-    strictly positive input every forward-product coordinate then stays
-    strictly positive, which keeps KL-type data terms finite.  The column
-    sums ``A^T 1`` are formed once at construction.  Counters are plain
-    instance state and not thread-safe.
+    Negative and NaN entries, and rows with no stored nonzero entry, are
+    rejected at construction: with strictly positive input every
+    forward-product coordinate then stays strictly positive, which keeps
+    KL-type data terms finite.  Every product runs scipy's raw CSR kernels
+    (``csr_matvec`` for ``A x``, ``csc_matvec`` for ``A^T y``) into a zeroed
+    output, after a check that the vector has exactly the right shape:
+    the kernels read without bounds checks.  Their bytes are those of
+    ``matrix @ x``, without its dispatch.  The column sums ``A^T 1`` are
+    formed once at construction.  Counters are plain instance state and
+    not thread-safe.
 
     An operator with at least ``SPLIT_NNZ = 2**20`` stored entries takes
     its products in two row halves of its one CSR matrix, split at the
@@ -93,22 +98,24 @@ class SparseOperator:
     halves ran, so its bits depend on the operator alone, not on the CPU
     count or on thread timing.  Below the threshold a product takes well
     under a millisecond, and the hand-off would eat the gain; those
-    operators keep scipy's single-kernel ``matrix @ x``.  With one usable
-    CPU (restrict the process with ``taskset`` to get that) both halves
-    run in the calling thread.  The helper never calls :meth:`forward` or
+    operators run one kernel over all rows.  With one usable CPU
+    (restrict the process with ``taskset`` to get that) both halves run
+    in the calling thread.  The helper never calls :meth:`forward` or
     :meth:`adjoint` itself, so wrappers around those methods only ever
     run in the caller's thread.
     """
 
     def __init__(self, matrix):
         a = sparse.csr_matrix(matrix, dtype=float)
-        if np.any(a.data == 0.0):
+        # One reduction checks the entries: the minimum is NaN if any is.
+        least = a.data.min(initial=np.inf)
+        if not least >= 0.0:
+            raise ValueError(f"operator entries must be nonnegative numbers, got {least}")
+        if least == 0.0:
             # A float CSR argument shares its buffers with ``a``, and
             # eliminate_zeros works in place: copy only when it has work.
             a = a.copy()
             a.eliminate_zeros()
-        if a.nnz and a.data.min() < 0.0:
-            raise ValueError("operator entries must be nonnegative")
         row_nnz = np.diff(a.indptr)
         if np.any(row_nnz == 0):
             bad = int(np.argmin(row_nnz))
@@ -148,8 +155,6 @@ class SparseOperator:
     def forward(self, x) -> np.ndarray:
         """Apply the operator; increments the forward counter."""
         self.forward_count += 1
-        if self.split_row is None:
-            return self._matrix @ np.asarray(x, dtype=float)
         x = self._vector(x, self.cols)
         a, r = self._matrix, self.split_row
         out = np.zeros(self.rows)
@@ -161,27 +166,33 @@ class SparseOperator:
                 hi - lo, self.cols, a.indptr[lo:], a.indices, a.data, x, out[lo:hi]
             )
 
-        _run_halves(rows(0, r), rows(r, self.rows))
+        if r is None:
+            rows(0, self.rows)()
+        else:
+            _run_halves(rows(0, r), rows(r, self.rows))
         return out
 
     def adjoint(self, y) -> np.ndarray:
         """Apply the transpose; increments the adjoint counter."""
         self.adjoint_count += 1
-        if self.split_row is None:
-            return self._transpose @ np.asarray(y, dtype=float)
-        y = self._vector(y, self.rows)
-        a, r = self._matrix, self.split_row
-        out, bottom = np.zeros(self.cols), np.zeros(self.cols)
+        t, r = self._transpose, self.split_row
+        n, m = t.shape  # A is m x n
+        y = self._vector(y, m)
+        out = np.zeros(n)
 
         def rows(lo, hi, acc):
-            # csc_matvec on A's arrays is A^T restricted to rows lo..hi of A,
-            # added into acc in row order.
+            # csc_matvec on the transpose's arrays (A's own) is A^T
+            # restricted to rows lo..hi of A, added into acc in row order.
             return lambda: _sparsetools.csc_matvec(
-                self.cols, hi - lo, a.indptr[lo:], a.indices, a.data, y[lo:hi], acc
+                n, hi - lo, t.indptr[lo:], t.indices, t.data, y[lo:hi], acc
             )
 
-        _run_halves(rows(0, r, out), rows(r, self.rows, bottom))
-        out += bottom
+        if r is None:
+            rows(0, m, out)()
+        else:
+            bottom = np.zeros(n)
+            _run_halves(rows(0, r, out), rows(r, m, bottom))
+            out += bottom
         return out
 
     @staticmethod

@@ -204,8 +204,7 @@ def discrete_gradient_adjoint(image_shape: tuple[int, int], y) -> np.ndarray:
 
 def huber_tv(x, lam: float, delta: float, image_shape) -> tuple[float, np.ndarray]:
     """Huber-smoothed total variation ``lam * sum(huber(Dx, delta))`` and gradient."""
-    if lam < 0.0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
+    check_regularization(lam, delta)
     x = np.asarray(x, dtype=float)
     if lam == 0.0:
         return 0.0, np.zeros(x.size)

@@ -16,14 +16,27 @@ row order, so the CSR arrays are assembled directly from the per-ray
 segment counts; rays that miss the image never become rows.  The chords
 bound the segment count of the whole matrix before any ray is traced, so
 the CSR arrays are allocated once and every angle is written into them.
+
+When that bound reaches ``SPLIT_NNZ = 2**20``, the size at which the
+operator's products split (:mod:`egmin.operators`), the build runs in two
+halves on the same helper thread.  The first half of the angles writes
+from offset 0 and the second from the sum of the first half's bounds;
+one copy then closes the gap between them.  The column sort that brings
+the matrix to canonical form runs on the two row halves of the finished
+arrays.  Tracing and sorting are per ray and per row, so the arrays are
+bit for bit those of the one-thread build, on one CPU or on two.  Below
+the bound the build stays on the calling thread.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
-from .operators import SparseOperator
+from .operators import SPLIT_NNZ, SparseOperator, _run_halves
 
 _PARALLEL_EPS = 1e-12
 _MIN_SEGMENT = 1e-12
@@ -139,6 +152,15 @@ def _write_angle(chords, n: int, counts, pixels, lengths, start: int) -> int:
     return end
 
 
+def _write_angles(chords, angles: range, n: int, counts, pixels, lengths) -> int:
+    """Trace ``angles`` in order, angle ``a`` into row ``a`` of ``counts`` and
+    the segments into ``pixels``/``lengths`` from 0; returns their count."""
+    end = 0
+    for a in angles:
+        end = _write_angle(chords[a], n, counts[a], pixels, lengths, end)
+    return end
+
+
 def check_geometry(n_side: int, undersampling: float) -> None:
     """Raise ``ValueError`` unless ``n_side >= 4`` and ``undersampling`` is in ``(0, 1]``."""
     if n_side < 4:
@@ -166,7 +188,8 @@ def build_projector(
     returned operator maps strictly positive images to strictly positive data.
     Every angle writes its segments straight into arrays sized once, from
     the chords, for the whole build, so the build holds one copy of the
-    matrix plus the work arrays of one angle.
+    matrix plus the work arrays of one angle (two angles when it is built
+    in two halves).
     """
     if n_side < 4:
         raise ValueError(f"n_side must be at least 4, got {n_side}")
@@ -179,14 +202,29 @@ def build_projector(
     n_det = n_side
     offsets = np.arange(n_det) - 0.5 * (n_det - 1)
     chords = [_chords(2.0 * np.pi * a / n_angles, offsets, n_side) for a in range(n_angles)]
-    capacity = sum(_segment_bound(c) for c in chords)
+    bounds = [_segment_bound(c) for c in chords]
+    capacity = sum(bounds)
     index_dtype = np.int32 if n_side * n_side <= np.iinfo(np.int32).max else np.int64
     pixels = np.empty(capacity, dtype=index_dtype)
     lengths = np.empty(capacity)
-    counts = np.empty(n_angles * n_det, dtype=np.int64)
-    nnz = 0
-    for a, angle_chords in enumerate(chords):
-        nnz = _write_angle(angle_chords, n_side, counts[a * n_det: (a + 1) * n_det], pixels, lengths, nnz)
+    counts = np.empty((n_angles, n_det), dtype=np.int64)
+    split = capacity >= SPLIT_NNZ
+    if split:
+        # The second half of the angles writes from the sum of the first
+        # half's bounds; each half's bound check guards its own part.  One
+        # copy then moves the second half down to close the gap.
+        half = n_angles // 2
+        second = sum(bounds[:half])
+        first, rest = range(half), range(half, n_angles)
+        top, bottom = _run_halves(
+            partial(_write_angles, chords, first, n_side, counts, pixels[:second], lengths[:second]),
+            partial(_write_angles, chords, rest, n_side, counts, pixels[second:], lengths[second:]),
+        )
+        nnz = top + bottom
+        pixels[top:nnz] = pixels[second: second + bottom]
+        lengths[top:nnz] = lengths[second: second + bottom]
+    else:
+        nnz = _write_angles(chords, range(n_angles), n_side, counts, pixels, lengths)
 
     counts = counts[counts > 0]
     indptr = np.concatenate(([0], np.cumsum(counts)))
@@ -196,5 +234,14 @@ def build_projector(
     )
     # Rows list pixels in the order their rays meet them: bring the matrix to
     # canonical form (sorted column indices, any repeated pixel summed).
+    if split:
+        # Sorting is row by row, so the two row halves sort apart, on views
+        # of indptr, which holds absolute offsets.
+        r = int(np.searchsorted(a.indptr, nnz // 2))
+        _run_halves(
+            partial(_sparsetools.csr_sort_indices, r, a.indptr, a.indices, a.data),
+            partial(_sparsetools.csr_sort_indices, a.shape[0] - r, a.indptr[r:], a.indices, a.data),
+        )
+        a.has_sorted_indices = True
     a.sum_duplicates()
     return SparseOperator(a)

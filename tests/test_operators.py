@@ -1,9 +1,11 @@
-"""Split sparse products: operators with at least ``SPLIT_NNZ`` entries.
+"""Sparse products on scipy's raw kernels, split for operators with at
+least ``SPLIT_NNZ`` entries.
 
-The forward product must be bit for bit ``matrix @ x``, and the adjoint
-bit for bit ``A_top^T y_top + A_bot^T y_bot`` computed by public scipy on
-copies of the two row blocks, whatever the CPU count, the state of the
-helper thread, or the process it runs in.
+A split forward product must be bit for bit ``matrix @ x``, and the
+adjoint bit for bit ``A_top^T y_top + A_bot^T y_bot`` computed by public
+scipy on copies of the two row blocks, whatever the CPU count, the state
+of the helper thread, or the process it runs in.  An unsplit operator's
+products must be bit for bit ``matrix @ x`` and ``matrix.T @ y``.
 """
 
 import multiprocessing
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from egmin import SparseOperator
+from egmin import SparseOperator, build_projector
 from egmin import operators
 from egmin.operators import SPLIT_NNZ, _helper_pool
 
@@ -39,6 +41,16 @@ def large():
     return matrix, SparseOperator(matrix), x, y
 
 
+@pytest.fixture(scope="module")
+def small(large):
+    # The large operator's first rows: one kernel per product, no split.
+    matrix, op, _, _ = large
+    part = matrix[: op.split_row // 2]
+    rng = np.random.default_rng(21)
+    x, y = rng.uniform(0.5, 1.5, part.shape[1]), rng.uniform(-1.0, 1.0, part.shape[0])
+    return part, SparseOperator(part), x, y
+
+
 def reference_adjoint(matrix, r, y):
     top, bottom = matrix[:r].copy(), matrix[r:].copy()
     return top.T @ y[:r] + bottom.T @ y[r:]
@@ -48,13 +60,13 @@ def helper_threads():
     return [t for t in threading.enumerate() if t.name.startswith("egmin-half")]
 
 
-def test_threshold_and_split_row(large):
+def test_threshold_and_split_row(large, small):
     matrix, op, _, _ = large
     assert op.split_row == int(np.searchsorted(matrix.indptr, matrix.nnz // 2))
     assert 0 < op.split_row < op.rows and op.split_row != op.rows // 2
-    small = SparseOperator(matrix[: op.split_row // 2])
-    assert small.nnz < SPLIT_NNZ and small.split_row is None
-    assert not small.describe()["split_products"]
+    unsplit = small[1]
+    assert unsplit.nnz < SPLIT_NNZ and unsplit.split_row is None
+    assert not unsplit.describe()["split_products"]
 
 
 def test_no_copy_of_the_matrix(large):
@@ -84,6 +96,17 @@ def test_split_adjoint_sums_the_halves_in_order(large):
     assert op.adjoint(list(y)).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n_side", [64, 128])
+def test_unsplit_products_are_the_scipy_products(n_side):
+    op = build_projector(n_side)
+    assert op.split_row is None
+    matrix = op._matrix
+    rng = np.random.default_rng(n_side)
+    x, y = rng.uniform(0.5, 1.5, op.cols), rng.uniform(-1.0, 1.0, op.rows)
+    assert op.forward(x).tobytes() == (matrix @ x).tobytes()
+    assert op.adjoint(y).tobytes() == (matrix.T @ y).tobytes()
+
+
 def test_each_call_counts_once(large):
     _, op, x, y = large
     op.reset_counts()
@@ -95,8 +118,9 @@ def test_each_call_counts_once(large):
     assert op.application_count() == 3
 
 
-def test_wrong_length_is_rejected(large):
-    _, op, x, y = large
+@pytest.mark.parametrize("case", ["large", "small"])
+def test_wrong_length_is_rejected(case, request):
+    _, op, x, y = request.getfixturevalue(case)
     with pytest.raises(ValueError, match="dimension mismatch"):
         op.forward(x[:-1])
     with pytest.raises(ValueError, match="dimension mismatch"):
@@ -184,7 +208,7 @@ def test_one_cpu_gives_the_same_bytes(large, tmp_path):
         import numpy as np
         from scipy import sparse
         os.sched_setaffinity(0, {{{cpu}}})
-        from egmin import SparseOperator
+        from egmin import SparseOperator, build_projector
         op = SparseOperator(sparse.load_npz(sys.argv[1] + "/matrix.npz"))
         x, y = (np.load(sys.argv[1] + f"/{{name}}.npy") for name in "xy")
         assert not op.describe()["helper_thread"]

@@ -137,6 +137,11 @@ class TestHuberTV:
         assert value == 0.0
         np.testing.assert_array_equal(grad, np.zeros(16))
 
+    @pytest.mark.parametrize("lam", [-0.1, np.nan, np.inf])
+    def test_rejects_a_weight_that_is_not_finite_and_nonnegative(self, lam):
+        with pytest.raises(ValueError, match="lam must be nonnegative and finite"):
+            huber_tv(np.arange(16.0) + 1.0, lam, 0.01, (4, 4))
+
     def test_gradient_against_finite_differences(self, rng):
         lam, delta = 0.2, 0.237
         obj = Objective(value_and_grad=lambda x: huber_tv(x, lam, delta, (4, 4)))
@@ -484,6 +489,11 @@ class TestSparseOperator:
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
             SparseOperator([[1.0, -0.5]])
+
+    def test_rejects_nan_entries(self):
+        # A NaN entry would pass through every product: [nan, 2.5] for x = 1.
+        with pytest.raises(ValueError, match="nonnegative numbers, got nan"):
+            SparseOperator(sparse.csr_matrix([[1.0, np.nan], [0.5, 2.0]]))
 
     def test_rejects_zero_rows(self):
         with pytest.raises(ValueError):

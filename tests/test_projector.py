@@ -3,9 +3,17 @@
 The reference traces one ray at a time, merges its crossings with
 ``np.unique`` and assembles the matrix through COO lists, a COO -> CSR
 conversion and a slice that drops the empty rows.  The per-angle builder
-must reproduce its CSR arrays bit for bit.
+must reproduce its CSR arrays bit for bit.  At n_side 256 the reference
+is too slow; there the arrays are pinned by their sha256 digests, taken
+from the one-thread build, which the two-half build must reproduce on one
+CPU and on two.
 """
 
+import hashlib
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -13,6 +21,7 @@ import pytest
 from scipy import sparse
 
 from egmin import SparseOperator, build_projector
+from egmin.operators import SPLIT_NNZ
 
 _PARALLEL_EPS = 1e-12
 _MIN_SEGMENT = 1e-12
@@ -108,6 +117,80 @@ def test_build_holds_one_copy_of_the_matrix():
     tracemalloc.start()
     try:
         built = build_projector(64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    m = built._matrix
+    assert peak < 1.5 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
+
+
+# sha256 of indptr, indices and data (int32, int32, float64) of the
+# default build, taken from the one-thread build.
+GOLDEN_CSR = {
+    64: (
+        "1628b06d83b8a4f569f73e9a8fa065780f0231ef55f6f115f1f41631625142bb",
+        "b9e0c1597df68ca890ee95f78f1acbe9dce173272af986596ad1328e53117b0b",
+        "642e720743ec035eacbfef6a24c8d8c530cfd6c5017f7c71120609b6be21e020",
+    ),
+    128: (
+        "ed5c79f5bf7fe307eccc8a7d5250950c37bb383c4dfab531990db84d251808c9",
+        "d629ebf732a2dcfe463497cd45a07c7fa77b47178b478a68f9a5ae10bd63f60a",
+        "009fb9dd69b667d93175ee70a2e099502dca8a793676e913c84abf0d81d11425",
+    ),
+    256: (
+        "8c7f7de6ad6f1cbb6cc1864b75962f10259d90be2cc86eef26a22d51dd87af29",
+        "01d918f8c01b10913ffc8eab615d31dc31679ea8bfc907127d70ab6fee6753d4",
+        "5d2c7e31e28bdae714d7c3408d88ff21973f41519a34e6f9d60988162ec29613",
+    ),
+}
+
+
+def csr_digests(op):
+    m = op._matrix
+    return tuple(hashlib.sha256(array.tobytes()).hexdigest() for array in (m.indptr, m.indices, m.data))
+
+
+@pytest.fixture(scope="module")
+def tomo256():
+    return build_projector(256)
+
+
+@pytest.mark.parametrize("n_side", sorted(GOLDEN_CSR))
+def test_csr_arrays_match_the_golden_digests(n_side, tomo256):
+    op = tomo256 if n_side == 256 else build_projector(n_side)
+    assert (op.nnz >= SPLIT_NNZ) == (n_side == 256)  # 256 is built in two halves
+    assert op._matrix.has_canonical_format
+    assert csr_digests(op) == GOLDEN_CSR[n_side]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_one_cpu_builds_the_same_bytes(tomo256):
+    cpu = min(os.sched_getaffinity(0))
+    script = textwrap.dedent(
+        f"""
+        import hashlib, os, threading
+        os.sched_setaffinity(0, {{{cpu}}})
+        from egmin import build_projector
+        m = build_projector(256)._matrix
+        for array in (m.indptr, m.indices, m.data):
+            print(hashlib.sha256(array.tobytes()).hexdigest())
+        assert threading.active_count() == 1, threading.enumerate()
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    pinned = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, env=env, text=True, timeout=120, check=True,
+    )
+    assert tuple(pinned.stdout.split()) == csr_digests(tomo256)
+
+
+def test_two_half_build_holds_one_copy_of_the_matrix(tomo256):
+    # Two angles' work arrays are in flight at once, and the second half
+    # moves down within the arrays it was traced into.  (The fixture's
+    # build keeps first-call allocations out of the measurement.)
+    tracemalloc.start()
+    try:
+        built = build_projector(256)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
