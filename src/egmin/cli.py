@@ -191,6 +191,7 @@ def cmd_solve(spec: RunSpec) -> int:
             adjoint_applications=instance.A.adjoint_count,
             screened_trials=obj.screened_trials,
             screened_by=dict(obj.screened_by),
+            rejected_by=dict(obj.rejected_by),
             probes=obj.probes,
             probes_wasted=obj.probes_wasted,
             wall_seconds=elapsed,

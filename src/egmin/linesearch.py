@@ -168,6 +168,7 @@ def armijo_backtrack(
     trial point was unusable.  Given a probe by its context, the search
     runs in the probe-first order of the module docstring and returns the
     same result; it counts in ``obj.probes`` and ``obj.probes_wasted``.
+    An unusable trial counts in ``obj.rejected_by["unusable"]``.
     """
     if value is None or grad is None:
         value, grad = obj.value_and_grad(x)
@@ -185,6 +186,7 @@ def armijo_backtrack(
         nonlocal saw_usable_trial
         point, ok = trial(tau)
         if not ok:
+            obj.rejected_by["unusable"] += 1
             return None
         saw_usable_trial = True
         limit = value + params.sigma * tau * slope

@@ -19,12 +19,19 @@ class Objective:
     :meth:`_exact_with_grad` instead, and may name screens in ``SCREENS``.
 
     The screen named ``name`` is the method ``bound_<name>(x, search,
-    tau)``: a lower bound on ``f(x)`` with the margin its rounding needs,
-    as ``(bound, margin)``, or ``None``.  :meth:`value` tries the screens
-    in the order of ``SCREENS`` (a later one may use what an earlier one
-    computed for the same ``x``); the first whose ``bound - limit >
-    margin`` answers for ``x``, and counts under its name in
+    tau, limit)``: a lower bound on ``f(x)`` with the margin its rounding
+    needs, as ``(bound, margin)``, or ``None``; ``limit`` lets a screen
+    skip work that cannot reject the trial.  :meth:`value` tries the
+    screens in the order of ``SCREENS`` (a later one may use what an
+    earlier one computed for the same ``x``); the first whose ``bound -
+    limit > margin`` answers for ``x``, and counts under its name in
     :attr:`screened_by`.
+
+    :attr:`rejected_by` counts the trials rejected after the screens, by
+    cause: ``value`` (the exact ``f`` was above the limit), ``kl_term``
+    (a part of ``f`` computed first already was; see
+    :class:`egmin.problems.InstanceObjective`) and ``unusable`` (the
+    retraction flagged the trial point, counted by the line search).
 
     ``probes`` counts the line searches that tried a step offered by
     their :meth:`search` context before the larger ones, and
@@ -47,6 +54,7 @@ class Objective:
         self._hess_vec = hess_vec
         self._matvecs = matvecs
         self.screened_by: dict[str, int] = dict.fromkeys(self.SCREENS, 0)
+        self.rejected_by: dict[str, int] = dict.fromkeys(("kl_term", "value", "unusable"), 0)
         self.probes = self.probes_wasted = 0
         # The class's functions, not bound methods: those would make each
         # objective a reference cycle, freed only by the cyclic collector.
@@ -66,8 +74,8 @@ class Objective:
         return None
 
     def value(self, x: np.ndarray, limit: float = math.inf, search=None, tau: float = 0.0) -> float:
-        """``f(x)``, or, only when a screen proves ``f(x) > limit``, its
-        bound, a number above ``limit``.
+        """``f(x)``, or, only when a screen or a part of ``f`` proves
+        ``f(x) > limit``, that bound or part, a number above ``limit``.
 
         A caller that only compares the result with ``limit`` (an Armijo
         trial) gets the same answer either way; any result ``<= limit`` is
@@ -77,21 +85,26 @@ class Objective:
         """
         x = np.asarray(x, dtype=float)
         for name, screen in self._screens:
-            bound = screen(self, x, search, tau)
+            bound = screen(self, x, search, tau, limit)
             if bound is not None and bound[0] - limit > bound[1]:
                 self.screened_by[name] += 1
                 return bound[0]
-        return float(self._exact(x, limit, search, tau))
+        f, cause = self._exact(x, limit, search, tau)
+        if not f <= limit:
+            self.rejected_by[cause] += 1
+        return float(f)
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         f, g = self._exact_with_grad(np.asarray(x, dtype=float))
         return float(f), np.asarray(g, dtype=float)
 
-    def _exact(self, x: np.ndarray, limit: float, search, tau: float) -> float:
-        """``f(x)``; ``limit``, ``search`` and ``tau`` are :meth:`value`'s."""
+    def _exact(self, x: np.ndarray, limit: float, search, tau: float) -> tuple[float, str]:
+        """``(f(x), "value")``, or a part of ``f(x)`` that alone exceeds
+        ``limit`` with the :attr:`rejected_by` cause that names it;
+        ``limit``, ``search`` and ``tau`` are :meth:`value`'s."""
         if self._value is None:
-            return self._value_and_grad(x)[0]
-        return self._value(x)
+            return self._value_and_grad(x)[0], "value"
+        return self._value(x), "value"
 
     def _exact_with_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         return self._value_and_grad(x)

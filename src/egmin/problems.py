@@ -364,7 +364,8 @@ class _Curve:
 class _Evaluation:
     """One exact evaluation: its point ``x`` (a kept copy), ``ax``, the KL
     and Huber-TV values, the differences ``dx`` and, where the curve screen
-    can use them, the rows ``q = log(b / Ax)``."""
+    can use them, the rows ``q = log(b / Ax)``.  A trial rejected on its
+    KL term gets a transient one, with ``tv = None``, that is not kept."""
 
     __slots__ = ("x", "ax", "kl_value", "tv", "dx", "q")
 
@@ -394,6 +395,16 @@ class InstanceObjective(Objective):
     ``trial_lb`` and ``trial_tv`` hold what the screens computed for the
     latest trial, ``trial_dx`` its differences.
 
+    The two screens that add ``tv`` compute it only when their bound plus
+    ``base_tv``, the Huber-TV value at the latest point whose gradient was
+    evaluated (a line search's base point), would reject the trial; with
+    no such point yet, they always compute it.  A trial that gets past the
+    screens with no ``tv`` computed is projected, and rejected on its KL
+    term alone when that exceeds ``limit``: ``tv >= 0`` and rounding is
+    monotone, so the computed ``kl + tv`` is at least ``kl``, and a trial
+    at or below its limit still gets its exact ``f``.  Such a trial counts
+    in ``rejected_by["kl_term"]`` and is not cached.
+
     The latest exact evaluation (``last``, an :class:`_Evaluation`) is
     cached by value (``np.array_equal``, so an in-place edit of ``x`` is
     seen), and so is a search's probe whose value met its limit
@@ -414,7 +425,7 @@ class InstanceObjective(Objective):
         super().__init__()
         self.A, self.b = instance.A, instance.b
         self.lam, self.delta, self.w = instance.lam, instance.delta, instance.image_shape[1]
-        self.last = self.kept = self._curve = None
+        self.last = self.kept = self._curve = self.base_tv = None
         # (accepted step, trials above it past the log-sum screens) of the
         # two latest searches, oldest first.
         self._outcomes = ((None, 0), (None, 0))
@@ -465,7 +476,7 @@ class InstanceObjective(Objective):
         self._curve = _Curve(self.b, self.sum_b, self.q_floor, last.q, probe)
         return self._curve
 
-    def bound_kl(self, x: np.ndarray, search, tau: float):
+    def bound_kl(self, x: np.ndarray, search, tau: float, limit: float):
         """The log-sum bound ``lb = B log(B / y) - B + y``, with ``tv = 0``.
 
         By the log-sum inequality ``KL(b, Ax) >= KL(B, y)``, so ``lb``
@@ -505,18 +516,18 @@ class InstanceObjective(Objective):
         self.trial_lb = lb = sum_b * math.log(ratio) - sum_b + y
         return (lb, self.eta * (sum_b + y)) if math.isfinite(lb) else None
 
-    def bound_kl_tv(self, x: np.ndarray, search, tau: float):
+    def bound_kl_tv(self, x: np.ndarray, search, tau: float, limit: float):
         """The log-sum bound plus ``tv``: :meth:`bound_kl`'s argument
         holds, plus ``2 u tv`` for adding ``tv``.  ``tv`` and its
         differences in ``trial_dx`` are kept for the later screen and the
-        exact path."""
+        exact path; ``None``, with no ``tv`` computed, when the base point's
+        ``tv`` predicts no rejection (see :meth:`_plus_tv`)."""
         if self.trial_y is None or self.lam == 0.0:
             return None
-        self.trial_tv = tv = self._tv(x)
-        lb = self.trial_lb + tv
-        return (lb, self.eta * (self.sum_b + self.trial_y + tv)) if math.isfinite(lb) else None
+        bound = self._plus_tv(x, self.trial_lb, self.sum_b + self.trial_y, limit)
+        return bound if bound is not None and math.isfinite(bound[0]) else None
 
-    def bound_curve(self, x: np.ndarray, search: _Curve | None, tau: float):
+    def bound_curve(self, x: np.ndarray, search: _Curve | None, tau: float, limit: float):
         """The curve's bound on the KL term (see :meth:`_Curve.bound`) plus
         ``tv``, for the trial at step ``tau`` of a search along its
         e-geodesic, with the margin ``eta * (B + y + F + tv + |lam| (y + F))``.
@@ -561,7 +572,8 @@ class InstanceObjective(Objective):
           nonnegative terms, and ``lam`` rounds by ``u (1 + 2 |lam|)``: so
           ``g`` is off by under ``5e-12 (B + F) + (m + 2) u (1 + |lam|)
           (F + y)``, and the exact path by ``5e-12 (B + y)``.  ``eta``
-          covers all of these, with ``tv`` added as in :meth:`bound_kl_tv`.
+          covers all of these, with ``tv`` added as in :meth:`bound_kl_tv`,
+          and computed by the same rule.
 
         ``t`` in ``[e**-700, e**-q_floor]`` keeps every ``exp`` and ``log``
         finite and ``F <= 2**1000``, with no warning; a ``lam`` term past
@@ -581,7 +593,25 @@ class InstanceObjective(Objective):
         if bound is None:
             return None
         lb, weight = bound
-        tv = self.trial_tv or 0.0  # 0 without a TV term
+        if self.lam == 0.0:
+            return lb, self.eta * weight
+        return self._plus_tv(x, lb, weight, limit)
+
+    def _plus_tv(self, x: np.ndarray, lb: float, weight: float, limit: float):
+        """``(lb + tv, eta * (weight + tv))`` for the trial's ``tv``,
+        computed here unless it already was; but ``None``, with nothing
+        computed, when a base point is known and ``lb`` plus its
+        ``base_tv`` would not be rejected.  The bound with ``tv = 0`` would
+        not be rejected either, so the prediction lets a trial through
+        that its own ``tv`` would have rejected only when that ``tv`` is
+        above ``base_tv``.  It decides what is computed, never what is
+        accepted."""
+        tv = self.trial_tv
+        if tv is None:
+            base = self.base_tv
+            if base is not None and not lb + base - limit > self.eta * (weight + base):
+                return None
+            self.trial_tv = tv = self._tv(x)
         return lb + tv, self.eta * (weight + tv)
 
     def _kl(self, ax: np.ndarray) -> tuple[float, np.ndarray | None]:
@@ -605,15 +635,21 @@ class InstanceObjective(Objective):
         values = _huber_values(self.trial_dx, self.delta, self.mag, self.c, self.half)
         return self.lam * float(values.sum())
 
-    def _evaluate(self, x: np.ndarray, tv: float | None) -> _Evaluation:
+    def _evaluate(self, x: np.ndarray, tv: float | None, limit: float = math.inf) -> _Evaluation:
         # x's exact evaluation, made the latest one unless it is cached.  A
         # given tv is x's, with its differences in trial_dx.  Nothing cached
-        # changes before the KL term has validated Ax.
+        # changes before the KL term has validated Ax.  Without a tv, a KL
+        # term above limit ends the evaluation: it returns a transient one
+        # whose tv is None, and caches nothing.
         last = self.last
         if np.array_equal(last.x, x):
             return last
         ax = self.A.forward(x)
         kl_value, q = self._kl(ax)
+        if tv is None and self.lam > 0.0 and kl_value > limit:
+            partial = _Evaluation(x, None)
+            partial.ax, partial.kl_value, partial.tv, partial.q = ax, kl_value, None, q
+            return partial
         # Write over the latest evaluation, unless that is the kept one:
         # then over the spare, made at its first use.  So a solve that never
         # probes pays neither its memory (1.5 MB at n_side 256) nor a shift
@@ -632,16 +668,18 @@ class InstanceObjective(Objective):
         self.last = new
         return new
 
-    def _exact(self, x: np.ndarray, limit: float, search: _Curve | None, tau: float) -> float:
-        evaluation = self._evaluate(x, self.trial_tv)
+    def _exact(self, x: np.ndarray, limit: float, search: _Curve | None, tau: float) -> tuple[float, str]:
+        evaluation = self._evaluate(x, self.trial_tv, limit)
+        if search is not None and evaluation.q is not None:
+            search.record(tau, evaluation.q)
+        if evaluation.tv is None:
+            return evaluation.kl_value, "kl_term"
         f = evaluation.kl_value + evaluation.tv
         if f <= limit and search is not None:
             search.accepted = max(search.accepted or 0.0, tau)
             if tau == search.probe:
                 self.kept = evaluation  # the search tries larger steps next
-        if search is not None and evaluation.q is not None:
-            search.record(tau, evaluation.q)
-        return f
+        return f, "value"
 
     def _exact_with_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         if self.last is None:
@@ -651,6 +689,7 @@ class InstanceObjective(Objective):
             # A search accepted a step it tried before larger ones.
             self.last, self._spare = kept, self.last
         evaluation = self._evaluate(x, None)
+        self.base_tv = evaluation.tv
         weights = np.divide(self.b, evaluation.ax, out=self.terms)
         np.subtract(1.0, weights, out=weights)
         grad = self.A.adjoint(weights)

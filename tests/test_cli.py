@@ -61,10 +61,12 @@ class TestSolveCommand:
             assert stats["total_matvecs"] > 0
             assert set(stats["screened_by"]) == {"kl", "kl_tv", "curve"}
             assert sum(stats["screened_by"].values()) == stats["screened_trials"]
+            assert set(stats["rejected_by"]) == {"kl_term", "value", "unusable"}
         # n_side 8 is below the curve screen's gate, so no search probes, and
         # ipemd makes no trial.
         assert summary["methods"]["eg"]["screened_by"]["curve"] == 0
         assert summary["methods"]["ipemd"]["screened_by"] == {"kl": 0, "kl_tv": 0, "curve": 0}
+        assert summary["methods"]["ipemd"]["rejected_by"] == {"kl_term": 0, "value": 0, "unusable": 0}
         for stats in summary["methods"].values():
             assert stats["probes"] == stats["probes_wasted"] == 0
 

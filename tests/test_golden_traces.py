@@ -34,7 +34,7 @@ import json
 import pytest
 
 import egmin.cli
-from egmin import Objective, make_objective
+from egmin import Objective, make_objective, read_trace_csv
 from egmin.cli import RunSpec, cmd_solve
 
 METHODS = ("eg", "poicg", "ipgrgd", "ipemd")
@@ -171,3 +171,34 @@ def test_curve_screen_changes_only_matvec_count(counts_runs, method):
     if method == "eg":
         assert stats["screened_by"]["curve"] >= 1
         assert stats["probes"] >= 1
+
+
+def _trials_and_counts(run, method):
+    """The trials a trace records (``halvings + 1`` per accepted step), its
+    iterations, and the summary's counts for ``method``."""
+    stats = json.loads((run / "summary.json").read_text())["methods"][method]
+    assert stats["search_status"] is None  # every search accepted a step
+    records = read_trace_csv(run / f"trace_{method}.csv")[1:]
+    return sum(rec.halvings + 1 for rec in records), len(records), stats
+
+
+@pytest.mark.parametrize("method", ("eg", "poicg", "ipgrgd"))
+def test_every_trial_is_counted_once(golden_runs, counts_runs, method):
+    # Each Armijo trial is accepted, screened or rejected (on its KL term,
+    # its value, or as unusable).  With no probes the trials a trace records
+    # are exactly those; a wasted probe is one more trial, counted only if
+    # it was rejected.
+    for run in golden_runs:
+        trials, iterations, stats = _trials_and_counts(run, method)
+        assert stats["probes"] == 0
+        assert trials == stats["screened_trials"] + sum(stats["rejected_by"].values()) + iterations
+    screened, unscreened = golden_runs
+    if method == "ipgrgd":
+        assert _trials_and_counts(screened, method)[2]["rejected_by"]["kl_term"] > 0
+    # Without a limit the objective the unscreened run wraps computes every f.
+    assert _trials_and_counts(unscreened, method)[2]["rejected_by"]["kl_term"] == 0
+    for run in counts_runs:
+        trials, iterations, stats = _trials_and_counts(run, method)
+        counted = stats["screened_trials"] + sum(stats["rejected_by"].values()) + iterations
+        assert trials <= counted <= trials + stats["probes_wasted"]
+        assert stats["rejected_by"]["kl_term"] == 0  # lam = 0: f is the KL term

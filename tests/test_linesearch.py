@@ -129,6 +129,8 @@ class TestArmijoBacktrack:
         assert result.status is StepStatus.HIT_TAU_MIN
         assert result.tau < 1e-10
         np.testing.assert_array_equal(result.new_point, x)
+        # A failed search makes `halvings` trials, each rejected on its value.
+        assert obj.rejected_by == {"kl_term": 0, "value": result.halvings, "unusable": 0}
 
     def test_all_trials_clamped(self):
         # Direction so large that even tau_min overflows the exponent.
@@ -136,6 +138,7 @@ class TestArmijoBacktrack:
         x = np.array([1.0])
         result = armijo_backtrack(obj, x, np.array([1e308]), ArmijoParams())
         assert result.status is StepStatus.CLAMPED
+        assert obj.rejected_by == {"kl_term": 0, "value": 0, "unusable": result.halvings}
 
     def test_sufficient_decrease_on_random_instances(self, rng):
         for _ in range(100):

@@ -10,10 +10,11 @@ the difference.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -25,11 +26,13 @@ from egmin import (
     SparseOperator,
     armijo_backtrack,
     build_instance,
+    full_objective,
     huber_tv,
     make_objective,
     riemannian_grad,
 )
 from egmin.linesearch import geodesic_retraction
+from egmin.problems import _huber_values, kl_fidelity
 from egmin.solvers import quotient_retraction
 
 PROPERTY = settings(
@@ -209,3 +212,63 @@ def test_kl_bound_alone_rejects_without_a_tv_value(monkeypatch):
     monkeypatch.setattr("egmin.problems._huber_values", lambda *args: calls.append(args))
     assert obj.value(50.0 * x_true, limit) > limit
     assert obj.screened_trials == 1 and not calls
+
+
+def oracle(function, *args):
+    """``function(*args)[0]``, or None where it raises or is not finite."""
+    with np.errstate(all="ignore"):
+        try:
+            value = function(*args)[0]
+        except ValueError:
+            return None
+    return value if math.isfinite(value) else None
+
+
+@PROPERTY
+@given(data=st.data())
+def test_a_trial_past_the_screens_is_rejected_on_its_kl_term_with_no_tv_value(data):
+    # After a gradient at a base point, a screen computes a trial's Huber-TV
+    # value only when its bound plus the base point's would reject the
+    # trial, and a trial that gets past the screens with none is rejected on
+    # its KL term when that alone exceeds the limit.  The base point is
+    # another point, the trial itself (the prediction is then exact) or a
+    # flat image (a base TV of 0).  A limit at or above f must still get
+    # full_objective's f, bit for bit.
+    drawn = data.draw(instances())
+    instance = ProblemInstance(A=drawn.A, b=drawn.b, lam=0.01, delta=0.01, image_shape=drawn.image_shape)
+    n = instance.A.cols
+    x = data.draw(points(n))
+    base = data.draw(st.sampled_from(["point", "trial", "flat"]))
+    base = {"point": lambda: data.draw(points(n)), "trial": x.copy, "flat": lambda: np.ones(n)}[base]()
+    exact = oracle(full_objective, instance, x)
+    kl_term = oracle(kl_fidelity, instance.A, instance.b, x)
+    with np.errstate(all="ignore"):
+        bound, bound_tv = log_sum_bounds(instance, x)
+        # Between the bound and the KL term lie the limits no screen can reject.
+        between = None if kl_term is None else 0.5 * bound + 0.5 * kl_term
+        anchors = [v for v in (exact, kl_term, bound_tv, between) if v is not None and math.isfinite(v)]
+    assume(anchors)
+    limit = data.draw(st.sampled_from(OFFSETS))(data.draw(st.sampled_from(anchors)))
+    assume(math.isfinite(limit))
+
+    obj = make_objective(instance)
+    with np.errstate(all="ignore"):
+        try:
+            obj.value_and_grad(base)
+        except ValueError:
+            assume(False)  # the base point's A x has a zero row
+    with mock.patch("egmin.problems._huber_values", wraps=_huber_values) as spy:
+        try:
+            got = obj.value(x, limit)
+        except ValueError:
+            assert exact is None  # A x underflowed to a zero entry, or overflowed
+            return
+    if obj.rejected_by["kl_term"]:
+        event("rejected on its KL term")
+        assert spy.call_count == 0
+        assert got > limit and (kl_term is None or same_float(got, kl_term))
+    if exact is not None and exact <= limit:
+        assert same_float(got, exact)
+        assert obj.screened_trials == 0 and sum(obj.rejected_by.values()) == 0
+    else:
+        assert got > limit
