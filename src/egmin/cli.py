@@ -194,6 +194,7 @@ def cmd_solve(spec: RunSpec) -> int:
             rejected_by=dict(obj.rejected_by),
             probes=obj.probes,
             probes_wasted=obj.probes_wasted,
+            probes_met=obj.probes_met,
             wall_seconds=elapsed,
         )
         if trace.terminal_status in (TerminalStatus.STEP_INFEASIBLE, TerminalStatus.NON_FINITE):

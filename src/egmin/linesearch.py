@@ -167,8 +167,11 @@ def armijo_backtrack(
     (or the halving cap) without acceptance, and ``CLAMPED`` when every
     trial point was unusable.  Given a probe by its context, the search
     runs in the probe-first order of the module docstring and returns the
-    same result; it counts in ``obj.probes`` and ``obj.probes_wasted``.
-    An unusable trial counts in ``obj.rejected_by["unusable"]``.
+    same result; it counts in ``obj.probes``, ``obj.probes_wasted`` and
+    ``obj.probes_met``, so that every trial it makes counts once: accepted,
+    in ``obj.screened_by`` or ``obj.rejected_by``, or as a wasted probe
+    that met its limit.  An unusable trial counts in
+    ``obj.rejected_by["unusable"]``.
     """
     if value is None or grad is None:
         value, grad = obj.value_and_grad(x)
@@ -204,6 +207,8 @@ def armijo_backtrack(
         if found:
             if at is not None and halvings < at:
                 obj.probes_wasted += 1
+                if at_probe:
+                    obj.probes_met += 1
             return StepResult(tau, halvings, *found, StepStatus.ACCEPTED)
         tau *= params.beta
         halvings += 1

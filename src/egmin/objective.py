@@ -16,20 +16,16 @@ class Objective:
     the gradient), an optional Hessian-vector product, and an optional
     counter of linear operator applications used for cost accounting.  A
     subclass that evaluates ``f`` itself overrides :meth:`_exact` and
-    :meth:`_exact_with_grad` instead, and may name screens in ``SCREENS``.
+    :meth:`_exact_with_grad` instead.
 
-    The screen named ``name`` is the method ``bound_<name>(x, search,
-    tau, limit)``: a lower bound on ``f(x)`` with the margin its rounding
-    needs, as ``(bound, margin)``, or ``None``; ``limit`` lets a screen
-    skip work that cannot reject the trial.  :meth:`value` tries the
-    screens in the order of ``SCREENS`` (a later one may use what an
-    earlier one computed for the same ``x``); the first whose ``bound -
-    limit > margin`` answers for ``x``, and counts under its name in
-    :attr:`screened_by`.
-
-    :attr:`rejected_by` counts the trials rejected after the screens, by
-    cause: ``value`` (the exact ``f`` was above the limit), ``kl_term``
-    (a part of ``f`` computed first already was; see
+    :meth:`_exact` answers a trial with ``f`` and the cause ``"value"``,
+    or, when a cheaper test proves ``f > limit``, with a number above the
+    limit and the name of that test.  :meth:`value` counts each trial that
+    ends above its limit once, under its cause: in :attr:`screened_by`
+    when the cause is one of ``SCREENS`` (the names of the subclass's
+    lower bounds on ``f``), else in :attr:`rejected_by`, whose causes are
+    ``value`` (the exact ``f`` was above the limit), ``kl_term`` (a part of
+    ``f`` computed first already was; see
     :class:`egmin.problems.InstanceObjective`) and ``unusable`` (the
     retraction flagged the trial point, counted by the line search).
 
@@ -37,7 +33,9 @@ class Objective:
     their :meth:`search` context before the larger ones, and
     ``probes_wasted`` those of them that accepted a larger step: the
     probe then cost an evaluation that a search from the largest step
-    never makes.
+    never makes.  ``probes_met`` counts the wasted probes whose value met
+    their limit, the one kind of trial counted neither as screened nor
+    as rejected.
     """
 
     SCREENS: tuple[str, ...] = ()
@@ -55,10 +53,7 @@ class Objective:
         self._matvecs = matvecs
         self.screened_by: dict[str, int] = dict.fromkeys(self.SCREENS, 0)
         self.rejected_by: dict[str, int] = dict.fromkeys(("kl_term", "value", "unusable"), 0)
-        self.probes = self.probes_wasted = 0
-        # The class's functions, not bound methods: those would make each
-        # objective a reference cycle, freed only by the cyclic collector.
-        self._screens = [(name, getattr(type(self), "bound_" + name)) for name in self.SCREENS]
+        self.probes = self.probes_wasted = self.probes_met = 0
 
     @property
     def screened_trials(self) -> int:
@@ -74,24 +69,20 @@ class Objective:
         return None
 
     def value(self, x: np.ndarray, limit: float = math.inf, search=None, tau: float = 0.0) -> float:
-        """``f(x)``, or, only when a screen or a part of ``f`` proves
+        """``f(x)``, or, only when a bound or a part of ``f`` proves
         ``f(x) > limit``, that bound or part, a number above ``limit``.
 
         A caller that only compares the result with ``limit`` (an Armijo
         trial) gets the same answer either way; any result ``<= limit`` is
         the exact ``f(x)``.  The default ``limit = inf`` always gets
         ``f(x)``.  ``search``, a context from :meth:`search`, says that
-        ``x`` is the point at step ``tau`` of that search's geodesic.
+        ``x`` is the point at step ``tau`` of that search's geodesic.  A
+        result above ``limit`` counts once, under the cause :meth:`_exact`
+        gives it.
         """
-        x = np.asarray(x, dtype=float)
-        for name, screen in self._screens:
-            bound = screen(self, x, search, tau, limit)
-            if bound is not None and bound[0] - limit > bound[1]:
-                self.screened_by[name] += 1
-                return bound[0]
-        f, cause = self._exact(x, limit, search, tau)
+        f, cause = self._exact(np.asarray(x, dtype=float), limit, search, tau)
         if not f <= limit:
-            self.rejected_by[cause] += 1
+            (self.screened_by if cause in self.screened_by else self.rejected_by)[cause] += 1
         return float(f)
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -99,9 +90,10 @@ class Objective:
         return float(f), np.asarray(g, dtype=float)
 
     def _exact(self, x: np.ndarray, limit: float, search, tau: float) -> tuple[float, str]:
-        """``(f(x), "value")``, or a part of ``f(x)`` that alone exceeds
-        ``limit`` with the :attr:`rejected_by` cause that names it;
-        ``limit``, ``search`` and ``tau`` are :meth:`value`'s."""
+        """``(f(x), "value")``, or a number above ``limit`` that a bound on
+        ``f(x)`` or a part of it proves, with the cause that names the test:
+        one of ``SCREENS`` or a :attr:`rejected_by` key; ``limit``,
+        ``search`` and ``tau`` are :meth:`value`'s."""
         if self._value is None:
             return self._value_and_grad(x)[0], "value"
         return self._value(x), "value"

@@ -20,22 +20,23 @@ from .divergence import kl
 from .geometry import EXP_ARG_MAX, as_point
 from .objective import Objective
 from .operators import SparseOperator
-from .projector import build_projector
+from .projector import build_projector, check_n_side
 
 B_FLOOR = 1e-8  # replaces zero Poisson draws to keep the data positive
 PHANTOM_BACKGROUND = 1e-3
 
 # An objective bounds an Armijo trial by the earlier trials on its
-# e-geodesic (InstanceObjective.bound_curve) only when its operator stores
-# at least this many entries per row: one bound costs about 20 passes over
-# the rows, a forward product one pass over every entry.  Forced on at 76
-# entries per row (the n_side 64 projector), an earlier, cheaper form of
-# the screen made eg's iterations about 3 % slower on a 2-core Xeon VM; at
-# 153 (n_side 128, Poisson counts), with probe-first searches, this one
-# saves 45 % of eg's forward products.
+# e-geodesic (the curve step of InstanceObjective._exact) only when its
+# operator stores at least this many entries per row: one bound costs about
+# 20 passes over the rows, a forward product one pass over every entry.
+# Forced on at 76 entries per row (the n_side 64 projector), an earlier,
+# cheaper form of the screen made eg's iterations about 3 % slower on a
+# 2-core Xeon VM; at 153 (n_side 128, Poisson counts), with probe-first
+# searches, this one saves 45 % of eg's forward products.
 CURVE_NNZ_PER_ROW = 128
 # Widening of each row's interval for log(A x), relative in A x: it covers
-# the rounding of the rows the bound is made from (see bound_curve).
+# the rounding of the rows the bound is made from (see the rounding
+# argument in InstanceObjective._exact).
 CURVE_WIDENING = 1e-9
 # A search offers a probe, a step for the line search to try before the
 # larger ones, only after a search in which at least PROBE_AFTER trials
@@ -383,27 +384,23 @@ class InstanceObjective(Objective):
     :class:`ProblemInstance` validated once (``b > 0``, so every term is
     ``b log(b / Ax)``); per call only ``Ax`` is checked.
 
-    A trial first tries three screens, each a lower bound on ``f`` with
-    the margin ``eta * (B + y + tv)`` (the curve screen's is wider):
-    ``B = sum(b)``, ``y = c^T x`` for ``c = A^T 1``, ``tv`` the trial's
-    Huber-TV value (0 until it is computed) and
-    ``eta = 1e-10 + (2n + m) * 2**-52``.  Each screen's docstring shows
-    that the margin covers the rounding of its bound and of the exact
-    value, so that a screened trial is one whose exact value, as computed
-    here, exceeds ``limit`` too.  No screen changes an accepted step, a
-    value or a trace column other than ``matvec_count``.  ``trial_y``,
-    ``trial_lb`` and ``trial_tv`` hold what the screens computed for the
-    latest trial, ``trial_dx`` its differences.
-
-    The two screens that add ``tv`` compute it only when their bound plus
-    ``base_tv``, the Huber-TV value at the latest point whose gradient was
-    evaluated (a line search's base point), would reject the trial; with
-    no such point yet, they always compute it.  A trial that gets past the
-    screens with no ``tv`` computed is projected, and rejected on its KL
-    term alone when that exceeds ``limit``: ``tv >= 0`` and rounding is
-    monotone, so the computed ``kl + tv`` is at least ``kl``, and a trial
-    at or below its limit still gets its exact ``f``.  Such a trial counts
-    in ``rejected_by["kl_term"]`` and is not cached.
+    :meth:`_exact` tests a trial from the cheapest test up: three lower
+    bounds on ``f`` (the names in ``SCREENS``), each with the margin
+    ``eta * (B + y + tv)`` (the curve's is wider), then the KL term, then
+    the exact value.  ``B = sum(b)``, ``y = c^T x`` for ``c = A^T 1``,
+    ``tv`` is the trial's Huber-TV value (0 until it is computed) and
+    ``eta = 1e-10 + (2n + m) * 2**-52``.  Its docstring shows that the
+    margins cover the rounding of the bounds and of the exact value, so
+    that a trial a bound rejects is one whose exact value, as computed
+    here, exceeds ``limit`` too.  No bound changes an accepted step, a
+    value or a trace column other than ``matvec_count``.  A bound adds
+    ``tv`` only when it plus ``base_tv``, the Huber-TV value at the latest
+    point whose gradient was evaluated (a line search's base point),
+    would reject the trial; with no such point yet, always.  A trial that
+    gets past the bounds with no ``tv`` computed is rejected on its KL
+    term when that alone exceeds ``limit``; such a trial counts in
+    ``rejected_by["kl_term"]`` and is not cached.  ``trial_dx`` holds the
+    differences of the latest trial whose ``tv`` was computed.
 
     The latest exact evaluation (``last``, an :class:`_Evaluation`) is
     cached by value (``np.array_equal``, so an in-place edit of ``x`` is
@@ -476,13 +473,100 @@ class InstanceObjective(Objective):
         self._curve = _Curve(self.b, self.sum_b, self.q_floor, last.q, probe)
         return self._curve
 
-    def bound_kl(self, x: np.ndarray, search, tau: float, limit: float):
-        """The log-sum bound ``lb = B log(B / y) - B + y``, with ``tv = 0``.
+    def _base_tv_rejects(self, lb: float, weight: float, limit: float) -> bool:
+        """Whether the bound ``lb`` on the KL term, plus ``base_tv``, would
+        reject the trial with the margin ``eta * (weight + base_tv)``; true
+        when no base point is known.  A trial's own ``tv`` is computed for
+        a bound only then, so the prediction lets a trial through that its
+        own ``tv`` would have rejected only when that ``tv`` is above
+        ``base_tv``.  It decides what is computed, never what is
+        accepted."""
+        base = self.base_tv
+        return base is None or lb + base - limit > self.eta * (weight + base)
 
-        By the log-sum inequality ``KL(b, Ax) >= KL(B, y)``, so ``lb``
-        bounds the KL term at the cost of one dot product; the Huber-TV
-        value is at least 0, and so is every rounding of it, so ``lb``
-        bounds ``f`` too.  The margin covers the rounding:
+    def _kl(self, ax: np.ndarray) -> tuple[float, np.ndarray | None]:
+        # Same terms, in the same order, as divergence.kl(b, ax); also
+        # log(b / ax), kept when the curve screen can use it.
+        b = self.b
+        sum_ax = ax.sum()
+        ax_min = ax.min()
+        if not (ax_min > 0.0 and np.isfinite(sum_ax)):
+            as_point(ax)  # raises as kl does, unless only the sum overflowed
+        floor = self.curve_floor
+        keep = floor is not None and floor <= ax_min and sum_ax <= self.curve_ceiling
+        q = np.divide(b, ax, out=None if keep else self.terms)
+        np.log(q, out=q)
+        terms = np.multiply(q, b, out=self.terms)
+        return float(terms.sum() - self.sum_b + sum_ax), (q if keep else None)
+
+    def _tv(self, x: np.ndarray) -> float:
+        # lam * sum(huber(Dx)), with Dx left in trial_dx.
+        _differences(x, self.w, self.trial_dx)
+        values = _huber_values(self.trial_dx, self.delta, self.mag, self.c, self.half)
+        return self.lam * float(values.sum())
+
+    def _evaluate(self, x: np.ndarray, tv: float | None, limit: float = math.inf) -> _Evaluation:
+        # x's exact evaluation, made the latest one unless it is cached.  A
+        # given tv is x's, with its differences in trial_dx (0.0 for lam =
+        # 0).  Nothing cached changes before the KL term has validated Ax.
+        # Without a tv, a KL term above limit ends the evaluation: it
+        # returns a transient one whose tv is None, and caches nothing.
+        last = self.last
+        if np.array_equal(last.x, x):
+            return last
+        ax = self.A.forward(x)
+        kl_value, q = self._kl(ax)
+        if tv is None and kl_value > limit:
+            partial = _Evaluation(x, None)
+            partial.ax, partial.kl_value, partial.tv, partial.q = ax, kl_value, None, q
+            return partial
+        # Write over the latest evaluation, unless that is the kept one:
+        # then over the spare, made at its first use.  So a solve that never
+        # probes pays neither its memory (1.5 MB at n_side 256) nor a shift
+        # of the scratch buffers, which moves _tv's speed by 15-20 % with
+        # where they land mod 4096.
+        new = last
+        if self.kept is last:
+            new = self._spare or _Evaluation(np.empty(x.size), None if last.dx is None else np.zeros(last.dx.size))
+            self._spare = last
+        if self.lam > 0.0:
+            if tv is None:
+                tv = self._tv(x)
+            new.dx, self.trial_dx = self.trial_dx, new.dx
+        np.copyto(new.x, x)
+        new.ax, new.kl_value, new.tv, new.q = ax, kl_value, tv or 0.0, q
+        self.last = new
+        return new
+
+    def _exact(self, x: np.ndarray, limit: float, search: _Curve | None, tau: float) -> tuple[float, str]:
+        """One Armijo trial, by the tests of README's "The order of a
+        trial's tests", cheapest first; the first that rejects the trial
+        ends it, and names the cause:
+
+        1. ``kl``: the log-sum bound ``lb = B log(B / y) - B + y``, with
+           ``tv = 0``;
+        2. ``kl_tv``: that bound plus the trial's ``tv``;
+        3. ``curve``: the bound of the search's curve on the KL term (see
+           :meth:`_Curve.bound`) plus ``tv``, with the margin
+           ``eta * (B + y + F + tv + |lam| (y + F))``;
+        4. ``kl_term``: the forward projection and the KL term, when no
+           ``tv`` has been computed and the KL term alone exceeds
+           ``limit``;
+        5. ``value``: the Huber-TV value and the exact ``f``.
+
+        A bound rejects when it exceeds ``limit`` by more than its margin.
+        With ``lam > 0``, steps 2 and 3 compute ``tv`` only when
+        :meth:`_base_tv_rejects`; once computed, it serves the later steps.
+        Step 4 needs no margin: ``tv >= 0`` and rounding is monotone, so
+        the computed ``kl + tv`` is at least ``kl``, and a trial at or
+        below its limit still gets its exact ``f``.  Every trial that gets
+        past step 2 with a search notes its step in the search, and every
+        projected one its rows.
+
+        The log-sum bound: by the log-sum inequality ``KL(b, Ax) >= KL(B,
+        y)``, so ``lb`` bounds the KL term at the cost of one dot product;
+        the Huber-TV value is at least 0, and so is every rounding of it, so
+        ``lb`` bounds ``f`` too.  The margin covers the rounding:
 
         * ``y`` differs from the sum of the computed ``Ax`` by at most
           ``(n + s + r) u y`` (``u = 2**-53``; every term is nonnegative;
@@ -499,41 +583,14 @@ class InstanceObjective(Objective):
           needed: rounding is monotone, so the exact path's ``kl + tv``,
           with ``tv >= 0``, rounds to at least its computed ``kl``.
 
-        ``eta`` holds both with room to spare.  Without a ``y`` in
-        ``(0, inf)`` no screen bounds the trial.  A point whose computed
-        ``Ax`` has a zero entry has ``f = inf``: the exact path raises
-        ``ValueError`` for it, a screen may reject it first.
-        """
-        if self.last is None:
-            self._setup()
-        self.trial_tv, sum_b = None, self.sum_b
-        # Not col_sums @ x: OpenBLAS threads that ddot, and concurrent solves stall.
-        y = float(np.einsum("i,i->", self.col_sums, x))
-        ratio = sum_b / y if y > 0.0 else 0.0  # 0 for y = inf or NaN too
-        self.trial_y = y if 0.0 < ratio < math.inf else None
-        if self.trial_y is None:
-            return None
-        self.trial_lb = lb = sum_b * math.log(ratio) - sum_b + y
-        return (lb, self.eta * (sum_b + y)) if math.isfinite(lb) else None
+        ``eta`` holds both with room to spare, and adding ``tv`` takes
+        ``2 u tv`` more.  Without a ``y`` in ``(0, inf)`` no bound is made.
+        A point whose computed ``Ax`` has a zero entry has ``f = inf``: the
+        exact path raises ``ValueError`` for it, a bound may reject it
+        first.
 
-    def bound_kl_tv(self, x: np.ndarray, search, tau: float, limit: float):
-        """The log-sum bound plus ``tv``: :meth:`bound_kl`'s argument
-        holds, plus ``2 u tv`` for adding ``tv``.  ``tv`` and its
-        differences in ``trial_dx`` are kept for the later screen and the
-        exact path; ``None``, with no ``tv`` computed, when the base point's
-        ``tv`` predicts no rejection (see :meth:`_plus_tv`)."""
-        if self.trial_y is None or self.lam == 0.0:
-            return None
-        bound = self._plus_tv(x, self.trial_lb, self.sum_b + self.trial_y, limit)
-        return bound if bound is not None and math.isfinite(bound[0]) else None
-
-    def bound_curve(self, x: np.ndarray, search: _Curve | None, tau: float, limit: float):
-        """The curve's bound on the KL term (see :meth:`_Curve.bound`) plus
-        ``tv``, for the trial at step ``tau`` of a search along its
-        e-geodesic, with the margin ``eta * (B + y + F + tv + |lam| (y + F))``.
-
-        Each row of the exact path's computed ``Ax``, as a ratio
-        ``r = Ax / b``, must lie in ``[r_lo, r_hi]``:
+        The curve's bound: each row of the exact path's computed ``Ax``, as
+        a ratio ``r = Ax / b``, must lie in ``[r_lo, r_hi]``:
 
         * a row of the computed ``Ax`` at a trial differs from the row of
           the exact curve by a relative ``2**-42 + r u``: the exponent
@@ -563,8 +620,8 @@ class InstanceObjective(Objective):
           ``log(b / floor)``.  ``r_lo = e**-high - 2**-46`` bounds every
           row, the absolute ``floor * 2**-47`` included, as
           ``floor <= b``;
-        * the computed rows sum to ``y`` within ``(2n + m) u y`` (see
-          :meth:`bound_kl`), so ``KL(b, Ax) >= g(lam) - |lam| (2n + m) u y``
+        * the computed rows sum to ``y`` within ``(2n + m) u y`` (see the
+          log-sum bound), so ``KL(b, Ax) >= g(lam) - |lam| (2n + m) u y``
           by weak duality, at ``lam = 1 / t - 1`` for the float ``t``
           whose ``r = clip(t, r_lo, r_hi)`` are exact;
         * ``g``'s terms ``b (r - log r)`` sum to at most ``F + 700 B`` and
@@ -572,104 +629,42 @@ class InstanceObjective(Objective):
           nonnegative terms, and ``lam`` rounds by ``u (1 + 2 |lam|)``: so
           ``g`` is off by under ``5e-12 (B + F) + (m + 2) u (1 + |lam|)
           (F + y)``, and the exact path by ``5e-12 (B + y)``.  ``eta``
-          covers all of these, with ``tv`` added as in :meth:`bound_kl_tv`,
-          and computed by the same rule.
+          covers all of these, with ``tv`` added as in step 2.
 
         ``t`` in ``[e**-700, e**-q_floor]`` keeps every ``exp`` and ``log``
         finite and ``F <= 2**1000``, with no warning; a ``lam`` term past
         the float range makes the bound or its margin infinite or NaN,
-        which screens nothing.  A bound costs about 20 passes over the
+        which rejects nothing.  A bound costs about 20 passes over the
         rows, so :meth:`search` makes a curve only for operators with at
-        least ``CURVE_NNZ_PER_ROW`` entries per row.  Every trial that
-        reaches this screen got past the log-sum screens; the search notes
-        its step.
+        least ``CURVE_NNZ_PER_ROW`` entries per row.
         """
-        if search is None:
-            return None
-        search.past_screens.append(tau)
-        if self.trial_y is None:
-            return None
-        bound = search.bound(tau, self.trial_y)
-        if bound is None:
-            return None
-        lb, weight = bound
-        if self.lam == 0.0:
-            return lb, self.eta * weight
-        return self._plus_tv(x, lb, weight, limit)
-
-    def _plus_tv(self, x: np.ndarray, lb: float, weight: float, limit: float):
-        """``(lb + tv, eta * (weight + tv))`` for the trial's ``tv``,
-        computed here unless it already was; but ``None``, with nothing
-        computed, when a base point is known and ``lb`` plus its
-        ``base_tv`` would not be rejected.  The bound with ``tv = 0`` would
-        not be rejected either, so the prediction lets a trial through
-        that its own ``tv`` would have rejected only when that ``tv`` is
-        above ``base_tv``.  It decides what is computed, never what is
-        accepted."""
-        tv = self.trial_tv
-        if tv is None:
-            base = self.base_tv
-            if base is not None and not lb + base - limit > self.eta * (weight + base):
-                return None
-            self.trial_tv = tv = self._tv(x)
-        return lb + tv, self.eta * (weight + tv)
-
-    def _kl(self, ax: np.ndarray) -> tuple[float, np.ndarray | None]:
-        # Same terms, in the same order, as divergence.kl(b, ax); also
-        # log(b / ax), kept when the curve screen can use it.
-        b = self.b
-        sum_ax = ax.sum()
-        ax_min = ax.min()
-        if not (ax_min > 0.0 and np.isfinite(sum_ax)):
-            as_point(ax)  # raises as kl does, unless only the sum overflowed
-        floor = self.curve_floor
-        keep = floor is not None and floor <= ax_min and sum_ax <= self.curve_ceiling
-        q = np.divide(b, ax, out=None if keep else self.terms)
-        np.log(q, out=q)
-        terms = np.multiply(q, b, out=self.terms)
-        return float(terms.sum() - self.sum_b + sum_ax), (q if keep else None)
-
-    def _tv(self, x: np.ndarray) -> float:
-        # lam * sum(huber(Dx)), with Dx left in trial_dx.
-        _differences(x, self.w, self.trial_dx)
-        values = _huber_values(self.trial_dx, self.delta, self.mag, self.c, self.half)
-        return self.lam * float(values.sum())
-
-    def _evaluate(self, x: np.ndarray, tv: float | None, limit: float = math.inf) -> _Evaluation:
-        # x's exact evaluation, made the latest one unless it is cached.  A
-        # given tv is x's, with its differences in trial_dx.  Nothing cached
-        # changes before the KL term has validated Ax.  Without a tv, a KL
-        # term above limit ends the evaluation: it returns a transient one
-        # whose tv is None, and caches nothing.
-        last = self.last
-        if np.array_equal(last.x, x):
-            return last
-        ax = self.A.forward(x)
-        kl_value, q = self._kl(ax)
-        if tv is None and self.lam > 0.0 and kl_value > limit:
-            partial = _Evaluation(x, None)
-            partial.ax, partial.kl_value, partial.tv, partial.q = ax, kl_value, None, q
-            return partial
-        # Write over the latest evaluation, unless that is the kept one:
-        # then over the spare, made at its first use.  So a solve that never
-        # probes pays neither its memory (1.5 MB at n_side 256) nor a shift
-        # of the scratch buffers, which moves _tv's speed by 15-20 % with
-        # where they land mod 4096.
-        new = last
-        if self.kept is last:
-            new = self._spare or _Evaluation(np.empty(x.size), None if last.dx is None else np.zeros(last.dx.size))
-            self._spare = last
-        if self.lam > 0.0:
-            if tv is None:
+        if self.last is None:
+            self._setup()
+        sum_b, eta = self.sum_b, self.eta
+        tv = None if self.lam > 0.0 else 0.0
+        # Not col_sums @ x: OpenBLAS threads that ddot, and concurrent solves stall.
+        y = float(np.einsum("i,i->", self.col_sums, x))
+        ratio = sum_b / y if y > 0.0 else 0.0  # 0 for y = inf or NaN too
+        if 0.0 < ratio < math.inf:
+            lb = sum_b * math.log(ratio) - sum_b + y
+            if math.isfinite(lb) and lb - limit > eta * (sum_b + y):
+                return lb, "kl"
+            if tv is None and self._base_tv_rejects(lb, sum_b + y, limit):
                 tv = self._tv(x)
-            new.dx, self.trial_dx = self.trial_dx, new.dx
-        np.copyto(new.x, x)
-        new.ax, new.kl_value, new.tv, new.q = ax, kl_value, tv or 0.0, q
-        self.last = new
-        return new
-
-    def _exact(self, x: np.ndarray, limit: float, search: _Curve | None, tau: float) -> tuple[float, str]:
-        evaluation = self._evaluate(x, self.trial_tv, limit)
+                if math.isfinite(lb + tv) and lb + tv - limit > eta * (sum_b + y + tv):
+                    return lb + tv, "kl_tv"
+        else:
+            y = None
+        if search is not None:
+            search.past_screens.append(tau)
+            bound = None if y is None else search.bound(tau, y)
+            if bound is not None:
+                lb, weight = bound
+                if tv is None and self._base_tv_rejects(lb, weight, limit):
+                    tv = self._tv(x)
+                if tv is not None and lb + tv - limit > eta * (weight + tv):
+                    return lb + tv, "curve"
+        evaluation = self._evaluate(x, tv, limit)
         if search is not None and evaluation.q is not None:
             search.record(tau, evaluation.q)
         if evaluation.tv is None:
@@ -710,8 +705,7 @@ def make_phantom(n_side: int) -> np.ndarray:
     background, so the flattened image is a valid interior point and the
     edges exercise the TV term.
     """
-    if n_side < 4:
-        raise ValueError(f"n_side must be at least 4, got {n_side}")
+    check_n_side(n_side)
     half = 0.5 * n_side
     centers = (np.arange(n_side) + 0.5 - half) / half
     yy, xx = np.meshgrid(centers, centers, indexing="ij")

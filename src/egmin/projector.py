@@ -161,10 +161,16 @@ def _write_angles(chords, angles: range, n: int, counts, pixels, lengths) -> int
     return end
 
 
-def check_geometry(n_side: int, undersampling: float) -> None:
-    """Raise ``ValueError`` unless ``n_side >= 4`` and ``undersampling`` is in ``(0, 1]``."""
+def check_n_side(n_side: int) -> None:
+    """Raise ``ValueError`` unless ``n_side >= 4``, the smallest image side
+    that the projector and the phantom take."""
     if n_side < 4:
         raise ValueError(f"n_side must be at least 4, got {n_side}")
+
+
+def check_geometry(n_side: int, undersampling: float) -> None:
+    """Raise ``ValueError`` unless ``n_side >= 4`` and ``undersampling`` is in ``(0, 1]``."""
+    check_n_side(n_side)
     if not 0.0 < undersampling <= 1.0:
         raise ValueError(f"undersampling must be in (0, 1], got {undersampling}")
 
@@ -191,11 +197,11 @@ def build_projector(
     matrix plus the work arrays of one angle (two angles when it is built
     in two halves).
     """
-    if n_side < 4:
-        raise ValueError(f"n_side must be at least 4, got {n_side}")
     if n_angles is None:
         check_geometry(n_side, undersampling)
         n_angles = max(1, round(undersampling * n_side))
+    else:
+        check_n_side(n_side)
     if n_angles < 1:
         raise ValueError(f"n_angles must be positive, got {n_angles}")
 

@@ -68,7 +68,7 @@ class TestSolveCommand:
         assert summary["methods"]["ipemd"]["screened_by"] == {"kl": 0, "kl_tv": 0, "curve": 0}
         assert summary["methods"]["ipemd"]["rejected_by"] == {"kl_term": 0, "value": 0, "unusable": 0}
         for stats in summary["methods"].values():
-            assert stats["probes"] == stats["probes_wasted"] == 0
+            assert stats["probes"] == stats["probes_wasted"] == stats["probes_met"] == 0
 
     def test_byte_identical_reruns(self, tmp_path):
         for name in ("a", "b"):

@@ -36,6 +36,7 @@ from egmin import (
     SolverConfig,
     SparseOperator,
     armijo_backtrack,
+    huber_tv,
     make_objective,
     solve,
 )
@@ -434,12 +435,15 @@ def test_probe_secants_bound_the_larger_trials_within_the_margin(data):
         exact = exact_value(instance, step.point)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            # A limit of -inf: every screen computes its whole bound, tv included.
-            obj.bound_kl(step.point, search, taus[k], -math.inf)
-            obj.bound_kl_tv(step.point, search, taus[k], -math.inf)
-            bound = obj.bound_curve(step.point, search, taus[k], -math.inf)
+            # The curve step of the trial ladder, with the trial's tv
+            # computed: the bound on the KL term from the sum y, plus tv.
+            y = float(np.einsum("i,i->", obj.col_sums, step.point))
+            ratio = obj.sum_b / y if y > 0.0 else 0.0
+            bound = search.bound(taus[k], y) if 0.0 < ratio < math.inf else None
+            tv = huber_tv(step.point, instance.lam, instance.delta, instance.image_shape)[0]
         if bound is not None and exact < math.inf:
-            assert bound[0] - exact <= bound[1]
+            lb, weight = bound
+            assert lb + tv - exact <= obj.eta * (weight + tv)
             checked += 1
         if k == p or data.draw(st.booleans()):  # projected, as when no screen rejects it
             with np.errstate(all="ignore"):

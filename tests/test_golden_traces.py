@@ -148,7 +148,7 @@ def test_summary_counts_add_up(golden_runs):
         assert stats["adjoint_applications"] == reference[name]["adjoint_applications"]
         assert stats["forward_applications"] + stats["screened_trials"] == reference[name]["forward_applications"]
         assert reference[name]["screened_trials"] == 0
-        assert stats["probes"] == stats["probes_wasted"] == 0
+        assert stats["probes"] == stats["probes_wasted"] == stats["probes_met"] == 0
     assert methods["eg"]["screened_trials"] >= 1
     assert methods["ipemd"]["screened_trials"] == 0  # a constant step makes no trial
 
@@ -186,8 +186,8 @@ def _trials_and_counts(run, method):
 def test_every_trial_is_counted_once(golden_runs, counts_runs, method):
     # Each Armijo trial is accepted, screened or rejected (on its KL term,
     # its value, or as unusable).  With no probes the trials a trace records
-    # are exactly those; a wasted probe is one more trial, counted only if
-    # it was rejected.
+    # are exactly those; a wasted probe is one more trial, counted as
+    # screened or rejected unless it met its limit (probes_met).
     for run in golden_runs:
         trials, iterations, stats = _trials_and_counts(run, method)
         assert stats["probes"] == 0
@@ -200,5 +200,5 @@ def test_every_trial_is_counted_once(golden_runs, counts_runs, method):
     for run in counts_runs:
         trials, iterations, stats = _trials_and_counts(run, method)
         counted = stats["screened_trials"] + sum(stats["rejected_by"].values()) + iterations
-        assert trials <= counted <= trials + stats["probes_wasted"]
+        assert trials + stats["probes_wasted"] - stats["probes_met"] == counted
         assert stats["rejected_by"]["kl_term"] == 0  # lam = 0: f is the KL term

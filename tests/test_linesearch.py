@@ -321,6 +321,10 @@ class TestProbeFirst:
             self._same(got, want)
             assert probing.probes == 1
             assert probing.probes_wasted == (want.halvings < index)
+            # Every trial counts once: a wasted probe that met its limit in probes_met.
+            assert probing.probes_met <= probing.probes_wasted
+            rejected = sum(probing.rejected_by.values())
+            assert want.halvings + probing.probes_wasted - probing.probes_met == rejected
             seen.add(int(np.sign(index - want.halvings)))
         assert seen == {-1, 0, 1}
 
@@ -346,7 +350,7 @@ class TestProbeFirst:
                 results.append(armijo_backtrack(obj, np.array([1.0]), np.array([-1.0]), params))
             self._same(results[1], results[0])
             assert results[0].status is StepStatus.HIT_TAU_MIN and results[0].halvings == 11
-            assert obj.probes == 1 and obj.probes_wasted == 0
+            assert obj.probes == 1 and obj.probes_wasted == obj.probes_met == 0
 
     def test_all_trials_clamped(self):
         for index in (1, 30, 60):

@@ -468,8 +468,9 @@ class TestProjector:
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     def test_rejects_small_images(self):
-        with pytest.raises(ValueError):
-            build_projector(3)
+        for n_angles in (None, 2):  # angles from the undersampling, and given
+            with pytest.raises(ValueError, match="^n_side must be at least 4, got 3$"):
+                build_projector(3, n_angles=n_angles)
 
     @pytest.mark.parametrize("undersampling", [0.0, 1.5])
     def test_rejects_undersampling_outside_unit_interval(self, undersampling):
@@ -553,7 +554,7 @@ class TestPhantomAndData:
         assert img.max() <= 1.0
 
     def test_rejects_small(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n_side must be at least 4, got 3$"):
             make_phantom(3)
 
     def test_noiseless_data_is_exact_projection(self):
