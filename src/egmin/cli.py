@@ -14,11 +14,13 @@ into the summary.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import sys
 import time
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 import click
@@ -92,8 +94,8 @@ class RunSpec:
 
 def load_config(path) -> dict[str, str]:
     """Parse a flat ``key=value`` file into raw strings, keyed by ``RunSpec``
-    field; '#' starts a comment line."""
-    values = {}
+    field; '#' starts a comment line, and a key may be set only once."""
+    values, lines = {}, {}
     known = {f.name for f in dataclasses.fields(RunSpec)}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
@@ -105,7 +107,9 @@ def load_config(path) -> dict[str, str]:
         key = key.strip()
         if key not in known:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = raw.strip()
+        if key in lines:
+            raise ValueError(f"{path}:{lineno}: key {key!r} is already set on line {lines[key]}")
+        values[key], lines[key] = raw.strip(), lineno
     return values
 
 
@@ -135,21 +139,14 @@ def _write_relative_values(path, traces: dict[str, RunTrace], f0: float, f_best:
     when their method terminated.
     """
     span = f0 - f_best
-    names = list(traces)
-    depth = max(len(trace.records) for trace in traces.values())
+    columns = [
+        [format((rec.f - f_best) / span if span > 0 else 0.0, ".17e") for rec in trace.records]
+        for trace in traces.values()
+    ]
     with open(path, "w", newline="") as f:
-        header = [f"{name}:{RELATIVE_VALUE_DEFINITION.replace(' ', '')}" for name in names]
-        f.write(",".join(["k"] + header) + "\r\n")
-        for k in range(depth):
-            cells = [str(k)]
-            for name in names:
-                recs = traces[name].records
-                if k < len(recs):
-                    rel = (recs[k].f - f_best) / span if span > 0 else 0.0
-                    cells.append(format(rel, ".17e"))
-                else:
-                    cells.append("")
-            f.write(",".join(cells) + "\r\n")
+        writer = csv.writer(f)
+        writer.writerow(["k"] + [f"{name}:{RELATIVE_VALUE_DEFINITION.replace(' ', '')}" for name in traces])
+        writer.writerows([k, *cells] for k, cells in enumerate(zip_longest(*columns, fillvalue="")))
 
 
 def cmd_solve(spec: RunSpec) -> int:

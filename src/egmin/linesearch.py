@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -60,7 +61,13 @@ from .objective import Objective
 class ArmijoParams:
     """Backtracking constants: sufficient-decrease slope ``sigma``,
     halving factor ``beta``, initial trial ``tau_bar``, failure floor
-    ``tau_min``, and a hard cap on halvings."""
+    ``tau_min``, and a hard cap on halvings.
+
+    They fix one list of trial steps, ``tau_bar * beta**k`` for ``k = 0,
+    1, ...`` while ``k <= max_halvings`` and the step is at least
+    ``tau_min``, each formed from the one before by one multiplication
+    (see :func:`_trial_steps`).
+    """
 
     sigma: float = 1e-4
     beta: float = 0.5
@@ -163,9 +170,11 @@ def armijo_backtrack(
     unchanged in value.
     ``value``/``grad`` may be passed to reuse an evaluation at ``x``.
 
-    Returns ``HIT_TAU_MIN`` when the trial step fell below ``tau_min``
-    (or the halving cap) without acceptance, and ``CLAMPED`` when every
-    trial point was unusable.  Given a probe by its context, the search
+    The search tries the steps of :func:`_trial_steps` in order and
+    accepts the first that passes.  When none does, it returns the next
+    step, ``steps[-1] * beta``, after ``len(steps)`` halvings, with the
+    status ``CLAMPED`` when every trial point was unusable, else
+    ``HIT_TAU_MIN``.  Given a probe by its context, the search
     runs in the probe-first order of the module docstring and returns the
     same result; it counts in ``obj.probes``, ``obj.probes_wasted`` and
     ``obj.probes_met``, so that every trial it makes counts once: accepted,
@@ -196,13 +205,13 @@ def armijo_backtrack(
         f_trial = obj.value(point, limit, search, tau)
         return (point, f_trial) if f_trial <= limit else None
 
-    at = _index(params, search.probe) if search is not None and search.probe else None
-    if at is not None:
+    steps = _trial_steps(params)
+    at = None
+    if search is not None and search.probe in steps[1:]:
+        at = steps.index(search.probe, 1)
         obj.probes += 1
         at_probe = passed(search.probe)
-    tau = params.tau_bar
-    halvings = 0
-    while halvings <= params.max_halvings and tau >= params.tau_min:
+    for halvings, tau in enumerate(steps):
         found = at_probe if halvings == at else passed(tau)
         if found:
             if at is not None and halvings < at:
@@ -210,22 +219,21 @@ def armijo_backtrack(
                 if at_probe:
                     obj.probes_met += 1
             return StepResult(tau, halvings, *found, StepStatus.ACCEPTED)
-        tau *= params.beta
-        halvings += 1
     status = StepStatus.HIT_TAU_MIN if saw_usable_trial else StepStatus.CLAMPED
-    return StepResult(tau, halvings, np.asarray(x, dtype=float), float(value), status)
+    return StepResult(steps[-1] * params.beta, len(steps), np.asarray(x, dtype=float), float(value), status)
 
 
-def _index(params: ArmijoParams, step: float) -> int | None:
-    """The halvings of the trial step below ``tau_bar`` equal to ``step``,
-    formed as the search forms its steps; ``None`` if no such step is."""
-    tau, halvings = params.tau_bar * params.beta, 1
-    while halvings <= params.max_halvings and tau >= params.tau_min:
-        if tau == step:
-            return halvings
+@lru_cache
+def _trial_steps(params: ArmijoParams) -> tuple[float, ...]:
+    """The trial steps of a search with ``params``, largest first:
+    ``tau_bar``, then each step times ``beta``, while the step is at least
+    ``tau_min`` and at most ``max_halvings`` halvings were made.  Formed
+    once per (frozen, so hashable) ``params``."""
+    steps, tau = [], params.tau_bar
+    while len(steps) <= params.max_halvings and tau >= params.tau_min:
+        steps.append(tau)
         tau *= params.beta
-        halvings += 1
-    return None
+    return tuple(steps)
 
 
 def exact_residual(x: np.ndarray, obj: Objective, tau: float) -> float:

@@ -128,18 +128,14 @@ def _huber_values(a, delta: float, out=None, c=None, half=None):
     ``a * a / 2`` bit for bit (below ``2**-1021`` both round to +0).  The
     derivative, ``clip(a, -delta, delta)``, needs no such argument.  Past
     ``delta * |a| ~ 1.8e308`` the value overflows to ``inf``; that is
-    expected, so it raises no warning.  Only ``delta > 1`` can overflow
-    a finite product, so only then is the guard set.
+    expected, so it raises no warning.
     """
     mag = np.abs(a, out=out)
     c = np.minimum(mag, delta, out=c)
     half = np.multiply(c, 0.5, out=half)
     mag -= half
-    if delta <= 1.0:  # c <= 1, so |value| <= |a|; an infinite |a| raises no flag
+    with np.errstate(over="ignore"):
         mag *= c
-    else:
-        with np.errstate(over="ignore"):
-            mag *= c
     return mag
 
 
@@ -484,13 +480,17 @@ class InstanceObjective(Objective):
         base = self.base_tv
         return base is None or lb + base - limit > self.eta * (weight + base)
 
-    def _kl(self, ax: np.ndarray) -> tuple[float, np.ndarray | None]:
+    def _kl(self, ax: np.ndarray, limit: float) -> tuple[float, np.ndarray | None]:
         # Same terms, in the same order, as divergence.kl(b, ax); also
-        # log(b / ax), kept when the curve screen can use it.
+        # log(b / ax), kept when the curve screen can use it.  A zero row
+        # (a product that underflowed) makes the KL term inf: above a
+        # finite limit, that rejects the trial; else it raises.
         b = self.b
         sum_ax = ax.sum()
         ax_min = ax.min()
         if not (ax_min > 0.0 and np.isfinite(sum_ax)):
+            if ax_min == 0.0 and limit < math.inf:
+                return math.inf, None
             as_point(ax)  # raises as kl does, unless only the sum overflowed
         floor = self.curve_floor
         keep = floor is not None and floor <= ax_min and sum_ax <= self.curve_ceiling
@@ -509,16 +509,17 @@ class InstanceObjective(Objective):
         # x's exact evaluation, made the latest one unless it is cached.  A
         # given tv is x's, with its differences in trial_dx (0.0 for lam =
         # 0).  Nothing cached changes before the KL term has validated Ax.
-        # Without a tv, a KL term above limit ends the evaluation: it
-        # returns a transient one whose tv is None, and caches nothing.
+        # A KL term above limit ends the evaluation when there is no tv, or
+        # when it is inf: it returns a transient one, with the given tv,
+        # and caches nothing.
         last = self.last
         if np.array_equal(last.x, x):
             return last
         ax = self.A.forward(x)
-        kl_value, q = self._kl(ax)
-        if tv is None and kl_value > limit:
+        kl_value, q = self._kl(ax, limit)
+        if kl_value > limit and (tv is None or kl_value == math.inf):
             partial = _Evaluation(x, None)
-            partial.ax, partial.kl_value, partial.tv, partial.q = ax, kl_value, None, q
+            partial.ax, partial.kl_value, partial.tv, partial.q = ax, kl_value, tv, q
             return partial
         # Write over the latest evaluation, unless that is the kept one:
         # then over the spare, made at its first use.  So a solve that never
@@ -585,9 +586,11 @@ class InstanceObjective(Objective):
 
         ``eta`` holds both with room to spare, and adding ``tv`` takes
         ``2 u tv`` more.  Without a ``y`` in ``(0, inf)`` no bound is made.
-        A point whose computed ``Ax`` has a zero entry has ``f = inf``: the
-        exact path raises ``ValueError`` for it, a bound may reject it
-        first.
+        A point whose computed ``Ax`` has a zero entry has ``f = inf``: a
+        bound may reject it first, else the exact path answers ``inf``,
+        caches nothing and counts it under ``kl_term`` when ``lam > 0`` and
+        no ``tv`` was computed, else under ``value``; ``value_and_grad``,
+        and ``value`` with an infinite ``limit``, raise ``ValueError`` there.
 
         The curve's bound: each row of the exact path's computed ``Ax``, as
         a ratio ``r = Ax / b``, must lie in ``[r_lo, r_hi]``:

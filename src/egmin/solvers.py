@@ -170,14 +170,15 @@ class RunTrace:
         if not isinstance(self.records, TraceRecords):
             self.records = TraceRecords(self.records)
 
-    def to_csv(self, path_or_file, include_wall: bool = False) -> None:
+    def to_csv(self, path_or_file) -> None:
         """Serialize records as RFC-4180 CSV with full-precision floats.
 
-        Wall-clock times vary between otherwise identical runs, so the
-        column is omitted unless ``include_wall`` is set; all remaining
-        columns are bit-reproducible for a fixed config and seed.
+        A trace file holds no wall-clock column: wall-clock times vary
+        between otherwise identical runs, and go only into a run's
+        ``summary.json``.  Every column it holds is bit-reproducible for a
+        fixed config and seed.
         """
-        fields = TRACE_FIELDS if include_wall else TRACE_FIELDS[:-1]
+        fields = TRACE_FIELDS[:-1]  # all but wall_nanos
         own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
         f = open(path_or_file, "w", newline="") if own else path_or_file
         try:

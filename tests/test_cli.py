@@ -175,7 +175,8 @@ class TestSolveCommand:
     @pytest.mark.parametrize("flag, key, value, message", BAD_VALUES)
     def test_bad_value_in_a_config_file_is_a_usage_error(self, tmp_path, flag, key, value, message):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"n_side = 8\n{key} = {value}\n")
+        # A key is set once: a bad n_side replaces the 8.
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in {"n_side": 8, key: value}.items()))
         outdir = tmp_path / "run"
         result = CliRunner().invoke(main, ["solve", "--config", str(cfg), "--output-dir", str(outdir)])
         assert result.exit_code == 2, result.output
@@ -227,6 +228,17 @@ class TestConfigResolution:
         cfg.write_text("n_side 8\n")
         with pytest.raises(ValueError):
             load_config(cfg)
+
+    def test_repeated_key_is_a_usage_error_naming_both_lines(self, tmp_path):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("lam = 0\nn_side = 8\n# the second value would win\nlam = 0.5\n")
+        with pytest.raises(ValueError, match=r"twice\.cfg:4: key 'lam' is already set on line 1"):
+            load_config(cfg)
+        outdir = tmp_path / "run"
+        result = CliRunner().invoke(main, ["solve", "--config", str(cfg), "--output-dir", str(outdir)])
+        assert result.exit_code == 2, result.output
+        assert "already set on line 1" in result.output
+        assert not outdir.exists()
 
 
 class TestVerifyCommand:

@@ -184,3 +184,42 @@ def test_solve_ends_in_a_defined_status(data):
     assert len(trace.records) >= 1
     point = trace.final_point
     assert point.shape == x0.shape and point.min() > 0.0 and math.isfinite(point.max())
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.01])
+def test_a_trial_whose_product_has_a_zero_row_is_rejected(lam):
+    # 0.4 * 5e-324 rounds to 0: the trial at tau_bar, about [5e-324, 1], is
+    # positive, finite and unflagged, but its computed Ax has a zero row, so
+    # f = inf there.
+    instance = ProblemInstance(
+        A=SparseOperator(np.array([[0.4, 0.0], [0.0, 1.0]])), b=np.array([1e-310, 1.0]),
+        lam=lam, delta=0.01, image_shape=(1, 2),
+    )
+    x, direction = np.array([1e-300, 1.0]), np.array([math.log(5e-24) * 1e-300, 0.0])
+    point = exp_map(x, direction, 1.0).point
+    assert 0.0 < point[0] and instance.A.forward(point)[0] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        obj = make_objective(instance)
+        value, grad = obj.value_and_grad(x)
+        step = armijo_backtrack(obj, x, direction, ArmijoParams(), value, grad)
+        if lam > 0.0:
+            # The search's base point predicts that no screen needs the
+            # trial's Huber-TV value, so it is rejected on its KL term.
+            assert step.status is StepStatus.ACCEPTED and step.halvings == 1
+            assert obj.rejected_by == {"kl_term": 1, "value": 0, "unusable": 0}
+        else:
+            # The KL term is f; no smaller step decreases f enough either.
+            assert step.status is StepStatus.HIT_TAU_MIN
+            assert obj.rejected_by == {"kl_term": 0, "value": step.halvings, "unusable": 0}
+        # A bare trial computes the Huber-TV value first, and counts as value;
+        # it is not cached, so a second one projects again.
+        fresh, before = make_objective(instance), instance.A.application_count()
+        for count in (1, 2):
+            assert fresh.value(point, 1.0) == math.inf
+            assert fresh.rejected_by == {"kl_term": 0, "value": count, "unusable": 0}
+            assert instance.A.application_count() - before == count
+        with pytest.raises(ValueError, match="strictly positive"):
+            fresh.value_and_grad(point)
+        with pytest.raises(ValueError, match="non-finite"):
+            fresh.value(np.array([np.nan, 1.0]), 1.0)

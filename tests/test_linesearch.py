@@ -20,6 +20,7 @@ from egmin import (
     metric_inner,
     riemannian_grad,
 )
+from egmin.linesearch import _trial_steps
 
 POI = GeometryKind.POISSON_FISHER_RAO
 IP = GeometryKind.INTERIOR_POINT
@@ -293,6 +294,12 @@ def _steps(params, count):
     return steps
 
 
+def _failed_tau(params, result):
+    # The step a failed search records: tau_bar halved `halvings` times,
+    # by repeated multiplication.
+    return _steps(params, result.halvings + 1)[-1]
+
+
 class TestProbeFirst:
     """A search that tries the offered probe first returns the result of
     the search from ``tau_bar``, bit for bit, and counts the probe."""
@@ -351,6 +358,8 @@ class TestProbeFirst:
             self._same(results[1], results[0])
             assert results[0].status is StepStatus.HIT_TAU_MIN and results[0].halvings == 11
             assert obj.probes == 1 and obj.probes_wasted == obj.probes_met == 0
+            for result in results:
+                assert result.tau == _failed_tau(params, result) == 2.0**-11
 
     def test_all_trials_clamped(self):
         for index in (1, 30, 60):
@@ -361,7 +370,16 @@ class TestProbeFirst:
                     obj = _offering(obj, _steps(ArmijoParams(), index + 1)[index])
                 results.append(armijo_backtrack(obj, np.array([1.0]), np.array([1e308]), ArmijoParams()))
             self._same(results[1], results[0])
-            assert results[0].status is StepStatus.CLAMPED
+            assert results[0].status is StepStatus.CLAMPED and results[0].halvings == 34
+            for result in results:
+                assert result.tau == _failed_tau(ArmijoParams(), result) == 2.0**-34
+
+    def test_trial_steps_are_formed_once_by_repeated_multiplication(self):
+        for params, count in ((ArmijoParams(), 34), (ArmijoParams(max_halvings=10), 11),
+                              (ArmijoParams(tau_bar=3.0, beta=0.3, tau_min=1e-3), 7)):
+            steps = _trial_steps(params)
+            assert list(steps) == _steps(params, count)
+            assert _trial_steps(ArmijoParams(**vars(params))) is steps
 
     def test_unusable_probe(self):
         # The exponent overflows down to tau = 2**-4 (|w tau| = 1000 tau > 700 above

@@ -47,9 +47,9 @@ STEEPEST = {POI: Method.EG, IP: Method.IP_G_RGD}
 EPS = np.finfo(float).eps
 
 
-def reference_csv(records, include_wall) -> str:
+def reference_csv(records) -> str:
     """``RunTrace.to_csv`` as written for a list of record objects."""
-    fields = TRACE_FIELDS if include_wall else TRACE_FIELDS[:-1]
+    fields = TRACE_FIELDS[:-1]
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(fields)
@@ -557,17 +557,6 @@ class TestTraceSerialization:
             assert back.matvec_count == orig.matvec_count
             assert back.wall_nanos == 0
 
-    def test_csv_wall_column_optional(self, tmp_path):
-        trace = self.build_trace()
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path, include_wall=True)
-        header = path.read_text().splitlines()[0]
-        assert header.split(",") == [
-            "k", "f", "riem_grad_norm", "tau", "halvings", "matvec_count", "wall_nanos",
-        ]
-        parsed = read_trace_csv(path)
-        assert parsed[-1].wall_nanos > 0
-
     def test_csv_columns_read_by_name(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text(
@@ -580,6 +569,14 @@ class TestTraceSerialization:
             IterationRecord(k=1, f=1.25, riem_grad_norm=0.25, tau=0.5, halvings=1, matvec_count=9, wall_nanos=0),
         ]
         assert all(type(rec.halvings) is int and type(rec.tau) is float for rec in read_trace_csv(path))
+        # A trace file holds no wall-clock column, but one that does is read by name.
+        path.write_text(
+            "k,wall_nanos,f,riem_grad_norm,tau,halvings,matvec_count\r\n"
+            "0,120,2.50000000000000000e+00,5.00000000000000000e-01,1.00000000000000000e+00,0,4\r\n"
+        )
+        assert read_trace_csv(path) == [
+            IterationRecord(k=0, f=2.5, riem_grad_norm=0.5, tau=1.0, halvings=0, matvec_count=4, wall_nanos=120),
+        ]
 
     def test_records_are_columns_read_as_records(self, tmp_path):
         trace = self.build_trace()
@@ -597,11 +594,13 @@ class TestTraceSerialization:
         # A RunTrace built from a plain list stores and writes the same.
         rebuilt = RunTrace(records=records, terminal_status=trace.terminal_status, final_point=trace.final_point)
         assert rebuilt.records == trace.records
-        for include_wall in (False, True):
-            got, again = io.StringIO(), io.StringIO()
-            trace.to_csv(got, include_wall=include_wall)
-            rebuilt.to_csv(again, include_wall=include_wall)
-            assert got.getvalue() == again.getvalue() == reference_csv(records, include_wall)
+        got, again = io.StringIO(), io.StringIO()
+        trace.to_csv(got)
+        rebuilt.to_csv(again)
+        assert got.getvalue() == again.getvalue() == reference_csv(records)
+        assert got.getvalue().splitlines()[0].split(",") == [
+            "k", "f", "riem_grad_norm", "tau", "halvings", "matvec_count",
+        ]
 
     def test_summary_dict(self):
         trace = self.build_trace()
