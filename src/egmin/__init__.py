@@ -62,7 +62,6 @@ from .solvers import (
     Method,
     RunTrace,
     SolverConfig,
-    StepInfeasible,
     TerminalStatus,
     check_termination,
     default_x0,

@@ -16,16 +16,15 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-# Largest safe argument to exp in float64; anything beyond is clamped and
-# the step is flagged so that a line search can reject it.
+# Largest safe argument to exp in float64: a step with an exponent beyond
+# it is unusable, so that a line search rejects it.
 EXP_ARG_MAX = 700.0
 
-# Saturation ceiling for coordinates whose product x * exp(z) still
-# overflows after the exponent clamp.
+# Largest coordinate of a usable step.
 POINT_CEILING = 1e300
 
 
@@ -94,48 +93,31 @@ def riemannian_grad(kind: GeometryKind, x, euclid_grad) -> np.ndarray:
     return x * x * g
 
 
-class ExpMapResult:
-    """Outcome of a geodesic step, with per-coordinate failure flags.
+class ExpMapResult(NamedTuple):
+    """Outcome of a geodesic step: the point, and whether it is usable.
 
-    ``clamped`` marks coordinates whose exponent hit the overflow clamp
-    (or whose value saturated at the ceiling); ``underflow`` marks
-    coordinates that rounded to exactly zero and therefore left the
-    manifold.  Any flagged coordinate makes the step unusable as an
-    accepted iterate.  A step built without flag arrays has no flagged
-    coordinate; its flags are all-false arrays, made on access.
+    A step is usable when every exponent ``|z| <= EXP_ARG_MAX`` and the
+    point lies in ``(0, POINT_CEILING]``; an unusable step left the
+    representable orthant (it overflowed, or a coordinate rounded to
+    zero), and its point is unspecified.
     """
 
-    __slots__ = ("point", "_clamped", "_underflow")
-
-    def __init__(self, point: np.ndarray, clamped: np.ndarray | None = None,
-                 underflow: np.ndarray | None = None):
-        self.point = point
-        self._clamped = clamped
-        self._underflow = underflow
-
-    @property
-    def clamped(self) -> np.ndarray:
-        if self._clamped is None:
-            return np.zeros(np.shape(self.point), dtype=bool)
-        return self._clamped
-
-    @property
-    def underflow(self) -> np.ndarray:
-        if self._underflow is None:
-            return np.zeros(np.shape(self.point), dtype=bool)
-        return self._underflow
-
-    @property
-    def ok(self) -> bool:
-        return not any(flags is not None and flags.any() for flags in (self._clamped, self._underflow))
+    point: np.ndarray
+    ok: bool
 
 
-# A prepared step needs no flag when max(x) * e**max(z) is at most
-# _CEILING_PROVEN and min(x) * e**min(z) at least _FLOOR_PROVEN.  The
-# ceiling's slack, 2**-40 relative, covers numpy's and libm's exp (each
-# within 2**-43, about a thousand ulps) and two product roundings; the
-# floor, the smallest normal float, is 2**52 above the products that
-# round to zero.
+def _same_shape(x, y) -> tuple[np.ndarray, np.ndarray]:
+    x, y = np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(y, dtype=float))
+    if x.shape != y.shape:
+        raise ValueError(f"dimension mismatch: x {x.shape}, direction {y.shape}")
+    return x, y
+
+
+# A step is proven usable when max(x) * e**max(z) is at most _CEILING_PROVEN
+# and min(x) * e**min(z) at least _FLOOR_PROVEN.  The ceiling's slack,
+# 2**-40 relative, covers numpy's and libm's exp (each within 2**-43, about
+# a thousand ulps) and two product roundings; the floor, the smallest
+# normal float, is 2**52 above the products that round to zero.
 _CEILING_PROVEN = POINT_CEILING * (1.0 - 2.0**-40)
 _FLOOR_PROVEN = 2.0**-1022
 
@@ -148,95 +130,69 @@ class Geodesic:
     Rounding is monotone, so ``tau`` times the extremes of ``w`` are the
     extremes of ``z = w * tau`` bit for bit.  A step tests
     ``|z| <= EXP_ARG_MAX`` on them and, in Python floats (an overflow is
-    ``inf`` and raises nothing), proves every coordinate positive and at
-    most ``POINT_CEILING`` from ``max(x) e**max(z)`` and
-    ``min(x) e**min(z)``; it then forms ``x * exp(z)`` with no reduction,
-    no flag array and no ``np.errstate``.  Otherwise it checks the point
-    itself: with every ``|z| <= EXP_ARG_MAX`` and the point at most
-    ``POINT_CEILING``, nothing is clamped and only zeros are flagged, as
-    underflow.  Anything else is flagged as :func:`multiplicative_update`
-    says.  The result is the same bit for bit on every path.
+    ``inf`` and raises nothing), proves the point usable from
+    ``max(x) e**max(z)`` and ``min(x) e**min(z)``; it then forms
+    ``x * exp(z)`` with no reduction and no ``np.errstate``.  Otherwise it
+    forms the point under ``np.errstate``, with the exponent clipped to
+    ``[-EXP_ARG_MAX, EXP_ARG_MAX]`` when it is out of that range, and
+    checks the point's own extremes.  A usable point is the same bit for
+    bit on either path.
     """
 
     __slots__ = ("x", "w", "_extremes")
 
     def __init__(self, x, w):
-        x = np.asarray(x, dtype=float)
-        w = np.asarray(w, dtype=float)
-        self.x, self.w, self._extremes = x, w, None
-        if x.ndim == 1 and w.shape == x.shape and x.size:
-            self._extremes = (float(w.max()), float(w.min()), float(x.max()), float(x.min()))
+        self.x, self.w = x, w = _same_shape(x, w)
+        self._extremes = (float(w.max()), float(w.min()), float(x.max()), float(x.min())) if x.size else None
 
     @classmethod
     def along(cls, x, v) -> "Geodesic":
-        x = np.asarray(x, dtype=float)
-        return cls(x, np.asarray(v, dtype=float) / x)
+        x, v = _same_shape(x, v)
+        return cls(x, v / x)
 
     def step(self, tau: float) -> ExpMapResult:
-        """``x * exp(w * tau)`` with the overflow policy of
-        :func:`multiplicative_update`."""
-        x, w = self.x, self.w
-        if self._extremes is not None:
-            tau = float(tau)
-            w_max, w_min, x_max, x_min = self._extremes
-            a, b = tau * w_max, tau * w_min  # NaN fails the test below
-            if -EXP_ARG_MAX <= a <= EXP_ARG_MAX and -EXP_ARG_MAX <= b <= EXP_ARG_MAX:
-                z_max, z_min = (a, b) if a >= b else (b, a)
-                point = np.multiply(w, tau)
-                np.exp(point, out=point)
-                if (x_max * math.exp(z_max) <= _CEILING_PROVEN
-                        and x_min * math.exp(z_min) >= _FLOOR_PROVEN):
-                    point *= x
-                    return ExpMapResult(point)
-                with np.errstate(over="ignore"):
-                    point *= x
-                if point.max() <= POINT_CEILING:
-                    # Nothing was clamped, so only an underflow can need a flag.
-                    if point.min() > 0.0:
-                        return ExpMapResult(point)
-                    return ExpMapResult(point, underflow=point == 0.0)
-        with np.errstate(over="ignore"):  # an infinite exponent is clamped and flagged
-            z = w * tau
-        return _flagged_update(x, z)
-
-
-def _flagged_update(x: np.ndarray, z: np.ndarray) -> ExpMapResult:
-    if x.shape != z.shape:
-        raise ValueError(f"dimension mismatch: x {x.shape}, exponent {z.shape}")
-    clamped = np.abs(z) > EXP_ARG_MAX
-    with np.errstate(over="ignore"):
-        point = x * np.exp(np.clip(z, -EXP_ARG_MAX, EXP_ARG_MAX))
-    over = ~np.isfinite(point) | (point > POINT_CEILING)
-    if over.any():
-        point = np.where(over, POINT_CEILING, point)
-        clamped = clamped | over
-    underflow = point == 0.0
-    return ExpMapResult(point=point, clamped=clamped, underflow=underflow)
+        """``x * exp(w * tau)``, and whether it is usable (see :class:`ExpMapResult`)."""
+        if self._extremes is None:  # an empty point: nothing can leave the orthant
+            return ExpMapResult(self.x.copy(), True)
+        tau = float(tau)
+        w_max, w_min, x_max, x_min = self._extremes
+        a, b = tau * w_max, tau * w_min
+        z_max, z_min = (a, b) if a >= b else (b, a)  # a NaN fails every test below
+        in_range = -EXP_ARG_MAX <= z_min and z_max <= EXP_ARG_MAX
+        if (in_range and x_max * math.exp(z_max) <= _CEILING_PROVEN
+                and x_min * math.exp(z_min) >= _FLOOR_PROVEN):
+            point = np.multiply(self.w, tau)
+            np.exp(point, out=point)
+            point *= self.x
+            return ExpMapResult(point, True)
+        with np.errstate(over="ignore"):
+            z = self.w * tau if in_range else np.clip(self.w * tau, -EXP_ARG_MAX, EXP_ARG_MAX)
+            point = np.exp(z, out=z)
+            point *= self.x
+        return ExpMapResult(point, bool(in_range and point.max() <= POINT_CEILING and point.min() > 0.0))
 
 
 def multiplicative_update(x, exponent) -> ExpMapResult:
-    """Compute ``x * exp(exponent)`` elementwise with overflow policy.
+    """``x * exp(exponent)`` elementwise, and whether it is usable.
 
-    Exponent entries outside ``[-EXP_ARG_MAX, EXP_ARG_MAX]`` are clamped
-    and flagged; coordinates that still overflow are saturated at
-    ``POINT_CEILING`` and flagged; coordinates that underflow to zero are
-    flagged rather than silently projected back onto the manifold.  When
-    nothing needs a flag, the step skips the clamp and builds no flag
-    arrays; the point is the same either way.  This is one step of
-    :class:`Geodesic` ``(x, exponent)`` at ``tau = 1``.
+    The step is unusable when an exponent entry lies outside
+    ``[-EXP_ARG_MAX, EXP_ARG_MAX]``, when a coordinate overflows past
+    ``POINT_CEILING``, or when one underflows to zero: such a point is
+    rejected, never projected back onto the manifold.  This is one step
+    of :class:`Geodesic` ``(x, exponent)`` at ``tau = 1``.
     """
     return Geodesic(x, exponent).step(1.0)
 
 
 def exp_map(x, v, tau: float, geodesic: Geodesic | None = None) -> ExpMapResult:
-    """Geodesic step ``x * exp(tau * v / x)``.
+    """Geodesic step ``x * exp(tau * v / x)``, and whether it is usable.
 
     The same map serves both geometries: the interior-point metric
     geodesics coincide with the Fisher-Rao exponential-family geodesics.
     ``exp_map(x, v, 0)`` returns ``x`` exactly; in exact arithmetic the
     result is strictly positive for every ``tau``.  The exponent is
-    ``(v / x) * tau`` bit for bit, with the overflow policy of
-    :func:`multiplicative_update`.
+    ``(v / x) * tau`` bit for bit, and the step is usable as
+    :func:`multiplicative_update` says.
 
     ``geodesic``, when given, must be ``Geodesic.along(x, v)``: the steps
     of one line search share it, so each forms only its own point (see

@@ -1,12 +1,14 @@
 """Step-size policies along a retraction of the positive orthant.
 
 A retraction moves from ``x`` along a direction by a step ``tau`` and
-reports whether the trial point is usable: an overflowed or underflowed
-exponential map and an infeasible quotient update are not.  It is
-prepared once per search, ``trial = retract(x, d, grad)``, so that what
-all trials along ``d`` share is formed once.  Armijo backtracking (along
-the geodesic unless told otherwise) halves a trial step until the
-sufficient-decrease inequality
+answers ``(point, ok)``: the trial point, and whether it is usable, that
+is, still in the representable orthant.  An overflowed or underflowed
+exponential map is not, nor is an infeasible quotient update; the point
+of an unusable trial is never read.  A retraction is prepared once per
+search, ``trial = retract(x, d, grad)``, so that what all trials along
+``d`` share is formed once.  Armijo backtracking (along the geodesic
+unless told otherwise) halves a trial step until the sufficient-decrease
+inequality
 
     f(x_tau) <= f(x) + sigma * tau * <grad, d>
 
@@ -133,7 +135,8 @@ Retraction = Callable[[np.ndarray, np.ndarray, np.ndarray], Trial]
 
 
 def geodesic_retraction(x, direction, grad) -> Trial:
-    """The exponential map as a retraction; flagged coordinates make it unusable.
+    """The exponential map as a retraction: each trial is the
+    ``(point, ok)`` of one :func:`exp_map` step.
 
     The geodesic's invariants are formed once (see
     :class:`egmin.geometry.Geodesic`), and each trial is one
@@ -144,8 +147,7 @@ def geodesic_retraction(x, direction, grad) -> Trial:
     geodesic = Geodesic.along(x, direction)
 
     def trial(tau: float) -> tuple[np.ndarray, bool]:
-        step = exp_map(x, direction, tau, geodesic)
-        return step.point, step.ok
+        return exp_map(x, direction, tau, geodesic)
 
     trial.geodesic = geodesic
     return trial

@@ -27,7 +27,8 @@ class Objective:
     ``value`` (the exact ``f`` was above the limit), ``kl_term`` (a part of
     ``f`` computed first already was; see
     :class:`egmin.problems.InstanceObjective`) and ``unusable`` (the
-    retraction flagged the trial point, counted by the line search).
+    retraction reported the trial point unusable, counted by the line
+    search).
 
     ``probes`` counts the line searches that tried a step offered by
     their :meth:`search` context before the larger ones, and

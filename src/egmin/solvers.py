@@ -59,17 +59,6 @@ class TerminalStatus(Enum):
     NON_FINITE = "non_finite"
 
 
-class StepInfeasible(RuntimeError):
-    """A mirror-descent denominator is zero, negative or NaN."""
-
-    def __init__(self, coordinate: int, denominator: float):
-        self.coordinate = coordinate
-        self.denominator = denominator
-        super().__init__(
-            f"update denominator {denominator} is not positive at coordinate {coordinate}"
-        )
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Method selection, step policy, and termination.
@@ -225,51 +214,45 @@ def read_trace_csv(path) -> list[IterationRecord]:
 
 
 def step_eg(x, euclid_grad, tau: float) -> ExpMapResult:
-    """Multiplicative gradient step ``x * exp(-tau * g)``.
+    """Multiplicative gradient step ``x * exp(-tau * g)``, and whether it is usable.
 
     Identical to the geodesic step with the Fisher-Rao Riemannian
-    gradient as direction; overflow flags are propagated.
+    gradient as direction, usable as :func:`multiplicative_update` says.
     """
     x = np.asarray(x, dtype=float)
     g = np.asarray(euclid_grad, dtype=float)
     return multiplicative_update(x, -tau * g)
 
 
-def step_ip_e_md(x, euclid_grad, tau: float) -> np.ndarray:
-    """Mirror-descent quotient update ``x / (1 + tau * x * g)``.
+def step_ip_e_md(x, euclid_grad, tau: float) -> tuple[np.ndarray, bool]:
+    """Mirror-descent quotient update ``x / (1 + tau * x * g)``, and whether
+    it is usable.
 
     This is the proximal step generated by the log barrier: it solves
     ``argmin_u tau * <g, u - x> + D(u, x)`` with the barrier-induced
     divergence, coordinate by coordinate.  Denominators must stay
-    positive; a violating coordinate (large negative gradient times step,
-    or a NaN) raises :class:`StepInfeasible`.
+    positive: when one is not (a large negative gradient times step, or a
+    NaN), the update is infeasible and ``(x, False)`` is returned.  A
+    feasible update is usable when no coordinate rounds to zero.
     """
     x = np.asarray(x, dtype=float)
     g = np.asarray(euclid_grad, dtype=float)
     denom = 1.0 + tau * x * g
-    if not np.all(denom > 0.0):
-        bad = int(np.argmin(denom))  # the first NaN, else the smallest
-        raise StepInfeasible(bad, float(denom[bad]))
-    return x / denom
+    if not np.all(denom > 0.0):  # a NaN fails too
+        return x, False
+    point = x / denom
+    return point, bool(point.all())
 
 
 def quotient_retraction(x, direction, grad) -> Trial:
-    """:func:`step_ip_e_md` as a retraction along ``direction = -x**2 * grad``.
+    """:func:`step_ip_e_md` as a retraction along ``direction = -x**2 * grad``:
+    each trial is the ``(point, ok)`` of one update.
 
     It reads ``grad``, not ``direction``, whose quotient would round
-    differently; an infeasible update or a zero coordinate is unusable.
-    Nothing is prepared: each denominator starts with ``tau * x``, so no
-    product the trials could share keeps their rounding.
+    differently.  Nothing is prepared: each denominator starts with
+    ``tau * x``, so no product the trials could share keeps their rounding.
     """
-
-    def trial(tau: float) -> tuple[np.ndarray, bool]:
-        try:
-            point = step_ip_e_md(x, grad, tau)
-        except StepInfeasible:
-            return x, False
-        return point, bool(point.all())
-
-    return trial
+    return lambda tau: step_ip_e_md(x, grad, tau)
 
 
 def relative_lipschitz_step(b) -> float:

@@ -13,8 +13,9 @@ from egmin import (
     riemannian_grad,
     transport_e,
 )
-from egmin.geometry import EXP_ARG_MAX, POINT_CEILING
+from egmin.geometry import EXP_ARG_MAX
 from egmin.verification import geodesic_ode_oracle
+from test_kernels import assert_same_step, reference_update
 
 POI = GeometryKind.POISSON_FISHER_RAO
 IP = GeometryKind.INTERIOR_POINT
@@ -131,9 +132,15 @@ class TestExpMap:
             v = rng.normal(0.0, 2.0, n)
             tau = float(rng.uniform(0.0, 50.0))
             res = exp_map(x, v, tau)
-            assert np.all((res.point > 0.0) | res.underflow)
+            assert_same_step(res, reference_update(x, tau * (v / x)))
             if res.ok:
                 assert np.all(res.point > 0.0)
+
+    def test_scalars_step_as_one_coordinate(self):
+        point, ok = exp_map(2.0, -1.0, np.log(2.0))
+        np.testing.assert_allclose(point, [2.0 * 2.0**-0.5], rtol=1e-15)
+        assert ok and point.shape == (1,)
+        assert multiplicative_update(1.0, 800.0).ok is False
 
     def test_negative_tau_reverses(self):
         x = np.array([1.0, 2.0])
@@ -142,18 +149,25 @@ class TestExpMap:
         np.testing.assert_allclose(exp_map(fwd, v * fwd / x, -0.7).point, x, rtol=1e-12)
 
     def test_clamp_flag(self):
-        res = multiplicative_update(np.array([1e-10]), np.array([800.0]))
-        assert res.clamped.all() and not res.ok
+        # An exponent past EXP_ARG_MAX is clipped before exp: unusable, but finite.
+        x, z = np.array([1e-10]), np.array([800.0])
+        res = multiplicative_update(x, z)
+        assert_same_step(res, reference_update(x, z))
+        assert not res.ok
         np.testing.assert_allclose(res.point, [1e-10 * np.exp(EXP_ARG_MAX)])
 
     def test_ceiling_saturation(self):
-        res = multiplicative_update(np.array([1e10]), np.array([700.0]))
-        assert res.clamped.all()
-        assert res.point[0] == POINT_CEILING
+        # In range, but the product overflows past POINT_CEILING: unusable.
+        x, z = np.array([1e10]), np.array([700.0])
+        res = multiplicative_update(x, z)
+        assert_same_step(res, reference_update(x, z))
+        assert not res.ok
 
     def test_underflow_flag(self):
-        res = multiplicative_update(np.array([1e-300]), np.array([-200.0]))
-        assert res.underflow.all() and not res.ok
+        x, z = np.array([1e-300]), np.array([-200.0])
+        res = multiplicative_update(x, z)
+        assert_same_step(res, reference_update(x, z))
+        assert not res.ok
         assert res.point[0] == 0.0
 
 

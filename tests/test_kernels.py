@@ -2,8 +2,10 @@
 
 The references below are the two-branch Huber value and derivative and the
 clamp-and-flag multiplicative update, written as plainly as possible.  The
-kernels must match them bit for bit, NaN positions included, on random
-floats of every magnitude and on the edge values where the branches meet.
+Huber kernels must match theirs bit for bit, NaN positions included, on
+random floats of every magnitude and on the edge values where the branches
+meet.  An exp-map step must be usable exactly when the reference flags no
+coordinate, and then its point must match the reference's bit for bit.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from egmin import discrete_gradient, discrete_gradient_adjoint, exp_map, huber, multiplicative_update
+from egmin import geometry
 from egmin.geometry import EXP_ARG_MAX, POINT_CEILING, Geodesic
 from egmin.problems import _huber_values
 
@@ -32,6 +35,10 @@ def reference_huber(a, delta):
 
 
 def reference_update(x, z):
+    """``(point, clamped, underflow)``: ``x * exp(z)`` with the exponent
+    clamped to ``[-EXP_ARG_MAX, EXP_ARG_MAX]`` and coordinates past
+    ``POINT_CEILING`` saturated there, with per-coordinate flags for both
+    and for coordinates that rounded to zero."""
     clamped = np.abs(z) > EXP_ARG_MAX
     with np.errstate(over="ignore"):
         point = x * np.exp(np.clip(z, -EXP_ARG_MAX, EXP_ARG_MAX))
@@ -71,11 +78,13 @@ def assert_same_floats(got, want):
 
 
 def assert_same_step(result, want):
+    # A step is (point, ok): usable exactly when the reference flags no
+    # coordinate, and then with the reference's point, bit for bit.
     point, clamped, underflow = want
-    assert result.point.tobytes() == point.tobytes()
-    np.testing.assert_array_equal(result.clamped, clamped)
-    np.testing.assert_array_equal(result.underflow, underflow)
-    assert result.ok == (not (clamped.any() or underflow.any()))
+    got_point, ok = result
+    assert ok is (not (clamped.any() or underflow.any()))
+    if ok:
+        assert got_point.shape == point.shape and got_point.tobytes() == point.tobytes()
 
 
 def huber_edges(delta):
@@ -196,12 +205,16 @@ class TestExpMapKernel:
             one, z = np.ones(1), np.array([z])
             with np.errstate(all="ignore"):
                 assert_same_step(multiplicative_update(one, z), reference_update(one, z))
+        empty = np.empty(0)  # an empty point steps to an empty, usable point
+        want = reference_update(empty, empty)
+        assert_same_step(Geodesic(empty, empty).step(tau), want)
+        assert_same_step(exp_map(empty, empty, tau), want)
 
     @pytest.mark.parametrize(
         "x, z",
         [
             (np.array([POINT_CEILING]), np.array([0.0])),  # at the ceiling: kept
-            (np.array([POINT_CEILING]), np.array([1e-15])),  # just past it: saturated
+            (np.array([POINT_CEILING]), np.array([1e-15])),  # just past it: unusable
             (np.array([1e-300, 1.0]), np.array([-200.0, 0.0])),  # underflow to zero
             (np.array([5e-324, 1.0]), np.array([-1.0, 0.0])),  # subnormal rounds to zero
             (np.array([1e10]), np.array([700.0])),  # product overflows
@@ -241,10 +254,45 @@ class TestExpMapKernel:
     def test_overflow_past_the_fast_path_raises_no_warning(self):
         with np.errstate(all="raise"):
             step = exp_map(np.array([1e10, 1.0]), np.array([7e12, 1.0]), 1.0)
-        assert not step.ok and step.clamped[0]
+        assert not step.ok
 
     def test_dimension_mismatch(self):
+        # The shapes are checked before v / x, which would broadcast (1,)
+        # against (3,) or raise numpy's own error for (3,) against (2,).
         with pytest.raises(ValueError, match="dimension mismatch"):
             multiplicative_update(np.ones(3), np.ones(2))
-        with pytest.raises(ValueError):
-            exp_map(np.ones(1), np.ones(3), 1.0)
+        for x, v in ((np.ones(3), np.ones(2)), (np.ones(1), np.ones(3))):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                exp_map(x, v, 1.0)
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                Geodesic(x, v)
+
+    @pytest.mark.parametrize(
+        "x, w, tau, proven",
+        [
+            ([0.5, 2.0], [1.0, -1.0], 3.0, True),  # well inside both bounds
+            ([1e-300, 1.0], [-1.0, 0.0], 20.0, False),  # in range, subnormal: usable, not proven
+            ([1e-300, 1.0], [-1.0, 0.0], 400.0, False),  # in range, underflows to zero
+            ([1e300, 1.0], [1.0, 0.0], 0.1, False),  # in range, past the ceiling
+            ([1.0, 1.0], [1.0, -1.0], 800.0, False),  # out of range both ways, clipped
+            ([1.0, 1.0], [1e300, 0.0], 1e300, False),  # an infinite exponent
+            ([1.0, 1.0], [1.0, 0.0], np.nan, False),  # a NaN exponent
+        ],
+    )
+    def test_each_path_of_each_entry_point(self, monkeypatch, x, w, tau, proven):
+        # Geodesic.step, a prepared exp_map and multiplicative_update agree
+        # with the reference on the proven path, on the checked path in
+        # range, and out of range; only the checked path takes np.errstate.
+        x, w = np.array(x), np.array(w)
+        with np.errstate(all="ignore"):
+            z = w * tau
+            want = reference_update(x, z)
+            v = w * x
+            want_along = reference_update(x, tau * (v / x))
+            geodesic = Geodesic.along(x, v)
+        entered, errstate = [], np.errstate
+        monkeypatch.setattr(geometry.np, "errstate", lambda **kw: entered.append(kw) or errstate(**kw))
+        assert_same_step(Geodesic(x, w).step(tau), want)
+        assert_same_step(exp_map(x, v, tau, geodesic), want_along)
+        assert_same_step(multiplicative_update(x, z), want)
+        assert len(entered) == (0 if proven else 3)

@@ -17,7 +17,6 @@ from egmin import (
     Method,
     Objective,
     SolverConfig,
-    StepInfeasible,
     StepStatus,
     TerminalStatus,
     armijo_backtrack,
@@ -99,37 +98,42 @@ class TestSteps:
 
     def test_ip_e_md_zero_gradient(self):
         x = np.array([1.5, 2.0])
-        np.testing.assert_array_equal(step_ip_e_md(x, np.zeros(2), 1.0), x)
+        point, ok = step_ip_e_md(x, np.zeros(2), 1.0)
+        np.testing.assert_array_equal(point, x)
+        assert ok is True
 
     def test_ip_e_md_descends_on_positive_gradient(self):
-        got = step_ip_e_md(np.array([1.0]), np.array([1.0]), 0.5)
-        np.testing.assert_allclose(got, [1.0 / 1.5])
+        point, ok = step_ip_e_md(np.array([1.0]), np.array([1.0]), 0.5)
+        np.testing.assert_allclose(point, [1.0 / 1.5])
+        assert ok is True
 
     def test_ip_e_md_infeasible(self):
-        with pytest.raises(StepInfeasible) as err:
-            step_ip_e_md(np.array([1.0]), np.array([-1.0]), 1.0)
-        assert err.value.coordinate == 0
+        # 1 + tau * x * g is negative at the first coordinate.
+        x = np.array([1.0, 2.0])
+        point, ok = step_ip_e_md(x, np.array([-2.0, 1.0]), 1.0)
+        assert point.tobytes() == x.tobytes() and ok is False
 
     def test_ip_e_md_rejects_a_nan_denominator(self):
-        with pytest.raises(StepInfeasible) as err:
-            step_ip_e_md(np.array([1.0, 2.0]), np.array([np.nan, 1.0]), 0.1)
-        assert err.value.coordinate == 0
+        x = np.array([1.0, 2.0])
+        point, ok = step_ip_e_md(x, np.array([np.nan, 1.0]), 0.1)
+        assert point.tobytes() == x.tobytes() and ok is False
 
     def test_quotient_retraction_reports_an_infeasible_update(self):
+        # A NaN, a negative and a zero denominator: the trial is (x, False).
         x = np.array([1.0, 2.0])
-        for g, tau in (([np.nan, 1.0], 0.1), ([-1.0, 1.0], 1.0)):
-            _, ok = quotient_retraction(x, -x * x * np.array(g), np.array(g))(tau)
-            assert not ok
+        for g, tau in (([np.nan, 1.0], 0.1), ([-2.0, 1.0], 1.0), ([-1.0, 1.0], 1.0)):
+            point, ok = quotient_retraction(x, -x * x * np.array(g), np.array(g))(tau)
+            assert point.tobytes() == x.tobytes() and ok is False
 
     def test_quotient_retraction_reports_a_zero_coordinate(self):
         x = np.array([1.0, 2.0])
         g = np.array([1e308, 1.0])
         with np.errstate(over="ignore"):  # tau * x * g overflows to an infinite denominator
             point, ok = quotient_retraction(x, -x * x * g, g)(10.0)
-        assert point[0] == 0.0 and not ok
+        assert point[0] == 0.0 and ok is False
         point, ok = quotient_retraction(x, -x * x * g, g)(1e-310)
-        assert ok
-        np.testing.assert_array_equal(point, step_ip_e_md(x, g, 1e-310))
+        assert ok is True
+        np.testing.assert_array_equal(point, step_ip_e_md(x, g, 1e-310)[0])
 
     def test_ip_e_md_is_barrier_proximal_step(self):
         # The quotient update minimizes tau*<g, u-x> + D(u, x) for the
@@ -144,7 +148,8 @@ class TestSteps:
 
         grid = np.linspace(1e-3, 5.0, 2_000_001)
         u_star = grid[np.argmin(objective(grid))]
-        got = step_ip_e_md(x, g, tau)
+        got, ok = step_ip_e_md(x, g, tau)
+        assert ok
         np.testing.assert_allclose(got, [u_star], atol=5e-6)
 
     def test_eg_matches_proximal_oracle(self, rng):
