@@ -165,7 +165,8 @@ class Geodesic:
             np.exp(point, out=point)
             point *= self.x
             return ExpMapResult(point, True)
-        with np.errstate(over="ignore"):
+        # A non-finite tau times a zero rate is NaN: unusable, and silent.
+        with np.errstate(over="ignore", invalid="ignore"):
             z = self.w * tau if in_range else np.clip(self.w * tau, -EXP_ARG_MAX, EXP_ARG_MAX)
             point = np.exp(z, out=z)
             point *= self.x

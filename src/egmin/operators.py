@@ -11,9 +11,12 @@ from scipy import sparse
 from scipy.sparse import _sparsetools
 
 # Operators with at least this many stored entries take their products in
-# two row halves.  Below it a product is too short for the hand-off: at
-# 5e5 entries one takes about 0.55 ms and a thread hand-off about 50 us.
-SPLIT_NNZ = 2**20
+# two row halves, and the projector is built in two halves by the same
+# rule.  Below it a product is too short for the hand-off to the helper,
+# which took 16-45 us when the helper was warm and 80-115 us after 1 ms
+# idle: on a 2-CPU VM two threads lost at 2.1e5 entries and won at 5.1e5
+# (README, "Large operators").
+SPLIT_NNZ = 2**18
 
 _helper: ThreadPoolExecutor | None = None
 _helper_lock = threading.Lock()
@@ -86,7 +89,7 @@ class SparseOperator:
     formed once at construction.  Counters are plain instance state and
     not thread-safe.
 
-    An operator with at least ``SPLIT_NNZ = 2**20`` stored entries takes
+    An operator with at least ``SPLIT_NNZ = 2**18`` stored entries takes
     its products in two row halves of its one CSR matrix, split at the
     row ``r = searchsorted(indptr, nnz // 2)`` where half the entries are
     reached.  The caller runs the top half and one helper thread per
@@ -96,9 +99,9 @@ class SparseOperator:
     disjoint rows.  The adjoint is defined as
     ``A_top^T y_top + A_bot^T y_bot``, summed in that order wherever the
     halves ran, so its bits depend on the operator alone, not on the CPU
-    count or on thread timing.  Below the threshold a product takes well
-    under a millisecond, and the hand-off would eat the gain; those
-    operators run one kernel over all rows.  With one usable CPU
+    count or on thread timing.  Below the threshold a product takes
+    a quarter of a millisecond or less, and the hand-off would eat the
+    gain; those operators run one kernel over all rows.  With one usable CPU
     (restrict the process with ``taskset`` to get that) both halves run
     in the calling thread.  The helper never calls :meth:`forward` or
     :meth:`adjoint` itself, so wrappers around those methods only ever

@@ -17,7 +17,7 @@ segment counts; rays that miss the image never become rows.  The chords
 bound the segment count of the whole matrix before any ray is traced, so
 the CSR arrays are allocated once and every angle is written into them.
 
-When that bound reaches ``SPLIT_NNZ = 2**20``, the size at which the
+When that bound reaches ``SPLIT_NNZ = 2**18``, the size at which the
 operator's products split (:mod:`egmin.operators`), the build runs in two
 halves on the same helper thread.  The first half of the angles writes
 from offset 0 and the second from the sum of the first half's bounds;

@@ -258,13 +258,13 @@ def quotient_retraction(x, direction, grad) -> Trial:
 def relative_lipschitz_step(b) -> float:
     """Guaranteed constant step ``1 / (2 * ||b||_1)`` for the quotient update.
 
-    ``b`` must be nonempty, strictly positive and finite, and the step must
-    come out finite and positive.
+    ``b`` must be nonnegative and finite with a positive sum (zero counts
+    are allowed), and the step must come out finite and positive.
     """
     b = np.atleast_1d(np.asarray(b, dtype=float))
     total = float(np.sum(b))
-    if not (b.size and b.min() > 0.0):
-        raise ValueError("b must be nonempty and strictly positive, with no NaN")
+    if not (b.size and b.min() >= 0.0 and total > 0.0):
+        raise ValueError("b must be nonnegative with a positive sum, with no NaN")
     step = 1.0 / (2.0 * total)
     if not 0.0 < step < math.inf:  # an inf in b, or 2 * sum(b) out of range
         raise ValueError(

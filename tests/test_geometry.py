@@ -1,5 +1,7 @@
 """Metric structures, geodesics, transport, and the Hessian correction term."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from egmin import (
     riemannian_grad,
     transport_e,
 )
-from egmin.geometry import EXP_ARG_MAX
+from egmin.geometry import EXP_ARG_MAX, Geodesic
 from egmin.verification import geodesic_ode_oracle
 from test_kernels import assert_same_step, reference_update
 
@@ -162,6 +164,16 @@ class TestExpMap:
         res = multiplicative_update(x, z)
         assert_same_step(res, reference_update(x, z))
         assert not res.ok
+
+    @pytest.mark.parametrize("tau", [np.inf, -np.inf, np.nan])
+    def test_non_finite_tau_is_unusable_and_silent(self, tau):
+        # A zero rate times an infinite tau is NaN: no warning may escape.
+        x, v = np.array([1.0, 1.0]), np.array([1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not Geodesic(x, v).step(tau).ok
+            assert not exp_map(x, v, tau).ok
+            assert not exp_map(x, -v, tau).ok
 
     def test_underflow_flag(self):
         x, z = np.array([1e-300]), np.array([-200.0])

@@ -8,6 +8,7 @@ of the helper thread, or the process it runs in.  An unsplit operator's
 products must be bit for bit ``matrix @ x`` and ``matrix.T @ y``.
 """
 
+import json
 import multiprocessing
 import os
 import subprocess
@@ -43,9 +44,10 @@ def large():
 
 @pytest.fixture(scope="module")
 def small(large):
-    # The large operator's first rows: one kernel per product, no split.
-    matrix, op, _, _ = large
-    part = matrix[: op.split_row // 2]
+    # The large operator's first rows, about half the threshold's entries:
+    # one kernel per product, no split.
+    matrix = large[0]
+    part = matrix[: int(np.searchsorted(matrix.indptr, SPLIT_NNZ // 2))]
     rng = np.random.default_rng(21)
     x, y = rng.uniform(0.5, 1.5, part.shape[1]), rng.uniform(-1.0, 1.0, part.shape[0])
     return part, SparseOperator(part), x, y
@@ -96,15 +98,28 @@ def test_split_adjoint_sums_the_halves_in_order(large):
     assert op.adjoint(list(y)).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("n_side", [64, 128])
+def projector_vectors(op, seed):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.5, 1.5, op.cols), rng.uniform(-1.0, 1.0, op.rows)
+
+
+@pytest.mark.parametrize("n_side", [64])
 def test_unsplit_products_are_the_scipy_products(n_side):
     op = build_projector(n_side)
     assert op.split_row is None
     matrix = op._matrix
-    rng = np.random.default_rng(n_side)
-    x, y = rng.uniform(0.5, 1.5, op.cols), rng.uniform(-1.0, 1.0, op.rows)
+    x, y = projector_vectors(op, n_side)
     assert op.forward(x).tobytes() == (matrix @ x).tobytes()
     assert op.adjoint(y).tobytes() == (matrix.T @ y).tobytes()
+
+
+def test_n_side_128_products_are_the_split_products():
+    op = build_projector(128)
+    assert op.split_row is not None and op.describe()["split_products"]
+    matrix = op._matrix
+    x, y = projector_vectors(op, 128)
+    assert op.forward(x).tobytes() == (matrix @ x).tobytes()
+    assert op.adjoint(y).tobytes() == reference_adjoint(matrix, op.split_row, y).tobytes()
 
 
 def test_each_call_counts_once(large):
@@ -249,3 +264,32 @@ def test_a_forked_child_finishes_a_split_product(large):
     assert child.exitcode == 0
     assert got == (False, (matrix @ x).tobytes())
     assert operators._helper is not None  # the parent's pool is untouched
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_a_split_solve_writes_the_same_traces_on_one_cpu(tmp_path):
+    # The counts128 projector (n_side 128) takes split products.
+    script = textwrap.dedent(
+        """
+        import os, sys
+        if sys.argv[2] == "one":
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+        from egmin.cli import main
+        main(["solve", "--n-side", "128", "--noisy", "--max-iterations", "20",
+              "--output-dir", sys.argv[1]], standalone_mode=False)
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    traces = {}
+    for cpus in ("all", "one"):
+        outdir = tmp_path / cpus
+        subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", script, str(outdir), cpus],
+            capture_output=True, env=env, timeout=300, check=True,
+        )
+        described = json.loads((outdir / "summary.json").read_text())["operator"]
+        assert described["split_products"]
+        assert described["helper_thread"] == (cpus == "all" and operators.usable_cpus() > 1)
+        traces[cpus] = {path.name: path.read_bytes() for path in sorted(outdir.glob("trace_*.csv"))}
+    assert len(traces["all"]) == 4
+    assert traces["one"] == traces["all"]

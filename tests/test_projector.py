@@ -3,10 +3,11 @@
 The reference traces one ray at a time, merges its crossings with
 ``np.unique`` and assembles the matrix through COO lists, a COO -> CSR
 conversion and a slice that drops the empty rows.  The per-angle builder
-must reproduce its CSR arrays bit for bit.  At n_side 256 the reference
-is too slow; there the arrays are pinned by their sha256 digests, taken
-from the one-thread build, which the two-half build must reproduce on one
-CPU and on two.
+must reproduce its CSR arrays bit for bit, also where it builds in two
+halves (n_side 128 and up).  At n_side 256 the reference is too slow;
+there the arrays are pinned by their sha256 digests, taken from the
+one-thread build, which the two-half build must reproduce on one CPU and
+on two.
 """
 
 import hashlib
@@ -158,7 +159,7 @@ def tomo256():
 @pytest.mark.parametrize("n_side", sorted(GOLDEN_CSR))
 def test_csr_arrays_match_the_golden_digests(n_side, tomo256):
     op = tomo256 if n_side == 256 else build_projector(n_side)
-    assert (op.nnz >= SPLIT_NNZ) == (n_side == 256)  # 256 is built in two halves
+    assert (op.nnz >= SPLIT_NNZ) == (n_side >= 128)  # 128 and 256 are built in two halves
     assert op._matrix.has_canonical_format
     assert csr_digests(op) == GOLDEN_CSR[n_side]
 

@@ -189,12 +189,18 @@ class TestRelativeLipschitzStep:
         assert relative_lipschitz_step([1.0, 1.0, 2.0]) == 0.125
         assert relative_lipschitz_step([0.5]) == 1.0
 
+    def test_accepts_a_zero_count(self):
+        assert relative_lipschitz_step([1.0, 0.0]) == 0.5
+        assert relative_lipschitz_step([0.0, 0.0, 2.0]) == 0.25
+
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            relative_lipschitz_step([1.0, 0.0])
+        # All zero, and a negative entry even with a positive sum.
+        for b in ([0.0, 0.0], [2.0, -1.0]):
+            with pytest.raises(ValueError, match="b must be nonnegative with a positive sum"):
+                relative_lipschitz_step(b)
 
     def test_rejects_nan(self):
-        with pytest.raises(ValueError, match="b must be nonempty and strictly positive"):
+        with pytest.raises(ValueError, match="b must be nonnegative with a positive sum"):
             relative_lipschitz_step([1.0, math.nan])
 
     def test_rejects_inf(self):
