@@ -248,7 +248,7 @@ def main():
               help="Comma-separated subset of eg,poicg,ipgrgd,ipemd.")
 @click.option("--max-iterations", type=int, default=None)
 @click.option("--grad-norm-tol", type=float, default=None)
-@click.option("--step-size-tol", type=float, default=None)
+@click.option("--step-size-tol", type=float, default=None, help="Smallest accepted Armijo step.")
 @click.option("--sigma", type=float, default=None, help="Armijo sufficient-decrease slope.")
 @click.option("--beta", type=float, default=None, help="Armijo halving factor.")
 @click.option("--tau-bar", type=float, default=None, help="Armijo initial trial step.")

@@ -11,7 +11,7 @@ Every run records per-iteration objective values, Riemannian gradient
 norms (in each method's own metric), accepted step sizes, halving counts,
 and cumulative operator applications, and stops on the first of: a
 non-finite value or gradient norm, gradient norm below tolerance,
-accepted step below tolerance, or the iteration cap.
+accepted Armijo step below tolerance, or the iteration cap.
 """
 
 from __future__ import annotations
@@ -277,14 +277,16 @@ def check_termination(record: IterationRecord, config: SolverConfig) -> Terminal
     """First satisfied criterion, in priority order non-finite value or
     gradient norm > grad > step > iterations.
 
-    The step-size criterion only applies once a step has been taken
-    (``k >= 1``); the initial record carries ``tau = 0``.
+    The step-size criterion applies only to Armijo steps, once a step has
+    been taken (``k >= 1``; the initial record carries ``tau = 0``): a
+    constant step never shrinks, so there ``tau < step_size_tol`` would
+    say only that the data are large.
     """
     if not (np.isfinite(record.f) and np.isfinite(record.riem_grad_norm)):
         return TerminalStatus.NON_FINITE
     if record.riem_grad_norm < config.grad_norm_tol:
         return TerminalStatus.GRAD_TOL
-    if record.k > 0 and record.tau < config.step_size_tol:
+    if record.k > 0 and record.tau < config.step_size_tol and not isinstance(config.linesearch, ConstantStep):
         return TerminalStatus.STEP_TOL
     if record.k >= config.max_iterations:
         return TerminalStatus.MAX_ITER

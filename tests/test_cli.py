@@ -15,6 +15,7 @@ import egmin.cli
 from egmin import BATTERY_SIZE, ArmijoParams, Method, Objective, SolverConfig, read_trace_csv
 from egmin.cli import RunSpec, cmd_solve, load_config, main
 from egmin.imgio import quantize, read_image_csv, read_pgm
+from test_check_run import check_run
 
 
 def small_spec(outdir, **overrides):
@@ -44,6 +45,7 @@ class TestSolveCommand:
     def test_summary_contents(self, tmp_path):
         spec = small_spec(tmp_path / "run", methods=("eg", "ipemd"))
         cmd_solve(spec)
+        assert check_run(tmp_path / "run") == []
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert summary["spec"]["n_side"] == 8
         assert summary["spec"]["seed"] == 3
@@ -56,19 +58,14 @@ class TestSolveCommand:
         for stats in summary["methods"].values():
             assert stats["terminal_status"] in {"max_iter", "grad_tol", "step_tol", "step_infeasible"}
             assert stats["search_status"] in {None, "hit_tau_min", "clamped"}
-            assert stats["search_status"] is None or stats["terminal_status"] == "step_tol"
             assert stats["iterations"] >= 0
             assert stats["total_matvecs"] > 0
             assert set(stats["screened_by"]) == {"kl", "kl_tv", "curve"}
-            assert sum(stats["screened_by"].values()) == stats["screened_trials"]
             assert set(stats["rejected_by"]) == {"kl_term", "value", "unusable"}
-        # n_side 8 is below the curve screen's gate, so no search probes, and
-        # ipemd makes no trial.
+        # n_side 8 is below the curve screen's gate, and ipemd makes no trial.
         assert summary["methods"]["eg"]["screened_by"]["curve"] == 0
         assert summary["methods"]["ipemd"]["screened_by"] == {"kl": 0, "kl_tv": 0, "curve": 0}
         assert summary["methods"]["ipemd"]["rejected_by"] == {"kl_term": 0, "value": 0, "unusable": 0}
-        for stats in summary["methods"].values():
-            assert stats["probes"] == stats["probes_wasted"] == stats["probes_met"] == 0
 
     def test_byte_identical_reruns(self, tmp_path):
         for name in ("a", "b"):
@@ -123,6 +120,8 @@ class TestSolveCommand:
             assert stats["terminal_status"] == "non_finite"
             assert stats["iterations"] == 0
             assert stats["final_grad_norm"] is None
+        # The status is the one problem the run checker finds.
+        assert check_run(tmp_path / "run") == ["eg: ended non_finite", "ipemd: ended non_finite"]
 
     @pytest.mark.parametrize("methods", ["eg,foo", "", " , "])
     def test_bad_methods_flag_is_a_usage_error_before_any_work(self, tmp_path, methods):

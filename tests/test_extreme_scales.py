@@ -9,6 +9,7 @@ is the package's own KL + Huber-TV objective with ``A = I``: then ``Ax``
 is ``x`` exactly, so the exact value is defined at every usable trial.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -29,7 +30,9 @@ from egmin import (
     StepStatus,
     TerminalStatus,
     armijo_backtrack,
+    build_instance,
     constant_step,
+    default_x0,
     exp_map,
     make_objective,
     relative_lipschitz_step,
@@ -175,6 +178,26 @@ def test_solve_ends_in_a_defined_status(data):
     assert len(trace.records) >= 1
     point = trace.final_point
     assert point.shape == x0.shape and point.min() > 0.0 and math.isfinite(point.max())
+
+
+@pytest.mark.parametrize("scale", [2.0**20, 2.0**40])
+def test_a_constant_step_run_is_the_same_at_any_data_scale(scale):
+    # (c b, c x0, c delta) scales f by c and ipemd's step 1 / (2 ||b||_1)
+    # by 1 / c, exactly.  At c = 2**40 that step is 8.7e-15, below
+    # step_size_tol = 1e-10; a constant step never shrinks, so the run must
+    # not end step_tol for it.
+    instance, _ = build_instance(8, lam=0.0, seed=0)
+    x0 = default_x0(instance.A.cols, seed=0)
+    traces = []
+    for c in (1.0, scale):
+        scaled = dataclasses.replace(instance, b=c * instance.b, delta=c * instance.delta)
+        config = SolverConfig(Method.IP_E_MD, constant_step(relative_lipschitz_step(scaled.b)), max_iterations=40)
+        traces.append(solve(config, make_objective(scaled), c * x0))
+    base, big = traces
+    assert big.terminal_status is base.terminal_status is TerminalStatus.MAX_ITER
+    assert [rec.f * scale for rec in base.records] == [rec.f for rec in big.records]
+    assert [rec.tau for rec in base.records] == [rec.tau * scale for rec in big.records]
+    assert np.array_equal(base.final_point * scale, big.final_point)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.01])

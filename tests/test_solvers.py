@@ -228,6 +228,11 @@ class TestCheckTermination:
     def test_max_iter(self):
         assert check_termination(self.rec(k=300), self.CONFIG) is TerminalStatus.MAX_ITER
 
+    def test_a_constant_step_is_never_too_short(self):
+        config = SolverConfig(method=Method.IP_E_MD, linesearch=constant_step(1e-11))
+        assert check_termination(self.rec(tau=1e-11), config) is None
+        assert check_termination(self.rec(k=300, tau=1e-11), config) is TerminalStatus.MAX_ITER
+
     def test_priority_grad_over_step(self):
         rec = self.rec(k=300, gnorm=1e-7, tau=1e-11)
         assert check_termination(rec, self.CONFIG) is TerminalStatus.GRAD_TOL
