@@ -120,6 +120,8 @@ def _same_shape(x, y) -> tuple[np.ndarray, np.ndarray]:
 # normal float, is 2**52 above the products that round to zero.
 _CEILING_PROVEN = POINT_CEILING * (1.0 - 2.0**-40)
 _FLOOR_PROVEN = 2.0**-1022
+# The ufunc reductions that ndarray.max and ndarray.min end in, called directly.
+_max, _min = np.maximum.reduce, np.minimum.reduce
 
 
 class Geodesic:
@@ -142,13 +144,18 @@ class Geodesic:
     __slots__ = ("x", "w", "_extremes")
 
     def __init__(self, x, w):
-        self.x, self.w = x, w = _same_shape(x, w)
-        self._extremes = (float(w.max()), float(w.min()), float(x.max()), float(x.min())) if x.size else None
+        self._form(*_same_shape(x, w))
+
+    def _form(self, x: np.ndarray, w: np.ndarray) -> "Geodesic":
+        # x and w as _same_shape returns them.
+        self.x, self.w = x, w
+        self._extremes = (float(_max(w)), float(_min(w)), float(_max(x)), float(_min(x))) if x.size else None
+        return self
 
     @classmethod
     def along(cls, x, v) -> "Geodesic":
         x, v = _same_shape(x, v)
-        return cls(x, v / x)
+        return cls.__new__(cls)._form(x, v / x)
 
     def step(self, tau: float) -> ExpMapResult:
         """``x * exp(w * tau)``, and whether it is usable (see :class:`ExpMapResult`)."""
@@ -170,7 +177,7 @@ class Geodesic:
             z = self.w * tau if in_range else np.clip(self.w * tau, -EXP_ARG_MAX, EXP_ARG_MAX)
             point = np.exp(z, out=z)
             point *= self.x
-        return ExpMapResult(point, bool(in_range and point.max() <= POINT_CEILING and point.min() > 0.0))
+        return ExpMapResult(point, bool(in_range and _max(point) <= POINT_CEILING and _min(point) > 0.0))
 
 
 def multiplicative_update(x, exponent) -> ExpMapResult:

@@ -187,7 +187,7 @@ def armijo_backtrack(
     if value is None or grad is None:
         value, grad = obj.value_and_grad(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        slope = float(np.sum(grad * direction))
+        slope = float(np.add.reduce(grad * direction))
     if not -math.inf < slope <= 0.0:
         raise ValueError(f"not a descent direction: slope {slope} must be finite and <= 0")
 

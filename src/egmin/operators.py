@@ -124,6 +124,7 @@ class SparseOperator:
             bad = int(np.argmin(row_nnz))
             raise ValueError(f"operator has an all-zero row (row {bad})")
         self._matrix = a
+        self._m, self._n = a.shape  # the products' sizes, read per call
         # The most entries in one row: it bounds the rounding of a row of A x.
         self.max_row_nnz = int(row_nnz.max(initial=0))
         # A CSC view of the same three arrays: the adjoint's matrix, built
@@ -158,44 +159,39 @@ class SparseOperator:
     def forward(self, x) -> np.ndarray:
         """Apply the operator; increments the forward counter."""
         self.forward_count += 1
-        x = self._vector(x, self.cols)
-        a, r = self._matrix, self.split_row
-        out = np.zeros(self.rows)
+        a, r, m, n = self._matrix, self.split_row, self._m, self._n
+        x = self._vector(x, n)
+        out = np.zeros(m)
+        if r is None:
+            _sparsetools.csr_matvec(m, n, a.indptr, a.indices, a.data, x, out)
+            return out
 
         def rows(lo, hi):
             # csr_matvec adds row i of A times x into out[i]; indptr holds
             # absolute offsets, so indices and data need no slicing.
-            return lambda: _sparsetools.csr_matvec(
-                hi - lo, self.cols, a.indptr[lo:], a.indices, a.data, x, out[lo:hi]
-            )
+            return lambda: _sparsetools.csr_matvec(hi - lo, n, a.indptr[lo:], a.indices, a.data, x, out[lo:hi])
 
-        if r is None:
-            rows(0, self.rows)()
-        else:
-            _run_halves(rows(0, r), rows(r, self.rows))
+        _run_halves(rows(0, r), rows(r, m))
         return out
 
     def adjoint(self, y) -> np.ndarray:
         """Apply the transpose; increments the adjoint counter."""
         self.adjoint_count += 1
-        t, r = self._transpose, self.split_row
-        n, m = t.shape  # A is m x n
+        t, r, m, n = self._transpose, self.split_row, self._m, self._n  # A is m x n
         y = self._vector(y, m)
         out = np.zeros(n)
+        if r is None:
+            _sparsetools.csc_matvec(n, m, t.indptr, t.indices, t.data, y, out)
+            return out
 
         def rows(lo, hi, acc):
             # csc_matvec on the transpose's arrays (A's own) is A^T
             # restricted to rows lo..hi of A, added into acc in row order.
-            return lambda: _sparsetools.csc_matvec(
-                n, hi - lo, t.indptr[lo:], t.indices, t.data, y[lo:hi], acc
-            )
+            return lambda: _sparsetools.csc_matvec(n, hi - lo, t.indptr[lo:], t.indices, t.data, y[lo:hi], acc)
 
-        if r is None:
-            rows(0, m, out)()
-        else:
-            bottom = np.zeros(n)
-            _run_halves(rows(0, r, out), rows(r, m, bottom))
-            out += bottom
+        bottom = np.zeros(n)
+        _run_halves(rows(0, r, out), rows(r, m, bottom))
+        out += bottom
         return out
 
     @staticmethod

@@ -354,8 +354,14 @@ class _Curve:
         terms = np.log(r)
         np.subtract(r, terms, out=terms)
         terms *= b
-        lb = float(terms.sum()) - self.sum_b + lam * (total - y)
+        lb = float(np.add.reduce(terms)) - self.sum_b + lam * (total - y)
         return lb, self.sum_b + y + total + abs(lam) * (y + total)
+
+
+def _same_point(a: np.ndarray, b: np.ndarray) -> bool:
+    # np.array_equal(a, b) for points, after one coordinate: a trial point
+    # almost never equals a cached one, and the full compare costs a pass.
+    return a.shape == b.shape and (not a.size or a[0] == b[0]) and np.array_equal(a, b)
 
 
 class _Evaluation:
@@ -462,7 +468,7 @@ class InstanceObjective(Objective):
         self._outcomes = (self._outcomes[1], outcome)
         # A curve needs the base point's exact log(b / Ax): its cached one.
         last = self.last
-        if geodesic is None or last is None or last.q is None or not np.array_equal(last.x, geodesic.x):
+        if geodesic is None or last is None or last.q is None or not _same_point(last.x, geodesic.x):
             return None
         (two_back, _), (_, past_screens) = self._outcomes
         probe = two_back if past_screens >= PROBE_AFTER else None
@@ -486,9 +492,9 @@ class InstanceObjective(Objective):
         # (a product that underflowed) makes the KL term inf: above a
         # finite limit, that rejects the trial; else it raises.
         b = self.b
-        sum_ax = ax.sum()
-        ax_min = ax.min()
-        if not (ax_min > 0.0 and np.isfinite(sum_ax)):
+        sum_ax = float(np.add.reduce(ax))
+        ax_min = float(np.minimum.reduce(ax))
+        if not (ax_min > 0.0 and math.isfinite(sum_ax)):
             if ax_min == 0.0 and limit < math.inf:
                 return math.inf, None
             as_point(ax)  # raises as kl does, unless only the sum overflowed
@@ -497,13 +503,13 @@ class InstanceObjective(Objective):
         q = np.divide(b, ax, out=None if keep else self.terms)
         np.log(q, out=q)
         terms = np.multiply(q, b, out=self.terms)
-        return float(terms.sum() - self.sum_b + sum_ax), (q if keep else None)
+        return float(np.add.reduce(terms)) - self.sum_b + sum_ax, (q if keep else None)
 
     def _tv(self, x: np.ndarray) -> float:
         # lam * sum(huber(Dx)), with Dx left in trial_dx.
         _differences(x, self.w, self.trial_dx)
         values = _huber_values(self.trial_dx, self.delta, self.mag, self.c, self.half)
-        return self.lam * float(values.sum())
+        return self.lam * float(np.add.reduce(values))
 
     def _evaluate(self, x: np.ndarray, tv: float | None, limit: float = math.inf) -> _Evaluation:
         # x's exact evaluation, made the latest one unless it is cached.  A
@@ -513,7 +519,7 @@ class InstanceObjective(Objective):
         # when it is inf: it returns a transient one, with the given tv,
         # and caches nothing.
         last = self.last
-        if np.array_equal(last.x, x):
+        if _same_point(last.x, x):
             return last
         ax = self.A.forward(x)
         kl_value, q = self._kl(ax, limit)
@@ -683,7 +689,7 @@ class InstanceObjective(Objective):
         if self.last is None:
             self._setup()
         kept, self.kept = self.kept, None
-        if kept is not None and kept is not self.last and np.array_equal(kept.x, x):
+        if kept is not None and kept is not self.last and _same_point(kept.x, x):
             # A search accepted a step it tried before larger ones.
             self.last, self._spare = kept, self.last
         evaluation = self._evaluate(x, None)

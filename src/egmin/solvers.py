@@ -25,6 +25,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import starmap
+from operator import attrgetter
 
 import numpy as np
 
@@ -97,6 +98,7 @@ class IterationRecord:
 # Column order of the CSV serialization.
 TRACE_FIELDS = tuple(field.name for field in fields(IterationRecord))
 _INT_FIELDS = {field.name for field in fields(IterationRecord) if field.type == "int"}
+_field_values = attrgetter(*TRACE_FIELDS)
 
 
 class TraceRecords(Sequence):
@@ -117,8 +119,8 @@ class TraceRecords(Sequence):
             self._append(record)
 
     def _append(self, record: IterationRecord) -> None:
-        for column, name in zip(self._columns, TRACE_FIELDS):
-            column.append(getattr(record, name))
+        for column, value in zip(self._columns, _field_values(record)):
+            column.append(value)
 
     def __len__(self) -> int:
         return len(self._columns[0])
@@ -238,10 +240,10 @@ def step_ip_e_md(x, euclid_grad, tau: float) -> tuple[np.ndarray, bool]:
     x = np.asarray(x, dtype=float)
     g = np.asarray(euclid_grad, dtype=float)
     denom = 1.0 + tau * x * g
-    if not np.all(denom > 0.0):  # a NaN fails too
+    if not np.logical_and.reduce(denom > 0.0):  # a NaN fails too
         return x, False
     point = x / denom
-    return point, bool(point.all())
+    return point, bool(np.logical_and.reduce(point))
 
 
 def quotient_retraction(x, direction, grad) -> Trial:
@@ -282,7 +284,7 @@ def check_termination(record: IterationRecord, config: SolverConfig) -> Terminal
     constant step never shrinks, so there ``tau < step_size_tol`` would
     say only that the data are large.
     """
-    if not (np.isfinite(record.f) and np.isfinite(record.riem_grad_norm)):
+    if not (math.isfinite(record.f) and math.isfinite(record.riem_grad_norm)):
         return TerminalStatus.NON_FINITE
     if record.riem_grad_norm < config.grad_norm_tol:
         return TerminalStatus.GRAD_TOL
@@ -363,8 +365,8 @@ def solve(config: SolverConfig, obj: Objective, x0) -> RunTrace:
         value, grad = obj.value_and_grad(point)
         with np.errstate(over="ignore"):
             rgrad = riemannian_grad(rule.metric, point, grad)
-            gnorm_sq = float(np.sum(grad * rgrad))
-        return value, grad, rgrad, gnorm_sq, float(np.sqrt(gnorm_sq))
+            gnorm_sq = float(np.add.reduce(grad * rgrad))
+        return value, grad, rgrad, gnorm_sq, math.sqrt(gnorm_sq)
 
     value, grad, rgrad, gnorm_sq, gnorm = evaluate(x)
     records = TraceRecords()
@@ -379,7 +381,7 @@ def solve(config: SolverConfig, obj: Objective, x0) -> RunTrace:
         k += 1
         if rule.conjugate:
             with np.errstate(over="ignore", invalid="ignore"):
-                slope = float(np.sum(grad * v))
+                slope = float(np.add.reduce(grad * v))
             if not math.isfinite(slope) or (slope >= 0.0 and gnorm > 0.0):
                 logger.info("restarting CG direction at iteration %d (slope %.3e)", k, slope)
                 v = -rgrad
@@ -412,7 +414,7 @@ def solve(config: SolverConfig, obj: Objective, x0) -> RunTrace:
             transported = transport_e(x_old, x, v)
             beta_plus = 0.0
             if old_gnorm_sq > 0.0:
-                beta_plus = max(float(np.sum(grad * (rgrad - transported))) / old_gnorm_sq, 0.0)
+                beta_plus = max(float(np.add.reduce(grad * (rgrad - transported))) / old_gnorm_sq, 0.0)
             v = -rgrad + beta_plus * transported
         record = record_at(k, value, gnorm, tau, halvings)
         records._append(record)

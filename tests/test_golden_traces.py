@@ -114,6 +114,13 @@ def golden_runs(tmp_path_factory):
 
 # Poisson counts at n_side 128 (153 entries per row): above the curve screen's gate.
 ABOVE_THE_GATE = dict(n_side=128, noisy=True, lam=0.0, max_iterations=60, methods=("eg", "poicg", "ipgrgd"))
+# sha256 of each whole trace CSV of those runs as `egmin solve` writes it:
+# the curve screen, the probes and the split products leave these bytes.
+ABOVE_THE_GATE_SCREENED = {
+    "eg": "a068f0e6b69c9ad291b4a03d829e6de89df4bc77af1fe811c89aa8b13178f545",
+    "poicg": "8461e01337a2b6fc77264bed00338bb6d1111ea948ef9ff6cc6891507139412b",
+    "ipgrgd": "30de04e2b3c1600f59aac03ce2a9097c8a8c244dbd915ac46cbab2f2a39cc8e9",
+}
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +158,12 @@ def test_summary_counts_add_up(golden_runs):
         assert reference[name]["screened_trials"] == 0
     assert methods["eg"]["screened_trials"] >= 1
     assert methods["ipemd"]["screened_trials"] == 0  # a constant step makes no trial
+
+
+@pytest.mark.parametrize("method", ABOVE_THE_GATE["methods"])
+def test_above_the_gate_trace_hashes(counts_runs, method):
+    screened, _ = counts_runs
+    assert _sha256((screened / f"trace_{method}.csv").read_bytes()) == ABOVE_THE_GATE_SCREENED[method]
 
 
 @pytest.mark.parametrize("method", ABOVE_THE_GATE["methods"])

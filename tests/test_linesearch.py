@@ -335,6 +335,25 @@ class TestProbeFirst:
             seen.add(int(np.sign(index - want.halvings)))
         assert seen == {-1, 0, 1}
 
+    def test_wasted_probe_that_misses_its_limit(self):
+        # f falls past x = 0.5 only: the probe at tau = 1/2 (x = e**-0.5)
+        # misses its limit and tau_bar = 1 (x = e**-1) meets it, so the
+        # search accepts tau_bar with one wasted probe that met nothing.
+        def objective():
+            return Objective(value_and_grad=lambda x: (0.0, np.ones_like(x)),
+                             value=lambda x: -1.0 if x[0] < 0.5 else 1.0)
+
+        x, direction = np.array([1.0]), np.array([-1.0])
+        want = armijo_backtrack(objective(), x, direction, ArmijoParams(), 0.0, np.ones(1))
+        probing = _offering(objective(), 0.5)
+        got = armijo_backtrack(probing, x, direction, ArmijoParams(), 0.0, np.ones(1))
+        self._same(got, want)
+        assert want.status is StepStatus.ACCEPTED and want.halvings == 0
+        assert (probing.probes, probing.probes_wasted, probing.probes_met) == (1, 1, 0)
+        rejected = sum(probing.rejected_by.values())
+        assert rejected == probing.rejected_by["value"] == 1
+        assert got.halvings + probing.probes_wasted - probing.probes_met == rejected
+
     def test_no_probe_off_the_grid(self):
         obj = quadratic_objective([1.0, 2.0])
         x = np.array([3.0, 0.5])

@@ -30,7 +30,7 @@ from egmin import (
     solve,
 )
 from egmin.linesearch import constant_step
-from egmin.problems import _huber_values
+from egmin.problems import _huber_values, _same_point
 from egmin.solvers import default_x0, relative_lipschitz_step
 from egmin.verification import fd_gradient_check
 
@@ -301,6 +301,15 @@ class TestMakeObjective:
         columns = [[(r.k, r.f, r.riem_grad_norm, r.tau, r.halvings) for r in t.records] for t in (got, want)]
         assert np.array(columns[0]).tobytes() == np.array(columns[1]).tobytes()  # NaN-safe
 
+    def test_same_point_is_array_equal(self):
+        # The cache's test compares one coordinate first; empty points and
+        # points of another size answer as np.array_equal does.
+        x = np.array([1.0, 2.0, 3.0])
+        cases = [(x, x.copy()), (x, x[::-1]), (x, x + [0.0, 0.0, 1.0]), (x, x[:2]), (x, np.empty(0)),
+                 (np.empty(0), np.empty(0)), (np.empty(0), x), (np.full(3, np.nan), np.full(3, np.nan))]
+        for a, b in cases:
+            assert bool(_same_point(a, b)) is np.array_equal(a, b)
+
     @pytest.mark.parametrize("lam", [0.01, 0.0])
     def test_cache_never_goes_stale(self, lam, rng):
         instance, _ = build_instance(16, lam=lam, seed=5)
@@ -328,12 +337,18 @@ class TestMakeObjective:
         instance.A.reset_counts()
         check(obj)
         assert (instance.A.forward_count, instance.A.adjoint_count) == (1, 1)
-        # An in-place edit of the evaluated point is seen.
-        obj = make_objective(instance)
-        x = x1.copy()
-        obj.value(x)
-        x[0] *= 2.0
-        check(obj, x, full_objective(instance, x))
+        # An in-place edit of the evaluated point is seen, at either end,
+        # by a value and by a gradient.
+        for i in (0, -1):
+            x = x1.copy()
+            obj = make_objective(instance)
+            obj.value(x)
+            x[i] *= 2.0
+            want = full_objective(instance, x)
+            check(obj, x, want)
+            obj = make_objective(instance)
+            obj.value(x1)
+            assert obj.value(x) == want[0]
         # A gradient with no value before it.
         check(make_objective(instance))
         # An evaluation that raises leaves the cached one as it was.
