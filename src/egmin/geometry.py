@@ -82,7 +82,8 @@ def riemannian_grad(kind: GeometryKind, x, euclid_grad) -> np.ndarray:
 
     Returns ``x * g`` under the Fisher-Rao metric and ``x**2 * g`` under
     the interior-point metric, the unique tangent satisfying
-    ``<result, v>_G = <g, v>`` for all tangents ``v``.
+    ``<result, v>_G = <g, v>`` for all tangents ``v``.  The latter is
+    ``(x * x) * g``, with the second product made in place.
     """
     x = np.asarray(x, dtype=float)
     g = np.asarray(euclid_grad, dtype=float)
@@ -90,7 +91,9 @@ def riemannian_grad(kind: GeometryKind, x, euclid_grad) -> np.ndarray:
         raise ValueError(f"dimension mismatch: x {x.shape}, grad {g.shape}")
     if kind is GeometryKind.POISSON_FISHER_RAO:
         return x * g
-    return x * x * g
+    rgrad = np.multiply(x, x)
+    rgrad *= g
+    return rgrad
 
 
 class ExpMapResult(NamedTuple):

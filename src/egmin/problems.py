@@ -126,14 +126,23 @@ def _huber_values(a, delta: float, out=None, c=None, half=None):
     operations as the textbook form; in the quadratic branch
     ``|a| - |a|/2`` is exact, so the value is ``(|a|/2) * |a|``, which equals
     ``a * a / 2`` bit for bit (below ``2**-1021`` both round to +0).  The
-    derivative, ``clip(a, -delta, delta)``, needs no such argument.  Past
-    ``delta * |a| ~ 1.8e308`` the value overflows to ``inf``; that is
-    expected, so it raises no warning.
+    derivative, ``clip(a, -delta, delta)``, needs no such argument.
+
+    For ``delta <= 1`` the value cannot overflow: ``|a| - c/2`` lies in
+    ``[0, |a|]`` and ``c <= 1``, so the rounded product is at most ``|a|``
+    (rounding is monotone), and an infinite ``|a|`` gives ``inf`` with no
+    floating-point exception.  Only for ``delta > 1`` can the product pass
+    ``1.8e308``; that overflow to ``inf`` is expected, and is made under
+    ``np.errstate``, so that it raises no warning either.  Both paths make
+    the same operations in the same order.
     """
     mag = np.abs(a, out=out)
     c = np.minimum(mag, delta, out=c)
     half = np.multiply(c, 0.5, out=half)
     mag -= half
+    if delta <= 1.0:
+        mag *= c
+        return mag
     with np.errstate(over="ignore"):
         mag *= c
     return mag
@@ -359,9 +368,10 @@ class _Curve:
 
 
 def _same_point(a: np.ndarray, b: np.ndarray) -> bool:
-    # np.array_equal(a, b) for points, after one coordinate: a trial point
-    # almost never equals a cached one, and the full compare costs a pass.
-    return a.shape == b.shape and (not a.size or a[0] == b[0]) and np.array_equal(a, b)
+    # Equal shapes and coordinates (a NaN equals nothing), after one
+    # coordinate: a trial point almost never equals a cached one, and the
+    # full compare costs a pass.
+    return a.shape == b.shape and (not a.size or a[0] == b[0]) and bool(np.logical_and.reduce(np.equal(a, b)))
 
 
 class _Evaluation:
@@ -405,9 +415,10 @@ class InstanceObjective(Objective):
     differences of the latest trial whose ``tv`` was computed.
 
     The latest exact evaluation (``last``, an :class:`_Evaluation`) is
-    cached by value (``np.array_equal``, so an in-place edit of ``x`` is
-    seen), and so is a search's probe whose value met its limit
-    (``kept``): the search may accept it after evaluating larger steps.
+    cached by value (compared coordinate by coordinate, so an in-place
+    edit of ``x`` is seen), and so is a search's probe whose value met its
+    limit (``kept``): the search may accept it after evaluating larger
+    steps.
     The gradient at a cached point (the accepted line-search trial) then
     costs one adjoint application plus ``1 - b / Ax``, ``clip(Dx, -delta,
     delta)`` and ``D^T``; a screened trial never replaces a cached point.
@@ -698,7 +709,7 @@ class InstanceObjective(Objective):
         np.subtract(1.0, weights, out=weights)
         grad = self.A.adjoint(weights)
         if self.lam > 0.0:
-            deriv = np.clip(evaluation.dx, -self.delta, self.delta, out=self.mag)
+            deriv = evaluation.dx.clip(-self.delta, self.delta, out=self.mag)
             image = self.image
             image.fill(0.0)
             _add_difference_adjoint(deriv, self.w, image)

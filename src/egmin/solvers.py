@@ -234,16 +234,22 @@ def step_ip_e_md(x, euclid_grad, tau: float) -> tuple[np.ndarray, bool]:
     ``argmin_u tau * <g, u - x> + D(u, x)`` with the barrier-induced
     divergence, coordinate by coordinate.  Denominators must stay
     positive: when one is not (a large negative gradient times step, or a
-    NaN), the update is infeasible and ``(x, False)`` is returned.  A
-    feasible update is usable when no coordinate rounds to zero.
+    NaN), the update is infeasible and ``(x, False)`` is returned.  ``x``
+    is a point, a vector of positive coordinates, so a feasible update is
+    usable when no coordinate rounds to zero.  The denominator is formed
+    as ``tau * x``, then ``* g`` and ``+ 1`` in place, and the quotient in
+    the same buffer: the textbook form's operations in its order, so its
+    bits.
     """
     x = np.asarray(x, dtype=float)
     g = np.asarray(euclid_grad, dtype=float)
-    denom = 1.0 + tau * x * g
-    if not np.logical_and.reduce(denom > 0.0):  # a NaN fails too
+    q = np.multiply(x, tau)
+    q *= g
+    q += 1.0
+    if not np.minimum.reduce(q, initial=math.inf) > 0.0:  # a NaN fails too
         return x, False
-    point = x / denom
-    return point, bool(np.logical_and.reduce(point))
+    np.divide(x, q, out=q)
+    return q, bool(np.minimum.reduce(q, initial=math.inf) > 0.0)
 
 
 def quotient_retraction(x, direction, grad) -> Trial:
@@ -263,9 +269,9 @@ def relative_lipschitz_step(b) -> float:
     ``b`` must be nonnegative and finite with a positive sum (zero counts
     are allowed), and the step must come out finite and positive.
     """
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    total = float(np.sum(b))
-    if not (b.size and b.min() >= 0.0 and total > 0.0):
+    b = np.asarray(b, dtype=float)
+    total = float(np.add.reduce(b, axis=None))
+    if not (b.size and np.minimum.reduce(b, axis=None) >= 0.0 and total > 0.0):
         raise ValueError("b must be nonnegative with a positive sum, with no NaN")
     step = 1.0 / (2.0 * total)
     if not 0.0 < step < math.inf:  # an inf in b, or 2 * sum(b) out of range

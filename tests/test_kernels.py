@@ -1,12 +1,18 @@
-"""The single-pass Huber and exp-map kernels against the textbook forms.
+"""The single-pass Huber, exp-map and quotient kernels against the textbook forms.
 
-The references below are the two-branch Huber value and derivative and the
-clamp-and-flag multiplicative update, written as plainly as possible.  The
-Huber kernels must match theirs bit for bit, NaN positions included, on
-random floats of every magnitude and on the edge values where the branches
-meet.  An exp-map step must be usable exactly when the reference flags no
-coordinate, and then its point must match the reference's bit for bit.
+The references below are the two-branch Huber value and derivative, the
+Huber product formed always under ``np.errstate``, the clamp-and-flag
+multiplicative update and the quotient update ``x / (1 + tau * x * g)``,
+written as plainly as possible.  The Huber kernels must match theirs bit
+for bit, NaN positions included, on random floats of every magnitude and
+on the edge values where the branches meet.  An exp-map step must be
+usable exactly when the reference flags no coordinate, and then its point
+must match the reference's bit for bit.  A quotient step must give the
+reference's point, usability and warnings.
 """
+
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +20,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from egmin import discrete_gradient, discrete_gradient_adjoint, exp_map, huber, multiplicative_update
+from egmin import (
+    ProblemInstance,
+    SparseOperator,
+    discrete_gradient,
+    discrete_gradient_adjoint,
+    exp_map,
+    huber,
+    huber_tv,
+    make_objective,
+    multiplicative_update,
+    step_ip_e_md,
+)
 from egmin import geometry
 from egmin.geometry import EXP_ARG_MAX, POINT_CEILING, Geodesic
 from egmin.problems import _huber_values
@@ -32,6 +49,35 @@ def reference_huber(a, delta):
     value = np.where(mag <= delta, square, linear)
     deriv = np.where(mag <= delta, a, delta * np.sign(a))
     return value, deriv
+
+
+def guarded_huber_values(a, delta):
+    """``c * (|a| - c/2)`` with ``c = min(|a|, delta)``, the product always
+    under ``np.errstate(over="ignore")``, for every ``delta``."""
+    mag = np.abs(a)
+    c = np.minimum(mag, delta)
+    mag -= c * 0.5
+    with np.errstate(over="ignore"):
+        mag *= c
+    return mag
+
+
+def reference_quotient(x, g, tau):
+    """``x / (1 + tau * x * g)``: ``(x, False)`` unless every denominator is
+    positive, else the quotient, usable when no coordinate is zero."""
+    denom = 1.0 + tau * x * g
+    if not np.all(denom > 0.0):
+        return x, False
+    point = x / denom
+    return point, bool(np.all(point != 0.0))
+
+
+def with_warnings(fn, *args):
+    """``fn(*args)`` and the ``(category, message)`` of every warning it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, [(w.category, str(w.message)) for w in caught]
 
 
 def reference_update(x, z):
@@ -140,6 +186,71 @@ class TestHuberKernel:
     def test_rejects_a_bad_delta(self, delta):
         with pytest.raises(ValueError, match="delta"):
             huber(1.0, delta)
+
+
+BIG = np.finfo(float).max
+
+
+def count_errstate(monkeypatch) -> list:
+    """Record each ``np.errstate`` entered from now on (numpy is one module,
+    so every caller's is seen)."""
+    entered, errstate = [], np.errstate
+    monkeypatch.setattr(np, "errstate", lambda **kw: entered.append(kw) or errstate(**kw))
+    return entered
+
+
+class TestHuberGuard:
+    """``_huber_values`` guards its product only for ``delta > 1``: below,
+    ``c <= 1`` keeps ``c * (|a| - c/2)`` at most ``|a|``.  Both sides must
+    raise no warning and give the always-guarded product bit for bit, in
+    ``huber``, ``huber_tv`` and an objective's trial path."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("delta", [5e-324, 3e-7, 0.01, 0.5, 1.0, 1.0 + 2.0**-52, 4.0, 1e10, 1e300])
+    def test_products_up_to_the_largest_float(self, monkeypatch, delta):
+        a = np.array([BIG, -BIG, np.nextafter(BIG, 0.0), 1e308, 1e300,
+                      np.inf, -np.inf, delta, 1.0, 0.0, np.nan])
+        want = guarded_huber_values(a, delta)
+        entered = count_errstate(monkeypatch)
+        assert_same_floats(_huber_values(a, delta), want)
+        assert_same_floats(_huber_values(a, delta, *(np.empty(a.size) for _ in range(3))), want)
+        assert_same_floats(huber(a, delta)[0], want)
+        assert len(entered) == (3 if delta > 1.0 else 0)
+        # The finite products overflow exactly when delta > 1.
+        assert np.isinf(want[:5]).any() == (delta > 1.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("delta", [0.01, 0.2])
+    def test_huber_tv_with_differences_up_to_inf(self, delta):
+        # Differences of +-BIG and +-inf, no inf - inf: the sum of the values
+        # stays finite apart from the infinite ones.
+        for x in ([0.0, BIG, np.inf, 0.0], [1.0, BIG, BIG, 1.0]):
+            x = np.array(x)
+            want = 0.3 * float(np.sum(guarded_huber_values(discrete_gradient((2, 2), x), delta)))
+            assert huber_tv(x, 0.3, delta, (2, 2))[0] == want
+        assert huber_tv(np.array([0.0, BIG, np.inf, 0.0]), 0.3, delta, (2, 2))[0] == math.inf
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("delta, x", [
+        (1.0, [1.0, BIG]),  # one difference of BIG, just below an overflow of the sum
+        (0.01, [1.0, BIG, 1.0, 1.0]),  # two differences of +-BIG
+        (4.0, [1.0, 1e308]),  # 4 * (1e308 - 2) overflows: f is inf
+        (1e10, [1.0, 1e300, 1e300, 1.0]),
+    ])
+    def test_trial_path(self, delta, x):
+        # With A = I and b = x the KL term is 0, so a trial's f is its
+        # Huber-TV value; an infinite f is above every finite limit.
+        x = np.array(x)
+        shape = (1, 2) if x.size == 2 else (2, 2)
+        lam = 0.5
+        want = lam * float(np.sum(guarded_huber_values(discrete_gradient(shape, x), delta)))
+        assert huber_tv(x, lam, delta, shape)[0] == want
+        assert math.isinf(want) == (delta > 1.0)
+        instance = ProblemInstance(SparseOperator(np.eye(x.size)), x, lam, delta, shape)
+        assert make_objective(instance).value(x) == want
+        assert make_objective(instance).value(x, math.inf) == want
+        f = make_objective(instance).value(x, 1e300)
+        assert f == want if want <= 1e300 else f > 1e300
 
 
 class TestDifferenceKernels:
@@ -296,3 +407,69 @@ class TestExpMapKernel:
         assert_same_step(exp_map(x, v, tau, geodesic), want_along)
         assert_same_step(multiplicative_update(x, z), want)
         assert len(entered) == (0 if proven else 3)
+
+
+ANY_TAU = st.one_of(st.sampled_from(TAUS), ANY_FLOAT)
+POSITIVE = st.one_of(
+    st.floats(5e-324, BIG, allow_subnormal=True),
+    st.sampled_from([5e-324, 1e-300, 1.0, 1e300, BIG]),
+)
+GRADIENT = st.one_of(
+    ANY_FLOAT,
+    st.sampled_from([0.0, -0.0, -1.0, 1e-308, -1e-308, BIG, -BIG, np.inf, -np.inf, np.nan]),
+)
+
+
+def assert_same_quotient(x, g, tau):
+    (point, ok), caught = with_warnings(step_ip_e_md, x, g, tau)
+    (want, want_ok), want_caught = with_warnings(reference_quotient, x, g, tau)
+    assert ok is want_ok
+    assert point.shape == want.shape and point.tobytes() == want.tobytes()
+    assert caught == want_caught
+    return point, ok
+
+
+class TestQuotientKernel:
+    """``step_ip_e_md`` forms ``tau * x``, ``* g``, ``+ 1`` and the quotient
+    in one buffer and tests both with a minimum: the textbook update's
+    point, usability and warnings, on points of the orthant."""
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_random_points(self, data):
+        n = data.draw(st.integers(0, 12))
+        x = data.draw(arrays(np.float64, n, elements=POSITIVE))
+        g = data.draw(arrays(np.float64, n, elements=GRADIENT))
+        assert_same_quotient(x, g, data.draw(ANY_TAU))
+
+    @pytest.mark.parametrize("g, tau", [
+        ([-1.0, 1.0], 1.0),  # a zero denominator
+        ([-2.0, 1.0], 1.0),  # a negative one
+        ([np.nan, 1.0], 0.1),  # a NaN gradient
+        ([1.0, 1.0], np.nan),  # a NaN step
+        ([-BIG, 1.0], 10.0),  # tau * x * g overflows to -inf
+        ([np.inf, 1.0], 0.0),  # 0 * inf is NaN
+    ])
+    def test_infeasible(self, g, tau):
+        x = np.array([1.0, 2.0])
+        point, ok = assert_same_quotient(x, np.array(g), tau)
+        assert point is x and ok is False
+
+    def test_a_coordinate_that_underflows_to_zero(self):
+        point, ok = assert_same_quotient(np.array([5e-324, 1.0]), np.array([1e24, 0.0]), 1e300)
+        assert point[0] == 0.0 and point[1] == 1.0 and ok is False
+
+    def test_a_denominator_that_overflows_to_inf(self):
+        point, ok = assert_same_quotient(np.array([1.0, 2.0]), np.array([BIG, 1.0]), 10.0)
+        assert point[0] == 0.0 and ok is False
+
+    def test_a_quotient_that_overflows_to_inf(self):
+        x = np.array([1e308, 1.0])
+        g = np.array([-(1.0 - 1e-9) / 1e308, 0.0])
+        point, ok = assert_same_quotient(x, g, 1.0)
+        assert point[0] == math.inf and point[1] == 1.0 and ok is True
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_an_empty_point(self, tau):
+        point, ok = assert_same_quotient(np.empty(0), np.empty(0), tau)
+        assert point.shape == (0,) and ok is True

@@ -19,8 +19,11 @@ to round.  A round whose two solves of a method differ in a deterministic
 trace field (every field but ``wall_nanos``), the status or the final
 point ends the run with exit status 1, naming the method.  Otherwise it
 prints, per method, the median time per iteration of each side, the
-median over the rounds of the ratio B / A, and in how many rounds B was
-faster, and exits 0.
+median over the rounds of the ratio B / A, in how many rounds B was
+faster and A's interquartile range, then a verdict line, and exits 0.
+The verdict names the methods that meet the claim rule for a speedup: B
+faster in at least 9 of 10 rounds, and A's median above B's by more than
+A's interquartile range.
 """
 
 from __future__ import annotations
@@ -88,6 +91,24 @@ class Side:
         return elapsed / max(trace.records[-1].k, 1), fingerprint
 
 
+def interquartile_range(values: list[float]) -> float:
+    """``Q3 - Q1``, linearly interpolated as ``numpy.percentile`` does it
+    (0 for fewer than two values)."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def claim_met(a: list[float], b: list[float]) -> bool:
+    """Whether round times ``b`` show a speedup over ``a``: ``b`` lower in at
+    least 9 of 10 rounds, and its median lower by more than ``a``'s
+    interquartile range."""
+    wins = sum(y < x for x, y in zip(a, b))
+    gap = statistics.median(a) - statistics.median(b)
+    return 10 * wins >= 9 * len(a) and gap > interquartile_range(a)
+
+
 def parse_args(argv: list[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description="In-process A/B of the solves of two egmin trees.")
     parser.add_argument("a_src", help="directory holding tree A's egmin package")
@@ -125,12 +146,16 @@ def main(argv: list[str]) -> int:
             if prints[0] != prints[1]:
                 print(f"{method}: round {r}: the two trees' solves differ")
                 return 1
-    print(f"{'method':8} {'A us/it':>10} {'B us/it':>10} {'B/A':>7} {'B faster':>9}")
+    print(f"{'method':8} {'A us/it':>10} {'B us/it':>10} {'B/A':>7} {'B faster':>9} {'A IQR':>8}")
     for method, (a, b) in times.items():
         ratio = statistics.median(y / x for x, y in zip(a, b))
         wins = sum(y < x for x, y in zip(a, b))
         print(f"{method:8} {statistics.median(a) / 1e3:10.1f} {statistics.median(b) / 1e3:10.1f}"
-              f" {ratio:7.3f} {wins:>4}/{len(a)}")
+              f" {ratio:7.3f} {wins:>4}/{len(a):<4} {interquartile_range(a) / 1e3:8.1f}")
+    met = [method for method, (a, b) in times.items() if claim_met(a, b)]
+    missed = [method for method in times if method not in met]
+    print(f"verdict: B faster in {', '.join(met) or 'none'}; not shown in {', '.join(missed) or 'none'}"
+          " (B faster in >= 9 of 10 rounds, median gap > A IQR)")
     return 0
 
 
