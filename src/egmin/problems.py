@@ -67,8 +67,11 @@ class ProblemInstance:
             raise ValueError(
                 f"data length {self.b.size} does not match operator rows {self.A.rows}"
             )
-        if np.any(self.b <= 0.0) or not np.all(np.isfinite(self.b)):
-            raise ValueError("data must be strictly positive and finite")
+        # The sum the objective forms: finite only if every entry is.
+        with np.errstate(over="ignore"):
+            total = float(self.b.sum())
+        if np.any(self.b <= 0.0) or not math.isfinite(total):
+            raise ValueError("data must be strictly positive and finite, with a finite sum")
         h, w = self.image_shape
         if h * w != self.A.cols:
             raise ValueError(
@@ -264,9 +267,9 @@ class _Curve:
 
     A search also offers ``probe``, a step for a line search to try before
     the larger ones (or ``None``), and notes for the next searches' probes
-    the largest step whose exact value met its limit (``accepted``) and the
-    steps of the trials that got past the log-sum screens
-    (``past_screens``).
+    the latest step whose exact value met its limit, which is the accepted
+    one (``accepted``), and the steps of the trials that got past the
+    log-sum screens (``past_screens``).
     """
 
     __slots__ = ("b", "sum_b", "q_floor", "taus", "rows", "probe", "accepted", "past_screens")
@@ -375,10 +378,10 @@ def _same_point(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 class _Evaluation:
-    """One exact evaluation: its point ``x`` (a kept copy), ``ax``, the KL
-    and Huber-TV values, the differences ``dx`` and, where the curve screen
-    can use them, the rows ``q = log(b / Ax)``.  A trial rejected on its
-    KL term gets a transient one, with ``tv = None``, that is not kept."""
+    """The cached exact evaluation: its point ``x`` (a copy), ``ax``, the
+    KL and Huber-TV values, the differences ``dx`` and, where the curve
+    screen can use them, the rows ``q = log(b / Ax)``.  An objective makes
+    one and writes each evaluation that meets its limit over it."""
 
     __slots__ = ("x", "ax", "kl_value", "tv", "dx", "q")
 
@@ -411,17 +414,18 @@ class InstanceObjective(Objective):
     would reject the trial; with no such point yet, always.  A trial that
     gets past the bounds with no ``tv`` computed is rejected on its KL
     term when that alone exceeds ``limit``; such a trial counts in
-    ``rejected_by["kl_term"]`` and is not cached.  ``trial_dx`` holds the
-    differences of the latest trial whose ``tv`` was computed.
+    ``rejected_by["kl_term"]``.  ``trial_dx`` holds the differences of
+    the latest trial whose ``tv`` was computed.
 
-    The latest exact evaluation (``last``, an :class:`_Evaluation`) is
-    cached by value (compared coordinate by coordinate, so an in-place
-    edit of ``x`` is seen), and so is a search's probe whose value met its
-    limit (``kept``): the search may accept it after evaluating larger
-    steps.
-    The gradient at a cached point (the accepted line-search trial) then
-    costs one adjoint application plus ``1 - b / Ax``, ``clip(Dx, -delta,
-    delta)`` and ``D^T``; a screened trial never replaces a cached point.
+    One exact evaluation is cached (``last``, an :class:`_Evaluation`),
+    by value (compared coordinate by coordinate, so an in-place edit of
+    ``x`` is seen): the latest whose value met its limit, always one with
+    ``limit = inf``.  A trial above its limit is never a search's next
+    point, so it replaces nothing; the trial a search accepts is the
+    latest that met its limit, a probe that a larger step's failure left
+    cached included.  The gradient at a cached point then costs one
+    adjoint application plus ``1 - b / Ax``, ``clip(Dx, -delta, delta)``
+    and ``D^T``.
     The buffers (an evaluation, ``terms`` for the KL terms or the gradient
     weights, ``mag``, ``c`` and ``half`` for the Huber scratch and the
     derivative, ``image`` for ``D^T``'s output) and the screens' constants
@@ -435,7 +439,7 @@ class InstanceObjective(Objective):
         super().__init__()
         self.A, self.b = instance.A, instance.b
         self.lam, self.delta, self.w = instance.lam, instance.delta, instance.image_shape[1]
-        self.last = self.kept = self._curve = self.base_tv = None
+        self.last = self._curve = self.base_tv = None
         # (accepted step, trials above it past the log-sum screens) of the
         # two latest searches, oldest first.
         self._outcomes = ((None, 0), (None, 0))
@@ -456,7 +460,7 @@ class InstanceObjective(Objective):
             dx, self.trial_dx = np.zeros(2 * n), np.zeros(2 * n)
             self.mag, self.c, self.half = np.empty(2 * n), np.empty(2 * n), np.empty(2 * n)
             self.image = np.empty(n)
-        self.last, self._spare = _Evaluation(x, dx), None
+        self.last = _Evaluation(x, dx)
         self.curve_floor = None  # no curve screen
         if A.rows and A.nnz >= CURVE_NNZ_PER_ROW * A.rows and A.max_row_nnz <= 2**20:
             # Rows of A x at or above the floor round to within 2**-46 of
@@ -522,39 +526,28 @@ class InstanceObjective(Objective):
         values = _huber_values(self.trial_dx, self.delta, self.mag, self.c, self.half)
         return self.lam * float(np.add.reduce(values))
 
-    def _evaluate(self, x: np.ndarray, tv: float | None, limit: float = math.inf) -> _Evaluation:
-        # x's exact evaluation, made the latest one unless it is cached.  A
+    def _evaluate(self, x: np.ndarray, tv: float | None, limit: float) -> tuple[float, str, np.ndarray | None]:
+        # (f, cause, q) of x's exact evaluation, which becomes the cached one
+        # unless f exceeds limit: so always for limit = inf, a NaN f too.  A
         # given tv is x's, with its differences in trial_dx (0.0 for lam =
-        # 0).  Nothing cached changes before the KL term has validated Ax.
-        # A KL term above limit ends the evaluation when there is no tv, or
-        # when it is inf: it returns a transient one, with the given tv,
-        # and caches nothing.
+        # 0).  A KL term above limit ends the evaluation when there is no tv
+        # (the cause "kl_term"), or when it is inf.
         last = self.last
         if _same_point(last.x, x):
-            return last
+            return last.kl_value + last.tv, "value", last.q
         ax = self.A.forward(x)
         kl_value, q = self._kl(ax, limit)
         if kl_value > limit and (tv is None or kl_value == math.inf):
-            partial = _Evaluation(x, None)
-            partial.ax, partial.kl_value, partial.tv, partial.q = ax, kl_value, tv, q
-            return partial
-        # Write over the latest evaluation, unless that is the kept one:
-        # then over the spare, made at its first use.  So a solve that never
-        # probes pays neither its memory (1.5 MB at n_side 256) nor a shift
-        # of the scratch buffers, which moves _tv's speed by 15-20 % with
-        # where they land mod 4096.
-        new = last
-        if self.kept is last:
-            new = self._spare or _Evaluation(np.empty(x.size), None if last.dx is None else np.zeros(last.dx.size))
-            self._spare = last
-        if self.lam > 0.0:
-            if tv is None:
-                tv = self._tv(x)
-            new.dx, self.trial_dx = self.trial_dx, new.dx
-        np.copyto(new.x, x)
-        new.ax, new.kl_value, new.tv, new.q = ax, kl_value, tv or 0.0, q
-        self.last = new
-        return new
+            return kl_value, "kl_term" if tv is None else "value", q
+        if tv is None:
+            tv = self._tv(x) if self.lam > 0.0 else 0.0
+        f = kl_value + tv
+        if not f > limit:
+            if self.lam > 0.0:
+                last.dx, self.trial_dx = self.trial_dx, last.dx
+            np.copyto(last.x, x)
+            last.ax, last.kl_value, last.tv, last.q = ax, kl_value, tv, q
+        return f, "value", q
 
     def _exact(self, x: np.ndarray, limit: float, search: _Curve | None, tau: float) -> tuple[float, str]:
         """One Armijo trial, by the tests of README's "The order of a
@@ -684,26 +677,19 @@ class InstanceObjective(Objective):
                     tv = self._tv(x)
                 if tv is not None and lb + tv - limit > eta * (weight + tv):
                     return lb + tv, "curve"
-        evaluation = self._evaluate(x, tv, limit)
-        if search is not None and evaluation.q is not None:
-            search.record(tau, evaluation.q)
-        if evaluation.tv is None:
-            return evaluation.kl_value, "kl_term"
-        f = evaluation.kl_value + evaluation.tv
-        if f <= limit and search is not None:
-            search.accepted = max(search.accepted or 0.0, tau)
-            if tau == search.probe:
-                self.kept = evaluation  # the search tries larger steps next
-        return f, "value"
+        f, cause, q = self._evaluate(x, tv, limit)
+        if search is not None:
+            if q is not None:
+                search.record(tau, q)
+            if f <= limit:
+                search.accepted = tau
+        return f, cause
 
     def _exact_with_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         if self.last is None:
             self._setup()
-        kept, self.kept = self.kept, None
-        if kept is not None and kept is not self.last and _same_point(kept.x, x):
-            # A search accepted a step it tried before larger ones.
-            self.last, self._spare = kept, self.last
-        evaluation = self._evaluate(x, None)
+        self._evaluate(x, None, math.inf)
+        evaluation = self.last
         self.base_tv = evaluation.tv
         weights = np.divide(self.b, evaluation.ax, out=self.terms)
         np.subtract(1.0, weights, out=weights)

@@ -270,7 +270,8 @@ def relative_lipschitz_step(b) -> float:
     are allowed), and the step must come out finite and positive.
     """
     b = np.asarray(b, dtype=float)
-    total = float(np.add.reduce(b, axis=None))
+    with np.errstate(over="ignore"):  # an overflowed sum is reported below
+        total = float(np.add.reduce(b, axis=None))
     if not (b.size and np.minimum.reduce(b, axis=None) >= 0.0 and total > 0.0):
         raise ValueError("b must be nonnegative with a positive sum, with no NaN")
     step = 1.0 / (2.0 * total)

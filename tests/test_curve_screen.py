@@ -398,6 +398,38 @@ def test_below_the_gate_no_search_is_made(lam):
     assert obj.search(Geodesic(x, -x)) is None
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.01])
+def test_a_probe_that_met_its_limit_stays_cached_until_a_larger_step_meets_its_own(lam):
+    # A probe-first search above the gate: the probe at tau = 1/4 meets its
+    # limit, then the step 1 is projected.  If that misses its limit (by one
+    # ulp, so no screen can reject it first), the search accepts the probe,
+    # whose gradient adds one adjoint and no forward product.  If it meets
+    # its limit, the probe is wasted, and the gradient at the accepted
+    # larger step adds no forward product either.
+    rng = np.random.default_rng(3)
+    n = CURVE_NNZ_PER_ROW
+    a = rng.uniform(0.1, 1.0, (8, n))
+    b = np.maximum(rng.poisson(a @ rng.uniform(0.0, 2.0, n) ** 3), 1e-8)
+    instance = ProblemInstance(A=SparseOperator(a), b=b, lam=lam, delta=0.01, image_shape=(1, n))
+    x = rng.uniform(0.5, 1.5, n)
+    for larger_meets in (False, True):
+        obj = make_objective(instance)
+        grad = obj.value_and_grad(x)[1]
+        trial = geodesic_retraction(x, -x * grad, grad)
+        search = obj.search(trial.geodesic)
+        search.probe = 0.25
+        (probe, _), (larger, _) = trial(0.25), trial(1.0)
+        f_probe, f_larger = exact_value(instance, probe), exact_value(instance, larger)
+        assert obj.value(probe, f_probe, search, 0.25) == f_probe
+        limit = f_larger if larger_meets else np.nextafter(f_larger, -np.inf)
+        assert obj.value(larger, limit, search, 1.0) == f_larger
+        assert obj.screened_trials == 0 and obj.rejected_by["value"] == (not larger_meets)
+        assert search.accepted == (1.0 if larger_meets else 0.25)
+        instance.A.reset_counts()
+        obj.value_and_grad(larger if larger_meets else probe)
+        assert (instance.A.forward_count, instance.A.adjoint_count) == (0, 1)
+
+
 @PROPERTY
 @given(data=st.data())
 def test_probe_secants_bound_the_larger_trials_within_the_margin(data):

@@ -278,7 +278,16 @@ class TestMakeObjective:
             value, grad = obj.value_and_grad(x)
             assert value == want_value
             assert grad.tobytes() == want_grad.tobytes()
-            assert obj.value(x * 1.5) == full_objective(instance, x * 1.5)[0]
+            # A trial rejected on its exact value, one ulp above its limit,
+            # leaves x cached: x's gradient again costs no forward product.
+            f_far = full_objective(instance, x * 1.5)[0]
+            rejected = obj.rejected_by["value"]
+            assert obj.value(x * 1.5, np.nextafter(f_far, -np.inf)) == f_far
+            assert obj.rejected_by["value"] == rejected + 1
+            instance.A.reset_counts()
+            assert obj.value_and_grad(x)[1].tobytes() == want_grad.tobytes()
+            assert (instance.A.forward_count, instance.A.adjoint_count) == (0, 1)
+            assert obj.value(x * 1.5) == f_far
 
     @pytest.mark.parametrize("noisy", [False, True])
     @pytest.mark.parametrize("method", list(Method))
@@ -604,3 +613,10 @@ class TestProblemInstance:
             ProblemInstance(a, good, 0.01, 0.0, (3, 3))
         with pytest.raises(ValueError):
             ProblemInstance(a, rng.uniform(0.5, 2.0, 5), 0.01, 0.01, (3, 3))
+        # Every entry positive and finite, but not the sum the objective
+        # forms: a ValueError, with no overflow warning first.
+        big = np.finfo(float).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite sum"):
+                ProblemInstance(a, [1.0, big, big, 1.0], 0.01, 0.01, (3, 3))

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -209,8 +210,11 @@ class TestRelativeLipschitzStep:
 
     @pytest.mark.parametrize("b", [[], [5e-324], [1e308, 1e308]])
     def test_rejects_a_step_out_of_range(self, b):
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="b must"):
-            relative_lipschitz_step(b)
+        # With no warning first: an overflowing sum raises only the ValueError.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="b must"):
+                relative_lipschitz_step(b)
 
 
 class TestCheckTermination:
