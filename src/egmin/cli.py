@@ -63,12 +63,10 @@ class RunSpec:
     methods: tuple[str, ...] = ("eg", "poicg", "ipgrgd", "ipemd")
     max_iterations: int = SolverConfig.max_iterations
     grad_norm_tol: float = SolverConfig.grad_norm_tol
-    step_size_tol: float = SolverConfig.step_size_tol
     sigma: float = ArmijoParams.sigma
     beta: float = ArmijoParams.beta
     tau_bar: float = ArmijoParams.tau_bar
     tau_min: float = ArmijoParams.tau_min
-    max_halvings: int = ArmijoParams.max_halvings
     output_dir: str = "runs"
 
     def __post_init__(self):
@@ -248,12 +246,10 @@ def main():
               help="Comma-separated subset of eg,poicg,ipgrgd,ipemd.")
 @click.option("--max-iterations", type=int, default=None)
 @click.option("--grad-norm-tol", type=float, default=None)
-@click.option("--step-size-tol", type=float, default=None, help="Smallest accepted Armijo step.")
 @click.option("--sigma", type=float, default=None, help="Armijo sufficient-decrease slope.")
 @click.option("--beta", type=float, default=None, help="Armijo halving factor.")
 @click.option("--tau-bar", type=float, default=None, help="Armijo initial trial step.")
 @click.option("--tau-min", type=float, default=None, help="Armijo failure floor.")
-@click.option("--max-halvings", type=int, default=None)
 @click.option("--output-dir", type=str, default=None)
 def solve_command(methods, **kwargs):
     """Build one instance and run the selected methods on it."""

@@ -59,14 +59,19 @@ from .geometry import Geodesic, GeometryKind, exp_map, m_hessian_apply, metric_i
 from .objective import Objective
 
 
+# Cap on the halvings of one search: with beta near 1, tau_min alone
+# would allow an unbounded list of trial steps.
+MAX_HALVINGS = 60
+
+
 @dataclass(frozen=True)
 class ArmijoParams:
     """Backtracking constants: sufficient-decrease slope ``sigma``,
-    halving factor ``beta``, initial trial ``tau_bar``, failure floor
-    ``tau_min``, and a hard cap on halvings.
+    halving factor ``beta``, initial trial ``tau_bar`` and failure floor
+    ``tau_min``.
 
     They fix one list of trial steps, ``tau_bar * beta**k`` for ``k = 0,
-    1, ...`` while ``k <= max_halvings`` and the step is at least
+    1, ...`` while ``k <= MAX_HALVINGS`` and the step is at least
     ``tau_min``, each formed from the one before by one multiplication
     (see :func:`_trial_steps`).
     """
@@ -75,7 +80,6 @@ class ArmijoParams:
     beta: float = 0.5
     tau_bar: float = 1.0
     tau_min: float = 1e-10
-    max_halvings: int = 60
 
     def __post_init__(self):
         if not 0.0 < self.sigma < 1.0:
@@ -88,8 +92,6 @@ class ArmijoParams:
             raise ValueError(
                 f"tau_min must be in (0, tau_bar), got {self.tau_min}"
             )
-        if self.max_halvings < 1:
-            raise ValueError("max_halvings must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,12 @@ def constant_step(tau: float) -> ConstantStep:
 
 
 class StepStatus(Enum):
+    """How a search ended.  ``ACCEPTED``: a trial passed.  ``HIT_TAU_MIN``:
+    no trial passed, down to the last trial step, and some trial point was
+    usable.  ``CLAMPED``: no trial point was usable.  The last trial step
+    is the smallest at or above ``tau_min``, or the one ``MAX_HALVINGS``
+    halvings below ``tau_bar`` when that comes first."""
+
     ACCEPTED = "accepted"
     HIT_TAU_MIN = "hit_tau_min"
     CLAMPED = "clamped"
@@ -229,10 +237,10 @@ def armijo_backtrack(
 def _trial_steps(params: ArmijoParams) -> tuple[float, ...]:
     """The trial steps of a search with ``params``, largest first:
     ``tau_bar``, then each step times ``beta``, while the step is at least
-    ``tau_min`` and at most ``max_halvings`` halvings were made.  Formed
+    ``tau_min`` and at most ``MAX_HALVINGS`` halvings were made.  Formed
     once per (frozen, so hashable) ``params``."""
     steps, tau = [], params.tau_bar
-    while len(steps) <= params.max_halvings and tau >= params.tau_min:
+    while len(steps) <= MAX_HALVINGS and tau >= params.tau_min:
         steps.append(tau)
         tau *= params.beta
     return tuple(steps)

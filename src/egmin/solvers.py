@@ -10,8 +10,8 @@ reports unusable is rejected by the search and aborts a constant-step run.
 Every run records per-iteration objective values, Riemannian gradient
 norms (in each method's own metric), accepted step sizes, halving counts,
 and cumulative operator applications, and stops on the first of: a
-non-finite value or gradient norm, gradient norm below tolerance,
-accepted Armijo step below tolerance, or the iteration cap.
+non-finite value or gradient norm, gradient norm below tolerance, the
+iteration cap, or an Armijo search in which no trial passed.
 """
 
 from __future__ import annotations
@@ -75,13 +75,12 @@ class SolverConfig:
     linesearch: ArmijoParams | ConstantStep | None = None
     max_iterations: int = 300
     grad_norm_tol: float = 1e-6
-    step_size_tol: float = 1e-10
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if not (self.grad_norm_tol >= 0 and self.step_size_tol >= 0):
-            raise ValueError("tolerances must be nonnegative")
+        if not self.grad_norm_tol >= 0:
+            raise ValueError(f"grad_norm_tol must be nonnegative, got {self.grad_norm_tol}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,9 +146,11 @@ class RunTrace:
     it is stored as :class:`TraceRecords` columns, which keep a record in
     about 56 bytes instead of an object per record and one per field.
     ``search_status`` is the status of the failed Armijo search that ended
-    a ``step_tol`` run (``HIT_TAU_MIN`` or ``CLAMPED``), and ``None`` for
-    any other run, a ``step_tol`` run whose last step was accepted but
-    shorter than ``step_size_tol`` included.
+    a ``step_tol`` run, the only way a run ends so, and ``None`` for any
+    other run: ``HIT_TAU_MIN`` when no trial passed, down to the last
+    trial step (the smallest at or above ``tau_min``, or the one
+    ``MAX_HALVINGS`` halvings below ``tau_bar`` when that comes first),
+    ``CLAMPED`` when no trial point was usable.
     """
 
     records: TraceRecords
@@ -284,19 +285,18 @@ def relative_lipschitz_step(b) -> float:
 
 def check_termination(record: IterationRecord, config: SolverConfig) -> TerminalStatus | None:
     """First satisfied criterion, in priority order non-finite value or
-    gradient norm > grad > step > iterations.
+    gradient norm > grad > iterations.
 
-    The step-size criterion applies only to Armijo steps, once a step has
-    been taken (``k >= 1``; the initial record carries ``tau = 0``): a
-    constant step never shrinks, so there ``tau < step_size_tol`` would
-    say only that the data are large.
+    No step size ends a run here: an accepted step, however short, is
+    progress.  Only a failed Armijo search ends a run ``step_tol``, in
+    :func:`solve`: one in which no trial passed, down to the last trial
+    step (the smallest at or above ``tau_min``, or the one
+    ``MAX_HALVINGS`` halvings below ``tau_bar`` when that comes first).
     """
     if not (math.isfinite(record.f) and math.isfinite(record.riem_grad_norm)):
         return TerminalStatus.NON_FINITE
     if record.riem_grad_norm < config.grad_norm_tol:
         return TerminalStatus.GRAD_TOL
-    if record.k > 0 and record.tau < config.step_size_tol and not isinstance(config.linesearch, ConstantStep):
-        return TerminalStatus.STEP_TOL
     if record.k >= config.max_iterations:
         return TerminalStatus.MAX_ITER
     return None

@@ -56,7 +56,6 @@ def desk_spec(outdir, seed=0):
         methods=DESK_METHODS,
         max_iterations=300,
         grad_norm_tol=1e-6,
-        step_size_tol=1e-10,
         seed=seed,
         output_dir=str(outdir),
     )

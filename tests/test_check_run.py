@@ -47,6 +47,7 @@ MUTATIONS = {
     "halvings": lambda stats, rows: _bump(rows[1], "halvings"),
     "ended non_finite": lambda stats, rows: stats.update(terminal_status="non_finite"),
     "search_status clamped on a max_iter run": lambda stats, rows: stats.update(search_status="clamped"),
+    "search_status None on a step_tol run": lambda stats, rows: stats.update(terminal_status="step_tol"),
     "probes 0 are not nested": lambda stats, rows: stats.update(probes_wasted=1, probes_met=1),
     "probes below the curve screen's gate": lambda stats, rows: stats.update(probes=1),
     "iterations = 31": lambda stats, rows: _bump(stats, "iterations"),

@@ -156,13 +156,16 @@ class TestSolveCommand:
         ("--lam", "lam", "-1", "lam"),
         ("--lam", "lam", "inf", "lam"),
         ("--delta", "delta", "0", "delta"),
-        ("--grad-norm-tol", "grad_norm_tol", "nan", "tolerances"),
-        ("--step-size-tol", "step_size_tol", "nan", "tolerances"),
+        ("--grad-norm-tol", "grad_norm_tol", "nan", "grad_norm_tol"),
         ("--seed", "seed", "-1", "seed"),
         ("--n-side", "n_side", "8.5", "--n-side"),
     ]
 
-    @pytest.mark.parametrize("flag, key, value, message", BAD_VALUES)
+    # Removed options, which must stay unknown: a step-size stop and a halving cap.
+    REMOVED = [("--step-size-tol", "step_size_tol", "1e-10"), ("--max-halvings", "max_halvings", "60")]
+
+    @pytest.mark.parametrize("flag, key, value, message",
+                             BAD_VALUES + [(*row, "No such option") for row in REMOVED])
     def test_bad_value_flag_is_a_usage_error_before_any_work(self, tmp_path, flag, key, value, message):
         outdir = tmp_path / "run"
         result = CliRunner().invoke(main, ["solve", "--n-side", "8", flag, value,
@@ -171,7 +174,8 @@ class TestSolveCommand:
         assert message in result.output
         assert not outdir.exists()
 
-    @pytest.mark.parametrize("flag, key, value, message", BAD_VALUES)
+    @pytest.mark.parametrize("flag, key, value, message",
+                             BAD_VALUES + [(*row, f"unknown key {row[1]!r}") for row in REMOVED])
     def test_bad_value_in_a_config_file_is_a_usage_error(self, tmp_path, flag, key, value, message):
         cfg = tmp_path / "run.cfg"
         # A key is set once: a bad n_side replaces the 8.
@@ -218,9 +222,10 @@ class TestConfigResolution:
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("sidelength = 8\n")
-        with pytest.raises(ValueError):
-            load_config(cfg)
+        for key in ("sidelength", "step_size_tol", "max_halvings"):
+            cfg.write_text(f"n_side = 8\n{key} = 1\n")
+            with pytest.raises(ValueError, match=f"bad.cfg:2: unknown key '{key}'"):
+                load_config(cfg)
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

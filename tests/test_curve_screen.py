@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import egmin.solvers
-from egmin.linesearch import geodesic_retraction
+from egmin.linesearch import MAX_HALVINGS, geodesic_retraction
 from egmin.solvers import quotient_retraction
 from egmin import (
     EXP_ARG_MAX,
@@ -222,7 +222,7 @@ def test_searches_match_the_unscreened_ones(data):
     # Steps scaled as the geodesic's rates are, so that the solve moves as it would unscaled.
     tau_bar = 1.0 / scale_a if method is not Method.IP_G_RGD else 1.0 / (scale_a * scale_x)
     params = ArmijoParams(tau_bar=tau_bar, tau_min=1e-10 * tau_bar)
-    config = SolverConfig(method, params, max_iterations=60, grad_norm_tol=0.0, step_size_tol=1e-10 * tau_bar)
+    config = SolverConfig(method, params, max_iterations=60, grad_norm_tol=0.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -446,7 +446,7 @@ def test_probe_secants_bound_the_larger_trials_within_the_margin(data):
     w = data.draw(st.sampled_from([-1.0, 1.0])) + spread * rng.uniform(-1.0, 1.0, x.size)
     w *= data.draw(st.sampled_from([1e-3, 1.0, 1e3, 1e300]))
     tau_bar = data.draw(st.sampled_from([1e-3, 1.0, 30.0, 600.0])) / float(np.abs(w).max())
-    p = data.draw(st.integers(1, ArmijoParams().max_halvings))
+    p = data.draw(st.integers(1, MAX_HALVINGS))
     obj = make_objective(instance)
     with np.errstate(all="ignore"):
         try:

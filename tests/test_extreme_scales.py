@@ -40,6 +40,7 @@ from egmin import (
     solve,
 )
 from egmin.geometry import EXP_ARG_MAX
+from egmin.linesearch import MAX_HALVINGS
 from test_kernels import assert_same_step, reference_update
 
 PROPERTY = settings(
@@ -126,7 +127,7 @@ def test_armijo_terminates(data):
                 armijo_backtrack(obj, x, direction, params, value, grad)
             return
         step = armijo_backtrack(obj, x, direction, params, value, grad)
-    assert step.halvings <= params.max_halvings + 1
+    assert step.halvings <= MAX_HALVINGS + 1
     if step.status is StepStatus.ACCEPTED:
         assert step.new_point.min() > 0.0 and np.all(np.isfinite(step.new_point))
         assert step.new_value <= value + params.sigma * step.tau * slope
@@ -183,8 +184,8 @@ def test_solve_ends_in_a_defined_status(data):
 @pytest.mark.parametrize("scale", [2.0**20, 2.0**40])
 def test_a_constant_step_run_is_the_same_at_any_data_scale(scale):
     # (c b, c x0, c delta) scales f by c and ipemd's step 1 / (2 ||b||_1)
-    # by 1 / c, exactly.  At c = 2**40 that step is 8.7e-15, below
-    # step_size_tol = 1e-10; a constant step never shrinks, so the run must
+    # by 1 / c, exactly.  At c = 2**40 that step is 8.7e-15, below the
+    # Armijo floor tau_min = 1e-10; no step size ends a run, so the run must
     # not end step_tol for it.
     instance, _ = build_instance(8, lam=0.0, seed=0)
     x0 = default_x0(instance.A.cols, seed=0)

@@ -37,7 +37,6 @@ class TestParams:
             dict(tau_bar=0.0),
             dict(tau_min=0.0),
             dict(tau_min=2.0, tau_bar=1.0),
-            dict(max_halvings=0),
         ],
     )
     def test_invalid(self, kwargs):
@@ -366,7 +365,7 @@ class TestProbeFirst:
             assert probing.probes == 0
 
     def test_hit_tau_min(self):
-        params = ArmijoParams(max_halvings=10)
+        params = ArmijoParams(tau_min=2.0**-10)
         for index in (1, 5, 10):
             results = []
             for probe in (False, True):
@@ -394,7 +393,7 @@ class TestProbeFirst:
                 assert result.tau == _failed_tau(ArmijoParams(), result) == 2.0**-34
 
     def test_trial_steps_are_formed_once_by_repeated_multiplication(self):
-        for params, count in ((ArmijoParams(), 34), (ArmijoParams(max_halvings=10), 11),
+        for params, count in ((ArmijoParams(), 34), (ArmijoParams(tau_min=2.0**-10), 11),
                               (ArmijoParams(tau_bar=3.0, beta=0.3, tau_min=1e-3), 7)):
             steps = _trial_steps(params)
             assert list(steps) == _steps(params, count)

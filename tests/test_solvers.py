@@ -226,8 +226,16 @@ class TestCheckTermination:
     def test_grad_tol(self):
         assert check_termination(self.rec(gnorm=1e-7), self.CONFIG) is TerminalStatus.GRAD_TOL
 
-    def test_step_tol(self):
-        assert check_termination(self.rec(tau=1e-11), self.CONFIG) is TerminalStatus.STEP_TOL
+    def test_a_short_accepted_step_does_not_end_a_run(self):
+        # The first search on this steep quadratic accepts tau = 2**-38, below
+        # 1e-10: an accepted step is progress, however short, so the run goes
+        # on to its cap, and only a failed search could end it step_tol.
+        config = SolverConfig(Method.EG, ArmijoParams(tau_min=1e-14), max_iterations=5, grad_norm_tol=0.0)
+        with np.errstate(over="ignore"):  # a trial far past the minimum has f = inf, and fails
+            trace = solve(config, quadratic_objective([1.0], scale=1e12), np.array([2.0]))
+        assert trace.records[1].tau == 2.0**-38
+        assert trace.terminal_status is TerminalStatus.MAX_ITER and trace.records[-1].k == 5
+        assert trace.search_status is None
 
     def test_max_iter(self):
         assert check_termination(self.rec(k=300), self.CONFIG) is TerminalStatus.MAX_ITER

@@ -13,8 +13,8 @@ every method of the run it checks that:
 - every Armijo trial is counted once: the halvings of the trace, plus the
   wasted probes that did not meet their limit, are the screened and the
   rejected trials;
-- the status is not ``non_finite``, and ``search_status`` is set only on
-  a ``step_tol`` run;
+- the status is not ``non_finite``, and ``search_status`` is set if and
+  only if the status is ``step_tol`` (only a failed search ends a run so);
 - the probes that met their limit are among the wasted ones, and those
   among the ``probes``; and no search probed if the operator is below the
   curve screen's gate (``nnz < CURVE_NNZ_PER_ROW * rows``);
@@ -79,7 +79,7 @@ def method_problems(stats: dict, records, below_gate: bool) -> list[str]:
                         f" {stats['probes_met']} met their limit, but {counted} screened or rejected trials")
     if stats["terminal_status"] == "non_finite":
         problems.append("ended non_finite")
-    if stats["search_status"] is not None and stats["terminal_status"] != "step_tol":
+    if (stats["search_status"] is None) == (stats["terminal_status"] == "step_tol"):
         problems.append(f"search_status {stats['search_status']} on a {stats['terminal_status']} run")
     if not 0 <= stats["probes_met"] <= stats["probes_wasted"] <= stats["probes"]:
         problems.append(f"probes_met {stats['probes_met']}, probes_wasted {stats['probes_wasted']}"
