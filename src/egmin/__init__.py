@@ -27,7 +27,6 @@ from .geometry import (
     exp_map,
     m_hessian_apply,
     metric_inner,
-    multiplicative_update,
     riemannian_grad,
     transport_e,
 )

@@ -3,7 +3,8 @@
 Three subcommands: ``solve`` builds one tomography instance and runs the
 requested methods from a shared random starting point, writing one trace
 CSV and one reconstruction PGM per method plus a cross-method relative
-objective comparison and a JSON summary; ``verify`` runs the oracle
+objective comparison and a JSON summary, which holds each method's
+reconstruction error against the phantom; ``verify`` runs the oracle
 battery and exits nonzero on any failure; ``phantom`` writes the
 synthetic test image.  Options resolve in the order defaults < config
 file < flags: the config file's values become the defaults of the
@@ -190,6 +191,7 @@ def cmd_solve(spec: RunSpec) -> int:
             probes=obj.probes,
             probes_wasted=obj.probes_wasted,
             probes_met=obj.probes_met,
+            recon_rel_error=float(np.linalg.norm(trace.final_point - x_true) / np.linalg.norm(x_true)),
             wall_seconds=elapsed,
         )
         if trace.terminal_status in (TerminalStatus.STEP_INFEASIBLE, TerminalStatus.NON_FINITE):
@@ -285,6 +287,7 @@ def phantom_command(n_side, output):
         img = make_phantom(n_side)
     except ValueError as exc:  # an image too small for the phantom
         raise click.UsageError(str(exc)) from exc
+    Path(output).parent.mkdir(parents=True, exist_ok=True)
     write_pgm(f"{output}.pgm", img)
     write_image_csv(f"{output}.csv", img)
 

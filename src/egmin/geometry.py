@@ -5,7 +5,9 @@ the Poisson family and the interior-point metric ``diag(1/x^2)`` obtained
 as the Hessian of the log barrier.  Both structures share the same
 geodesics ``x * exp(tau * v / x)``, so a single exponential map and
 parallel transport serve both; they differ only in inner products and in
-how Euclidean gradients are rescaled into Riemannian ones.
+how Euclidean gradients are rescaled into Riemannian ones.  Every step
+along a geodesic, the multiplicative update ``x * exp(-tau * g)`` among
+them, is one :meth:`Geodesic.step`.
 
 Points and tangents are plain 1-d float64 arrays.  Manifold membership
 (strict positivity, finiteness) is checked once at construction through
@@ -130,7 +132,8 @@ _max, _min = np.maximum.reduce, np.minimum.reduce
 class Geodesic:
     """The curve ``tau -> x * exp(w * tau)``, with what all its steps share
     formed once: ``w`` and the extremes of ``w`` and ``x``.
-    ``Geodesic.along(x, v)`` is the geodesic of :func:`exp_map`, ``w = v / x``.
+    ``Geodesic.along(x, v)`` is the geodesic of :func:`exp_map`, ``w = v / x``;
+    ``Geodesic(x, -g)`` is the multiplicative (EG) update ``x * exp(-tau * g)``.
 
     Rounding is monotone, so ``tau`` times the extremes of ``w`` are the
     extremes of ``z = w * tau`` bit for bit.  A step tests
@@ -183,18 +186,6 @@ class Geodesic:
         return ExpMapResult(point, bool(in_range and _max(point) <= POINT_CEILING and _min(point) > 0.0))
 
 
-def multiplicative_update(x, exponent) -> ExpMapResult:
-    """``x * exp(exponent)`` elementwise, and whether it is usable.
-
-    The step is unusable when an exponent entry lies outside
-    ``[-EXP_ARG_MAX, EXP_ARG_MAX]``, when a coordinate overflows past
-    ``POINT_CEILING``, or when one underflows to zero: such a point is
-    rejected, never projected back onto the manifold.  This is one step
-    of :class:`Geodesic` ``(x, exponent)`` at ``tau = 1``.
-    """
-    return Geodesic(x, exponent).step(1.0)
-
-
 def exp_map(x, v, tau: float, geodesic: Geodesic | None = None) -> ExpMapResult:
     """Geodesic step ``x * exp(tau * v / x)``, and whether it is usable.
 
@@ -203,7 +194,7 @@ def exp_map(x, v, tau: float, geodesic: Geodesic | None = None) -> ExpMapResult:
     ``exp_map(x, v, 0)`` returns ``x`` exactly; in exact arithmetic the
     result is strictly positive for every ``tau``.  The exponent is
     ``(v / x) * tau`` bit for bit, and the step is usable as
-    :func:`multiplicative_update` says.
+    :class:`ExpMapResult` says.
 
     ``geodesic``, when given, must be ``Geodesic.along(x, v)``: the steps
     of one line search share it, so each forms only its own point (see

@@ -222,6 +222,3 @@ class SparseOperator:
     def column_sums(self) -> np.ndarray:
         """``A^T 1``, formed at construction (read-only)."""
         return self._column_sums
-
-    def toarray(self) -> np.ndarray:
-        return self._matrix.toarray()

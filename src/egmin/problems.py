@@ -109,16 +109,12 @@ def huber(a, delta: float):
 
     Quadratic ``a**2 / 2`` for ``|a| <= delta``, linear
     ``delta * (|a| - delta/2)`` outside; value and derivative are
-    continuous at the kink.  Scalars in, scalars out.
+    continuous at the kink.  A scalar ``a`` gives ``np.float64`` scalars.
     """
     if not 0.0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
     arr = np.asarray(a, dtype=float)
-    value = _huber_values(arr, delta)
-    deriv = np.clip(arr, -delta, delta)
-    if arr.ndim == 0:
-        return float(value), float(deriv)
-    return value, deriv
+    return _huber_values(arr, delta), np.clip(arr, -delta, delta)
 
 
 def _huber_values(a, delta: float, out=None, c=None, half=None):

@@ -5,9 +5,10 @@ of Siddon (Med. Phys. 1985): the intersection parameters of a ray with all
 horizontal and vertical gridlines are merged and sorted, and every segment
 between two consecutive crossings contributes its length as the weight of
 the pixel its midpoint lies in.  The image occupies ``[-n/2, n/2]^2`` with
-unit pixels; each of the equidistant angles in ``[0, 2*pi)`` gets one
-detector bin per pixel column, offset so that axis-aligned rays pass
-through pixel centers.
+unit pixels.  The undersampling ratio alone sets the number of
+equidistant angles in ``[0, 2*pi)``, ``max(1, round(undersampling * n))``;
+each angle gets one detector bin per pixel column, offset so that
+axis-aligned rays pass through pixel centers.
 
 All rays of one angle share their direction, so they are traced together
 with the same array operations: the crossing parameters of one angle form
@@ -175,20 +176,18 @@ def check_geometry(n_side: int, undersampling: float) -> None:
         raise ValueError(f"undersampling must be in (0, 1], got {undersampling}")
 
 
-def build_projector(
-    n_side: int, n_angles: int | None = None, undersampling: float = 0.2
-) -> SparseOperator:
+def build_projector(n_side: int, undersampling: float = 0.2) -> SparseOperator:
     """Assemble the sparse line-integral matrix.
 
     Parameters
     ----------
     n_side : int
         Image side length in pixels (>= 4); also the detector count per angle.
-    n_angles : int, optional
-        Number of view angles.  Defaults to ``round(undersampling * n_side)``
-        so that the measurement count is about ``undersampling * n_side**2``.
     undersampling : float
-        Target ratio of measurements to unknowns when ``n_angles`` is not given.
+        Target ratio of measurements to unknowns, in ``(0, 1]``: the
+        projector has ``max(1, round(undersampling * n_side))`` equidistant
+        view angles, so that the measurement count is about
+        ``undersampling * n_side**2``.
 
     Rays that miss the image would give all-zero rows and are dropped, so the
     returned operator maps strictly positive images to strictly positive data.
@@ -197,13 +196,8 @@ def build_projector(
     matrix plus the work arrays of one angle (two angles when it is built
     in two halves).
     """
-    if n_angles is None:
-        check_geometry(n_side, undersampling)
-        n_angles = max(1, round(undersampling * n_side))
-    else:
-        check_n_side(n_side)
-    if n_angles < 1:
-        raise ValueError(f"n_angles must be positive, got {n_angles}")
+    check_geometry(n_side, undersampling)
+    n_angles = max(1, round(undersampling * n_side))
 
     n_det = n_side
     offsets = np.arange(n_det) - 0.5 * (n_det - 1)

@@ -31,10 +31,10 @@ import numpy as np
 
 from .geometry import (  # noqa: F401  (exp_map: a patch point of perfbench/spans.py)
     ExpMapResult,
+    Geodesic,
     GeometryKind,
     as_point,
     exp_map,
-    multiplicative_update,
     riemannian_grad,
     transport_e,
 )
@@ -162,8 +162,9 @@ class RunTrace:
         if not isinstance(self.records, TraceRecords):
             self.records = TraceRecords(self.records)
 
-    def to_csv(self, path_or_file) -> None:
-        """Serialize records as RFC-4180 CSV with full-precision floats.
+    def to_csv(self, path) -> None:
+        """Write the records to the file at ``path`` as RFC-4180 CSV with
+        full-precision floats.
 
         A trace file holds no wall-clock column: wall-clock times vary
         between otherwise identical runs, and go only into a run's
@@ -171,9 +172,7 @@ class RunTrace:
         fixed config and seed.
         """
         fields = TRACE_FIELDS[:-1]  # all but wall_nanos
-        own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-        f = open(path_or_file, "w", newline="") if own else path_or_file
-        try:
+        with open(path, "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(fields)
             for rec in self.records:
@@ -184,9 +183,6 @@ class RunTrace:
                         for name in fields
                     ]
                 )
-        finally:
-            if own:
-                f.close()
 
     def summary_dict(self) -> dict:
         last = self.records[-1]
@@ -219,12 +215,12 @@ def read_trace_csv(path) -> list[IterationRecord]:
 def step_eg(x, euclid_grad, tau: float) -> ExpMapResult:
     """Multiplicative gradient step ``x * exp(-tau * g)``, and whether it is usable.
 
-    Identical to the geodesic step with the Fisher-Rao Riemannian
-    gradient as direction, usable as :func:`multiplicative_update` says.
+    One step along :class:`Geodesic` ``(x, -g)``, the geodesic with the
+    Fisher-Rao Riemannian gradient as direction; usable as
+    :class:`ExpMapResult` says.  Its exponent ``(-g) * tau`` is
+    ``-tau * g`` bit for bit, since negation is exact.
     """
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(euclid_grad, dtype=float)
-    return multiplicative_update(x, -tau * g)
+    return Geodesic(x, np.negative(euclid_grad, dtype=float)).step(tau)
 
 
 def step_ip_e_md(x, euclid_grad, tau: float) -> tuple[np.ndarray, bool]:

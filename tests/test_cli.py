@@ -12,10 +12,23 @@ import pytest
 from click.testing import CliRunner
 
 import egmin.cli
-from egmin import BATTERY_SIZE, ArmijoParams, Method, Objective, SolverConfig, read_trace_csv
+from egmin import (
+    BATTERY_SIZE,
+    ArmijoParams,
+    Method,
+    Objective,
+    SolverConfig,
+    build_instance,
+    default_x0,
+    make_objective,
+    make_phantom,
+    read_trace_csv,
+    solve,
+)
 from egmin.cli import RunSpec, cmd_solve, load_config, main
-from egmin.imgio import quantize, read_image_csv, read_pgm
+from egmin.imgio import quantize
 from test_check_run import check_run
+from test_imgio import pgm_bytes, read_csv
 
 
 def small_spec(outdir, **overrides):
@@ -66,6 +79,25 @@ class TestSolveCommand:
         assert summary["methods"]["eg"]["screened_by"]["curve"] == 0
         assert summary["methods"]["ipemd"]["screened_by"] == {"kl": 0, "kl_tv": 0, "curve": 0}
         assert summary["methods"]["ipemd"]["rejected_by"] == {"kl_term": 0, "value": 0, "unusable": 0}
+
+    def test_summary_reports_the_reconstruction_error(self, tmp_path):
+        # Each method's final point against the phantom, recomputed here
+        # with the library from the run's seed.
+        spec = small_spec(tmp_path / "run", methods=("eg", "poicg", "ipemd"))
+        assert cmd_solve(spec) == 0
+        methods = json.loads((tmp_path / "run" / "summary.json").read_text())["methods"]
+        data_seed, x0_seed = np.random.SeedSequence(spec.seed).spawn(2)
+        instance, x_true = build_instance(
+            spec.n_side, undersampling=spec.undersampling, lam=spec.lam, delta=spec.delta,
+            noisy=spec.noisy, seed=data_seed,
+        )
+        x0 = default_x0(instance.A.cols, seed=x0_seed)
+        for name in spec.methods:
+            config = egmin.cli._solver_config(spec, Method(name), instance.b)
+            x = solve(config, make_objective(instance), x0).final_point
+            want = float(np.linalg.norm(x - x_true) / np.linalg.norm(x_true))
+            assert methods[name]["recon_rel_error"] == want
+            assert 0.0 < want < float(np.linalg.norm(x0 - x_true) / np.linalg.norm(x_true))
 
     def test_byte_identical_reruns(self, tmp_path):
         for name in ("a", "b"):
@@ -270,11 +302,16 @@ class TestPhantomCommand:
         prefix = tmp_path / "walnutish"
         result = runner.invoke(main, ["phantom", "--n-side", "16", "--output", str(prefix)])
         assert result.exit_code == 0
-        pgm = read_pgm(f"{prefix}.pgm")
-        csv_img = read_image_csv(f"{prefix}.csv")
-        assert pgm.shape == (16, 16)
-        assert csv_img.shape == (16, 16)
-        np.testing.assert_array_equal(quantize(csv_img), pgm)
+        csv_img = read_csv(f"{prefix}.csv")
+        np.testing.assert_array_equal(csv_img, make_phantom(16))
+        assert Path(f"{prefix}.pgm").read_bytes() == pgm_bytes(quantize(csv_img))
+
+    def test_creates_the_prefix_directory(self, tmp_path):
+        prefix = tmp_path / "missing" / "deeper" / "p"
+        result = CliRunner().invoke(main, ["phantom", "--n-side", "8", "--output", str(prefix)])
+        assert result.exit_code == 0, result.output
+        assert read_csv(f"{prefix}.csv").shape == (8, 8)
+        assert Path(f"{prefix}.pgm").read_bytes() == pgm_bytes(quantize(make_phantom(8)))
 
     def test_too_small_is_a_usage_error_before_any_work(self, tmp_path):
         prefix = tmp_path / "tiny"
@@ -299,5 +336,5 @@ class TestPhantomCommand:
             [sys.executable, "-m", "egmin.cli", "phantom", "--n-side", "8", "--output", str(prefix)],
             env=dict(os.environ, PYTHONPATH=pythonpath), check=True, timeout=120,
         )
-        assert read_pgm(f"{prefix}.pgm").shape == (8, 8)
-        assert read_image_csv(f"{prefix}.csv").shape == (8, 8)
+        assert Path(f"{prefix}.pgm").read_bytes() == pgm_bytes(quantize(make_phantom(8)))
+        assert read_csv(f"{prefix}.csv").shape == (8, 8)

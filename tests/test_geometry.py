@@ -1,5 +1,6 @@
 """Metric structures, geodesics, transport, and the Hessian correction term."""
 
+import math
 import warnings
 
 import numpy as np
@@ -11,13 +12,12 @@ from egmin import (
     exp_map,
     m_hessian_apply,
     metric_inner,
-    multiplicative_update,
     riemannian_grad,
     transport_e,
 )
 from egmin.geometry import EXP_ARG_MAX, Geodesic
 from egmin.verification import geodesic_ode_oracle
-from test_kernels import assert_same_step, reference_update
+from test_kernels import assert_same_step, multiplicative_update, reference_update
 
 POI = GeometryKind.POISSON_FISHER_RAO
 IP = GeometryKind.INTERIOR_POINT
@@ -265,3 +265,19 @@ class TestMHessian:
             errs.append(np.linalg.norm(rgrad_tau - (rgrad - tau * h)))
         slope = np.polyfit(np.log(taus), np.log(errs), 1)[0]
         assert slope >= 1.9
+
+
+class TestHostArithmetic:
+    def test_exp_and_log_within_the_assumed_error(self):
+        # Geodesic's proven bound (geometry._CEILING_PROVEN) and the curve
+        # screen's rounding argument (InstanceObjective._exact) take numpy's
+        # exp and log within 2**-43 relative of the exact values; libm's
+        # math.exp and math.log, within an ulp of them, stand in here.
+        sample = np.linspace(-700.0, 700.0, 20_001)
+        positive = np.concatenate([np.abs(sample[sample != 0.0]), np.exp(sample)])
+        for got, want in (
+            (np.exp(sample), [math.exp(z) for z in sample]),
+            (np.log(positive), [math.log(u) for u in positive]),
+        ):
+            want = np.array(want)
+            assert np.all(np.abs(got - want) <= 2.0**-43 * np.abs(want))

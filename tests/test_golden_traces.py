@@ -24,13 +24,26 @@ probe-first order of the line searches, the traces without
 one forward projection saved, and each wasted probe (a probe below the
 step its search accepts) is one trial the search from ``tau_bar`` never
 makes.
+
+numpy picks its ``exp`` and ``log`` loops by CPU at run time, and its
+AVX512 loops round differently from the others (each within an ulp of
+libm), so the traces' bits follow the host.  Each set of hashes is pinned
+under an arithmetic fingerprint, the sha256 of ``np.exp`` and ``np.log``
+over a fixed probe.  On a host whose fingerprint has no set the hash tests
+fail, naming it; ``PYTHONPATH=src python tests/test_golden_traces.py``
+prints the fingerprint and the set to pin under it.
 """
 
 import csv
 import hashlib
 import io
 import json
+import pprint
+import sys
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import egmin.cli
@@ -73,6 +86,12 @@ WITHOUT_GRAD_NORM = {
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def arithmetic_fingerprint() -> str:
+    """sha256 of ``np.exp`` and ``np.log`` over a fixed probe of [-700, 700]."""
+    probe = np.linspace(-700.0, 700.0, 2**16)
+    return _sha256(np.exp(probe).tobytes() + np.log(np.abs(probe)).tobytes())
 
 
 def _rows(path) -> list[list[str]]:
@@ -123,6 +142,80 @@ ABOVE_THE_GATE_SCREENED = {
 }
 
 
+# The same sets where numpy runs the exp and log loops of a CPU without
+# AVX512.  ipemd's iteration forms no exp, and its traces keep their bits.
+NO_AVX512_SETS = dict(
+    SCREENED={
+        "eg": "4758ab845bfde634eb64bb92b50dfc4b21579a0d96297e53f5ac2483bb3ef1bf",
+        "poicg": "6bd9eab4defa747ac44222fe7d1c571df0fd49d6da5d009c4c447433a0bdee55",
+        "ipgrgd": "10fe98a401f60d4ace9a946201bd4b9cf1b09e2e0ae1ff5e048d2272f1430946",
+        "ipemd": SCREENED["ipemd"],
+    },
+    UNSCREENED={
+        "eg": "e6d6f23ca50ab9bcd6c3ba7d2675a1780f610b04c49f20da0c903e56ac13c0f6",
+        "poicg": "73af0cd4cc9a343562eeaae5d12db3e4d3e07a26e85db28f9820f8608cf26ac5",
+        "ipgrgd": "c64c90168d490d4f903d87625258634d4fdb596cf7ae99df25abf6d317b6ee5c",
+        "ipemd": UNSCREENED["ipemd"],
+    },
+    WITHOUT_MATVECS={
+        "eg": "d8bebbea53bd23776c0f21b90b5ae09c4999db6e9e5b19de79657569b2af9e47",
+        "poicg": "bcee37ffaec64024392987fd13d4ad610fd905e97da87b26b697e40e82666b5a",
+        "ipgrgd": "7f08f4fc84f76118a547e4efbf7ee87cda671dafe506c3d7a8b38c56282fe39d",
+        "ipemd": WITHOUT_MATVECS["ipemd"],
+    },
+    WITHOUT_GRAD_NORM={
+        "eg": "22d1442d2c3ec82feddc62010edaf638976ed73a1e839d3d42b602f0e8250c37",
+        "poicg": "5e97ec2314b3eb23b0e66d7cfc39fe3fb7925f20993ddc6e1fc3bb1704f68e03",
+        "ipgrgd": "7f5ce5388192a49feaa7f4d581d6248c0fc1bcacdbbf13625f90a8454f73a899",
+        "ipemd": WITHOUT_GRAD_NORM["ipemd"],
+    },
+    ABOVE_THE_GATE_SCREENED={
+        "eg": "30b70b04669302dbc41f2c71cab131742a5ef86bdb34915cfa3cb78516d106be",
+        "poicg": "d796cdc85377f65fbed6688144fc31280bea06b97a08ef99c002a625da9b1275",
+        "ipgrgd": "3d72c235ae288ac90c9178ca7ed10fbb4006da050c05384cd866ee5305c0c854",
+    },
+)
+# numpy's AVX512 exp and log loops (numpy 2.4.6 on an AVX512 Xeon): the
+# sets above, as first pinned.
+AVX512 = "36c909556f4fae42ea800131a921c4ac22ad79c8976e582c2371f02e25cb3f43"
+# The loops a CPU without AVX512 gets (the same host and numpy, run with
+# NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR").
+NO_AVX512 = "34f3061b7d36ff77f646d46efdabef767ce6216c7a56afdc7fa8a8a9f4989301"
+PINNED = {
+    AVX512: dict(
+        SCREENED=SCREENED,
+        UNSCREENED=UNSCREENED,
+        WITHOUT_MATVECS=WITHOUT_MATVECS,
+        WITHOUT_GRAD_NORM=WITHOUT_GRAD_NORM,
+        ABOVE_THE_GATE_SCREENED=ABOVE_THE_GATE_SCREENED,
+    ),
+    NO_AVX512: NO_AVX512_SETS,
+}
+
+
+def pinned(kind: str) -> dict[str, str]:
+    """The set of hashes ``kind`` (a name above) pinned for this host's arithmetic."""
+    fingerprint = arithmetic_fingerprint()
+    if fingerprint not in PINNED:
+        pytest.fail(
+            f"no golden hashes are pinned for arithmetic fingerprint {fingerprint}: run"
+            " `PYTHONPATH=src python tests/test_golden_traces.py` on this host and add"
+            " the set it prints to PINNED under that fingerprint"
+        )
+    return PINNED[fingerprint][kind]
+
+
+def trace_hashes(golden_runs, method) -> dict[str, str]:
+    """The hashes of ``method``'s default traces, by the name of their set."""
+    screened, unscreened = (d / f"trace_{method}.csv" for d in golden_runs)
+    return dict(
+        SCREENED=_sha256(screened.read_bytes()),
+        UNSCREENED=_sha256(unscreened.read_bytes()),
+        WITHOUT_MATVECS=_sha256(_without_column(_rows(screened), "matvec_count")),
+        WITHOUT_GRAD_NORM=_sha256(_without_column(_rows(screened), "riem_grad_norm")),
+    )
+
+
 @pytest.fixture(scope="module")
 def counts_runs(tmp_path_factory):
     return _runs(tmp_path_factory.mktemp("counts"), **ABOVE_THE_GATE)
@@ -130,11 +223,14 @@ def counts_runs(tmp_path_factory):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_trace_hashes(golden_runs, method):
-    screened, unscreened = (d / f"trace_{method}.csv" for d in golden_runs)
-    assert _sha256(screened.read_bytes()) == SCREENED[method]
-    assert _sha256(unscreened.read_bytes()) == UNSCREENED[method]
-    assert _sha256(_without_column(_rows(screened), "matvec_count")) == WITHOUT_MATVECS[method]
-    assert _sha256(_without_column(_rows(screened), "riem_grad_norm")) == WITHOUT_GRAD_NORM[method]
+    got = trace_hashes(golden_runs, method)
+    assert got == {kind: pinned(kind)[method] for kind in got}
+
+
+def test_an_unknown_fingerprint_fails_naming_it(monkeypatch):
+    monkeypatch.setattr(sys.modules[__name__], "arithmetic_fingerprint", lambda: "0" * 64)
+    with pytest.raises(pytest.fail.Exception, match=f"fingerprint {'0' * 64}: run .*tests/test_golden_traces.py"):
+        pinned("SCREENED")
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -163,7 +259,7 @@ def test_summary_counts_add_up(golden_runs):
 @pytest.mark.parametrize("method", ABOVE_THE_GATE["methods"])
 def test_above_the_gate_trace_hashes(counts_runs, method):
     screened, _ = counts_runs
-    assert _sha256((screened / f"trace_{method}.csv").read_bytes()) == ABOVE_THE_GATE_SCREENED[method]
+    assert _sha256((screened / f"trace_{method}.csv").read_bytes()) == pinned("ABOVE_THE_GATE_SCREENED")[method]
 
 
 @pytest.mark.parametrize("method", ABOVE_THE_GATE["methods"])
@@ -203,3 +299,18 @@ def test_every_trial_is_counted_once(golden_runs, counts_runs, method):
     assert _stats(unscreened, method)["rejected_by"]["kl_term"] == 0
     for run in counts_runs:
         assert _stats(run, method)["rejected_by"]["kl_term"] == 0  # lam = 0: f is the KL term
+
+
+if __name__ == "__main__":
+    # Print this host's fingerprint and the set of hashes to pin under it.
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        golden_runs = _runs(root / "golden")
+        counts_runs = _runs(root / "counts", **ABOVE_THE_GATE)
+        sets = {kind: {} for kind in PINNED[AVX512]}
+        for method in METHODS:
+            for kind, digest in trace_hashes(golden_runs, method).items():
+                sets[kind][method] = digest
+        for method in ABOVE_THE_GATE["methods"]:
+            sets["ABOVE_THE_GATE_SCREENED"][method] = _sha256((counts_runs[0] / f"trace_{method}.csv").read_bytes())
+    sys.stdout.write(f"{arithmetic_fingerprint()}\n{pprint.pformat(sets, sort_dicts=False)}\n")

@@ -7,8 +7,9 @@ written as plainly as possible.  The Huber kernels must match theirs bit
 for bit, NaN positions included, on random floats of every magnitude and
 on the edge values where the branches meet.  An exp-map step must be
 usable exactly when the reference flags no coordinate, and then its point
-must match the reference's bit for bit.  A quotient step must give the
-reference's point, usability and warnings.
+must match the reference's bit for bit; an EG step must be the geodesic
+step ``Geodesic(x, -tau * g).step(1.0)`` bit for bit.  A quotient step must
+give the reference's point, usability and warnings.
 """
 
 import math
@@ -29,7 +30,7 @@ from egmin import (
     huber,
     huber_tv,
     make_objective,
-    multiplicative_update,
+    step_eg,
     step_ip_e_md,
 )
 from egmin import geometry
@@ -121,6 +122,17 @@ def assert_same_floats(got, want):
     nan = np.isnan(want)
     np.testing.assert_array_equal(np.isnan(got), nan)
     assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def multiplicative_update(x, z):
+    """``x * exp(z)``: one step of the geodesic ``Geodesic(x, z)`` at ``tau = 1``."""
+    return Geodesic(x, z).step(1.0)
+
+
+def assert_same_bits(result, want):
+    # Two steps with the same usability and the same point, NaNs in place.
+    assert result.ok is want.ok
+    assert_same_floats(result.point, want.point)
 
 
 def assert_same_step(result, want):
@@ -290,6 +302,10 @@ class TestExpMapKernel:
         z = data.draw(arrays(np.float64, n, elements=EXPONENT))
         want = reference_update(x, z)
         assert_same_step(multiplicative_update(x, z), want)
+        # An EG step along the gradient z is the update of exponent -tau * z.
+        tau = data.draw(st.one_of(st.sampled_from(TAUS), st.floats(allow_nan=True, allow_infinity=True)))
+        with np.errstate(all="ignore"):
+            assert_same_bits(step_eg(x, z, tau), multiplicative_update(x, -tau * z))
 
     @PROPERTY
     @given(data=st.data())
@@ -312,10 +328,12 @@ class TestExpMapKernel:
         with np.errstate(all="ignore"):
             want = reference_update(x, tau * (v / x))
             assert_same_step(exp_map(x, v, tau), want)
+            assert_same_bits(step_eg(x, v, tau), multiplicative_update(x, -tau * v))
         for z in v:  # one coordinate at a time: every flag alone
             one, z = np.ones(1), np.array([z])
             with np.errstate(all="ignore"):
                 assert_same_step(multiplicative_update(one, z), reference_update(one, z))
+                assert_same_bits(step_eg(one, z, tau), multiplicative_update(one, -tau * z))
         empty = np.empty(0)  # an empty point steps to an empty, usable point
         want = reference_update(empty, empty)
         assert_same_step(Geodesic(empty, empty).step(tau), want)

@@ -105,8 +105,10 @@ def test_default_angles_match_reference(n_side):
 def test_angle_counts_match_reference(n_side, n_angles):
     # With 4 angles, theta = pi/2 and 3*pi/2 leave |cos theta| ~ 6e-17 and
     # take the branch for rays parallel to the y axis.
+    undersampling = n_angles / n_side
+    assert round(undersampling * n_side) == n_angles
     assert_bit_identical(
-        build_projector(n_side, n_angles=n_angles),
+        build_projector(n_side, undersampling=undersampling),
         reference_projector(n_side, n_angles=n_angles),
     )
 

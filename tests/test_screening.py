@@ -82,7 +82,7 @@ def exact_value(instance, x):
 
 def log_sum_bounds(instance, x):
     """The screen's two bounds, without and with ``tv``, recomputed from the dense matrix."""
-    y = float(np.sum(instance.A.toarray() @ x))
+    y = float(np.sum(instance.A._matrix.toarray() @ x))
     sum_b = float(np.sum(instance.b))
     tv = huber_tv(x, instance.lam, instance.delta, instance.image_shape)[0] if instance.lam else 0.0
     with np.errstate(all="ignore"):

@@ -531,7 +531,7 @@ class TestSolve:
         assert trace.summary_dict()["search_status"] == "clamped"
         assert trace.records[1].tau < 1e-10
 
-    def test_determinism_bit_identical(self):
+    def test_determinism_bit_identical(self, tmp_path):
         a = np.array([2.0, 3.0, 0.7])
         x0 = default_x0(3, seed=11)
         config = SolverConfig(method=Method.POI_CG, max_iterations=50)
@@ -541,10 +541,9 @@ class TestSolve:
             assert (r1.k, r1.f, r1.riem_grad_norm, r1.tau, r1.halvings) == (
                 r2.k, r2.f, r2.riem_grad_norm, r2.tau, r2.halvings
             )
-        buf1, buf2 = io.StringIO(), io.StringIO()
-        t1.to_csv(buf1)
-        t2.to_csv(buf2)
-        assert buf1.getvalue() == buf2.getvalue()
+        t1.to_csv(tmp_path / "t1.csv")
+        t2.to_csv(tmp_path / "t2.csv")
+        assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
 
     def test_matvec_counts_nondecreasing(self, rng):
         from egmin import build_instance, make_objective
@@ -622,11 +621,11 @@ class TestTraceSerialization:
         # A RunTrace built from a plain list stores and writes the same.
         rebuilt = RunTrace(records=records, terminal_status=trace.terminal_status, final_point=trace.final_point)
         assert rebuilt.records == trace.records
-        got, again = io.StringIO(), io.StringIO()
+        got, again = tmp_path / "got.csv", tmp_path / "again.csv"
         trace.to_csv(got)
         rebuilt.to_csv(again)
-        assert got.getvalue() == again.getvalue() == reference_csv(records)
-        assert got.getvalue().splitlines()[0].split(",") == [
+        assert got.read_bytes() == again.read_bytes() == reference_csv(records).encode()
+        assert got.read_text().splitlines()[0].split(",") == [
             "k", "f", "riem_grad_norm", "tau", "halvings", "matvec_count",
         ]
 
