@@ -10,13 +10,16 @@ synthetic test image.  Options resolve in the order defaults < config
 file < flags: the config file's values become the defaults of the
 ``solve`` options of the same name, so click reads each one with its
 flag's own converter.  The fully resolved run configuration is echoed
-into the summary.
+into the summary, with the :func:`environment` whose arithmetic made
+the traces.  Each method takes its default step policy from
+:func:`egmin.solvers.solve`.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import json
 import sys
 import time
@@ -26,10 +29,10 @@ from pathlib import Path
 
 import click
 import numpy as np
+import scipy
 
 from . import __version__
 from .imgio import write_image_csv, write_pgm
-from .linesearch import ArmijoParams, constant_step
 from .problems import build_instance, check_regularization, make_objective, make_phantom
 from .projector import check_geometry
 from .solvers import (
@@ -38,7 +41,6 @@ from .solvers import (
     SolverConfig,
     TerminalStatus,
     default_x0,
-    relative_lipschitz_step,
     solve,
 )
 from .verification import run_battery
@@ -50,9 +52,11 @@ RELATIVE_VALUE_DEFINITION = "(f_k - f_best) / (f_0 - f_best)"
 class RunSpec:
     """Fully resolved parameters of one ``solve`` run.
 
-    ``config`` is the :class:`SolverConfig` of the Armijo methods, built
-    when the spec is made, and the instance parameters are checked then
-    too, so that a bad value fails before any work.
+    ``config`` is the :class:`SolverConfig` of every method, but for its
+    ``method``, with no step policy, so that :func:`solve` gives each
+    method its default.  It is built when the spec is made, and the
+    instance parameters are checked then too, so that a bad value fails
+    before any work.
     """
 
     n_side: int = 64
@@ -64,10 +68,6 @@ class RunSpec:
     methods: tuple[str, ...] = ("eg", "poicg", "ipgrgd", "ipemd")
     max_iterations: int = SolverConfig.max_iterations
     grad_norm_tol: float = SolverConfig.grad_norm_tol
-    sigma: float = ArmijoParams.sigma
-    beta: float = ArmijoParams.beta
-    tau_bar: float = ArmijoParams.tau_bar
-    tau_min: float = ArmijoParams.tau_min
     output_dir: str = "runs"
 
     def __post_init__(self):
@@ -82,13 +82,8 @@ class RunSpec:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         check_geometry(self.n_side, self.undersampling)
         check_regularization(self.lam, self.delta)
-        armijo = ArmijoParams(**self._shared(ArmijoParams))
-        object.__setattr__(self, "config", SolverConfig(Method.EG, armijo, **self._shared(SolverConfig)))
-
-    def _shared(self, cls) -> dict:
-        """This spec's values of the fields that dataclass ``cls`` shares with it."""
-        own = {f.name for f in dataclasses.fields(self)}
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(cls) if f.name in own}
+        config = SolverConfig(Method.EG, max_iterations=self.max_iterations, grad_norm_tol=self.grad_norm_tol)
+        object.__setattr__(self, "config", config)
 
 
 def load_config(path) -> dict[str, str]:
@@ -119,14 +114,6 @@ def _read_config(ctx, param, path):
             ctx.default_map = load_config(path)
         except ValueError as exc:
             raise click.BadParameter(str(exc), ctx, param) from exc
-
-
-def _solver_config(spec: RunSpec, method: Method, b: np.ndarray) -> SolverConfig:
-    if method is Method.IP_E_MD:
-        policy = constant_step(relative_lipschitz_step(b))
-    else:
-        policy = spec.config.linesearch
-    return dataclasses.replace(spec.config, method=method, linesearch=policy)
 
 
 def _write_relative_values(path, traces: dict[str, RunTrace], f0: float, f_best: float) -> None:
@@ -170,10 +157,9 @@ def cmd_solve(spec: RunSpec) -> int:
     per_method = {}
     exit_code = 0
     for name in spec.methods:
-        method = Method(name)
         instance.A.reset_counts()
         obj = make_objective(instance)
-        config = _solver_config(spec, method, instance.b)
+        config = dataclasses.replace(spec.config, method=Method(name))
         started = time.perf_counter()
         trace = solve(config, obj, x0)
         elapsed = time.perf_counter() - started
@@ -203,6 +189,7 @@ def cmd_solve(spec: RunSpec) -> int:
     summary = {
         "spec": dict(dataclasses.asdict(spec), methods=list(spec.methods)),
         "version": __version__,
+        "environment": environment(),
         "relative_value_definition": RELATIVE_VALUE_DEFINITION,
         "f0": f0,
         "f_best": f_best,
@@ -213,6 +200,26 @@ def cmd_solve(spec: RunSpec) -> int:
         json.dump(_finite_or_null(summary), f, indent=2, allow_nan=False)
         f.write("\n")
     return exit_code
+
+
+def environment() -> dict:
+    """What a run's trace bits depend on besides its spec: the numpy and
+    scipy versions, the SIMD extensions numpy found on this CPU (``None``
+    where numpy cannot report them), and ``arithmetic_fingerprint``, the
+    sha256 of ``np.exp`` and ``np.log`` over a fixed probe of [-700, 700],
+    the key of the golden trace hashes."""
+    try:
+        simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    except (TypeError, KeyError):  # numpy before 1.26 takes no mode
+        simd = None
+    probe = np.linspace(-700.0, 700.0, 2**16)  # 0 is not among its points
+    arithmetic = np.exp(probe).tobytes() + np.log(np.abs(probe)).tobytes()
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "simd_extensions_found": simd,
+        "arithmetic_fingerprint": hashlib.sha256(arithmetic).hexdigest(),
+    }
 
 
 def _finite_or_null(value):
@@ -248,10 +255,6 @@ def main():
               help="Comma-separated subset of eg,poicg,ipgrgd,ipemd.")
 @click.option("--max-iterations", type=int, default=None)
 @click.option("--grad-norm-tol", type=float, default=None)
-@click.option("--sigma", type=float, default=None, help="Armijo sufficient-decrease slope.")
-@click.option("--beta", type=float, default=None, help="Armijo halving factor.")
-@click.option("--tau-bar", type=float, default=None, help="Armijo initial trial step.")
-@click.option("--tau-min", type=float, default=None, help="Armijo failure floor.")
 @click.option("--output-dir", type=str, default=None)
 def solve_command(methods, **kwargs):
     """Build one instance and run the selected methods on it."""

@@ -67,11 +67,13 @@ class ProblemInstance:
             raise ValueError(
                 f"data length {self.b.size} does not match operator rows {self.A.rows}"
             )
-        # The sum the objective forms: finite only if every entry is.
+        # The sum the objective forms: finite only if every entry is.  At
+        # most 2**1000, every KL term b_i log(b_i / (Ax)_i) with a finite
+        # ratio stays below 2**1011, since |log r| < 1455 for doubles.
         with np.errstate(over="ignore"):
             total = float(self.b.sum())
-        if np.any(self.b <= 0.0) or not math.isfinite(total):
-            raise ValueError("data must be strictly positive and finite, with a finite sum")
+        if np.any(self.b <= 0.0) or not total <= 2.0**1000:
+            raise ValueError("data must be strictly positive, with a finite sum of at most 2**1000")
         h, w = self.image_shape
         if h * w != self.A.cols:
             raise ValueError(
@@ -445,8 +447,7 @@ class InstanceObjective(Objective):
 
     def _setup(self) -> None:
         A, n = self.A, self.A.cols
-        # A Python float: the bound's overflow gives inf, not a warning.
-        self.sum_b = float(self.b.sum())
+        self.sum_b = float(self.b.sum())  # at most 2**1000: ProblemInstance checked it
         self.col_sums = A.column_sums()
         self.eta = 1e-10 + (2 * n + A.rows) * 2.0**-52
         # A NaN point equals no point: nothing is cached yet.  _differences
@@ -465,7 +466,7 @@ class InstanceObjective(Objective):
             b_min, b_max = float(self.b.min()), float(self.b.max())
             floor = max(A.max_row_nnz * (float(self.col_sums.max()) + 1.0) * 2.0**-1028,
                         b_max * 2.0**-1000)
-            if b_min >= floor and self.sum_b <= 2.0**1000:
+            if b_min >= floor:
                 self.curve_floor, self.curve_ceiling = floor, b_min * 2.0**1000
                 # q >= q_floor keeps sum(b e**-q) <= 2**1000 and e**-q finite.
                 self.q_floor = -min(EXP_ARG_MAX, 1000.0 * math.log(2.0) - math.log(self.sum_b))

@@ -65,10 +65,10 @@ class SolverConfig:
     """Method selection, step policy, and termination.
 
     ``linesearch`` may be :class:`ArmijoParams` or :class:`ConstantStep`;
-    ``None`` selects Armijo defaults for the geodesic methods, while the
-    mirror-descent method requires an explicit policy (its guaranteed
-    constant step depends on the data, see
-    :func:`relative_lipschitz_step`).
+    ``None`` selects each method's default in :func:`solve`: Armijo with
+    the default constants for the geodesic methods, and for the
+    mirror-descent method the guaranteed constant step
+    :func:`relative_lipschitz_step` of the objective's data ``b``.
     """
 
     method: Method
@@ -322,15 +322,20 @@ METHOD_RULES = {
 }
 
 
-def _default_policy(method: Method, policy):
-    if policy is not None:
-        return policy
-    if METHOD_RULES[method].retraction is quotient_retraction:
+def _default_policy(method: Method, obj: Objective) -> ArmijoParams | ConstantStep:
+    """Armijo with the default constants for a geodesic method; for the
+    mirror-descent method the guaranteed step of the objective's data
+    ``b`` (an :class:`egmin.problems.InstanceObjective` holds it), which
+    an objective without data cannot give."""
+    if METHOD_RULES[method].retraction is not quotient_retraction:
+        return ArmijoParams()
+    b = getattr(obj, "b", None)
+    if b is None:
         raise ValueError(
-            "the mirror-descent method needs an explicit step policy; "
-            "use constant_step(relative_lipschitz_step(b)) for the guaranteed regime"
+            "the mirror-descent method's default step 1 / (2 * ||b||_1) needs the objective's data b;"
+            " pass a step policy, such as constant_step(relative_lipschitz_step(b)), for one without"
         )
-    return ArmijoParams()
+    return ConstantStep(relative_lipschitz_step(b))
 
 
 def solve(config: SolverConfig, obj: Objective, x0) -> RunTrace:
@@ -345,7 +350,10 @@ def solve(config: SolverConfig, obj: Objective, x0) -> RunTrace:
     """
     x = as_point(x0)
     rule = METHOD_RULES[config.method]
-    policy = _default_policy(config.method, config.linesearch)
+    policy = config.linesearch or _default_policy(config.method, obj)
+    armijo = isinstance(policy, ArmijoParams)
+    # The quotient map reads only grad: a constant step along it needs no direction.
+    needs_direction = armijo or rule.retraction is not quotient_retraction
     t0 = time.perf_counter_ns()
 
     def record_at(k, f, gnorm, tau, halvings):
@@ -390,9 +398,9 @@ def solve(config: SolverConfig, obj: Objective, x0) -> RunTrace:
                 v = -rgrad
             direction = v
         else:
-            direction = -rgrad
+            direction = -rgrad if needs_direction else None
 
-        if isinstance(policy, ArmijoParams):
+        if armijo:
             step = armijo_backtrack(
                 obj, x, direction, policy, value=value, grad=grad, retract=rule.retraction
             )

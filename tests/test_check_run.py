@@ -119,6 +119,17 @@ def test_expect_and_require(clean_run):
     ]
 
 
+def test_require_takes_a_non_empty_string(clean_run, tmp_path):
+    names = ["environment.numpy", "environment.scipy", "environment.arithmetic_fingerprint"]
+    assert check_run(clean_run, require=names) == []
+    run = tmp_path / "run"
+    shutil.copytree(clean_run, run)
+    summary = json.loads((run / "summary.json").read_text())
+    summary["environment"]["numpy"] = ""
+    (run / "summary.json").write_text(json.dumps(summary))
+    assert check_run(run, require=names) == ["environment.numpy is an empty string"]
+
+
 def test_main_exits_1_on_a_problem(clean_run, tmp_path, capsys):
     assert check_run_module.main([str(clean_run), "--expect", "spec.noisy=false"]) == 0
     assert capsys.readouterr().out == ""

@@ -14,7 +14,6 @@ from click.testing import CliRunner
 import egmin.cli
 from egmin import (
     BATTERY_SIZE,
-    ArmijoParams,
     Method,
     Objective,
     SolverConfig,
@@ -25,7 +24,7 @@ from egmin import (
     read_trace_csv,
     solve,
 )
-from egmin.cli import RunSpec, cmd_solve, load_config, main
+from egmin.cli import RunSpec, cmd_solve, environment, load_config, main
 from egmin.imgio import quantize
 from test_check_run import check_run
 from test_imgio import pgm_bytes, read_csv
@@ -64,6 +63,8 @@ class TestSolveCommand:
         assert summary["spec"]["seed"] == 3
         assert summary["spec"]["methods"] == ["eg", "ipemd"]
         assert summary["version"]
+        assert summary["environment"] == environment()
+        assert set(summary["environment"]) == {"numpy", "scipy", "simd_extensions_found", "arithmetic_fingerprint"}
         assert set(summary["methods"]) == {"eg", "ipemd"}
         operator = summary["operator"]
         assert operator["shape"][1] == 64 and operator["nnz"] > 0
@@ -82,7 +83,8 @@ class TestSolveCommand:
 
     def test_summary_reports_the_reconstruction_error(self, tmp_path):
         # Each method's final point against the phantom, recomputed here
-        # with the library from the run's seed.
+        # with the library from the run's seed, each method at its default
+        # step policy.
         spec = small_spec(tmp_path / "run", methods=("eg", "poicg", "ipemd"))
         assert cmd_solve(spec) == 0
         methods = json.loads((tmp_path / "run" / "summary.json").read_text())["methods"]
@@ -93,7 +95,7 @@ class TestSolveCommand:
         )
         x0 = default_x0(instance.A.cols, seed=x0_seed)
         for name in spec.methods:
-            config = egmin.cli._solver_config(spec, Method(name), instance.b)
+            config = SolverConfig(Method(name), max_iterations=spec.max_iterations)
             x = solve(config, make_objective(instance), x0).final_point
             want = float(np.linalg.norm(x - x_true) / np.linalg.norm(x_true))
             assert methods[name]["recon_rel_error"] == want
@@ -138,7 +140,9 @@ class TestSolveCommand:
 
     def test_non_finite_run_exits_nonzero(self, tmp_path, monkeypatch):
         def nan_gradient(instance):
-            return Objective(value_and_grad=lambda x: (float(x.sum()), np.full_like(x, np.nan)))
+            obj = Objective(value_and_grad=lambda x: (float(x.sum()), np.full_like(x, np.nan)))
+            obj.b = instance.b  # the data of ipemd's default step
+            return obj
 
         monkeypatch.setattr(egmin.cli, "make_objective", nan_gradient)
         assert cmd_solve(small_spec(tmp_path / "run", methods=("eg", "ipemd"))) == 1
@@ -174,15 +178,13 @@ class TestSolveCommand:
         assert "eg,ipgrgd,ipemd,poicg" in result.output
         assert not outdir.exists()
 
-    # A repeated method, Armijo and termination values that ArmijoParams or
-    # SolverConfig reject, instance values that the projector or the problem
-    # reject, a negative seed, and a value that is not of its option's type:
+    # A repeated method, termination values that SolverConfig rejects,
+    # instance values that the projector or the problem reject, a negative
+    # seed, and a value that is not of its option's type:
     # (flag, config key, value, words of the message).
     BAD_VALUES = [
         ("--methods", "methods", "eg,eg", "eg,ipgrgd,ipemd,poicg"),
-        ("--sigma", "sigma", "2", "sigma"),
         ("--max-iterations", "max_iterations", "0", "max_iterations"),
-        ("--tau-min", "tau_min", "2", "tau_min"),
         ("--n-side", "n_side", "2", "n_side"),
         ("--undersampling", "undersampling", "0", "undersampling"),
         ("--lam", "lam", "-1", "lam"),
@@ -193,8 +195,16 @@ class TestSolveCommand:
         ("--n-side", "n_side", "8.5", "--n-side"),
     ]
 
-    # Removed options, which must stay unknown: a step-size stop and a halving cap.
-    REMOVED = [("--step-size-tol", "step_size_tol", "1e-10"), ("--max-halvings", "max_halvings", "60")]
+    # Removed options, which must stay unknown: a step-size stop, a halving
+    # cap, and the Armijo constants, fixed at ArmijoParams' defaults.
+    REMOVED = [
+        ("--step-size-tol", "step_size_tol", "1e-10"),
+        ("--max-halvings", "max_halvings", "60"),
+        ("--sigma", "sigma", "2"),
+        ("--beta", "beta", "0.5"),
+        ("--tau-bar", "tau_bar", "1"),
+        ("--tau-min", "tau_min", "2"),
+    ]
 
     @pytest.mark.parametrize("flag, key, value, message",
                              BAD_VALUES + [(*row, "No such option") for row in REMOVED])
@@ -219,9 +229,10 @@ class TestSolveCommand:
         assert not outdir.exists()
 
     def test_run_spec_takes_the_solver_defaults(self):
+        # No step policy: solve gives each method its default.
         spec = RunSpec()
-        assert spec.config == SolverConfig(Method.EG, ArmijoParams())
-        assert dataclasses.replace(spec, sigma=0.25).config.linesearch == ArmijoParams(sigma=0.25)
+        assert spec.config == SolverConfig(Method.EG)
+        assert dataclasses.replace(spec, max_iterations=5).config == SolverConfig(Method.EG, max_iterations=5)
 
     def test_run_spec_rejects_unknown_methods(self):
         with pytest.raises(ValueError, match="eg,ipgrgd,ipemd,poicg"):

@@ -70,7 +70,7 @@ def cases(draw):
         b = (a @ (x * rng.uniform(0.5, 2.0, n))) * rng.uniform(0.9, 1.1, m)
     else:
         b = 10.0 ** rng.uniform(-6.0, 6.0, m)
-    assume(np.all(np.isfinite(b)) and b.min() > 0.0)
+    assume(np.all(np.isfinite(b)) and b.min() > 0.0 and b.sum() <= 2.0**1000)  # valid data
     lam = draw(st.sampled_from([0.0, 0.01]))
     instance = ProblemInstance(A=SparseOperator(a), b=b, lam=lam, delta=0.01, image_shape=(1, n))
     return instance, x
@@ -205,7 +205,7 @@ def poisson_instances(draw):
     y = a @ (rng.uniform(0.0, 1.0, n) ** 3 + 1e-3)
     counts = draw(st.sampled_from([2.0, 5.0, 20.0]))
     b = np.maximum(rng.poisson(y * (counts / y.mean())), 1e-8) * (scale_b / counts)
-    assume(b.min() > 0.0 and b.max() < math.inf)
+    assume(b.min() > 0.0 and b.max() < math.inf and b.sum() <= 2.0**1000)  # valid data
     x0 = scale_x * rng.uniform(0.5, 1.5, n)
     instance = ProblemInstance(A=SparseOperator(a), b=b, lam=0.0, delta=0.01, image_shape=(1, n))
     return instance, x0, scale_a, scale_x

@@ -43,12 +43,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import egmin.cli
 from egmin import Objective, make_objective
-from egmin.cli import RunSpec, cmd_solve
+from egmin.cli import RunSpec, cmd_solve, environment
 from test_check_run import check_run
 
 METHODS = ("eg", "poicg", "ipgrgd", "ipemd")
@@ -88,12 +87,6 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def arithmetic_fingerprint() -> str:
-    """sha256 of ``np.exp`` and ``np.log`` over a fixed probe of [-700, 700]."""
-    probe = np.linspace(-700.0, 700.0, 2**16)
-    return _sha256(np.exp(probe).tobytes() + np.log(np.abs(probe)).tobytes())
-
-
 def _rows(path) -> list[list[str]]:
     with open(path, newline="") as f:
         return list(csv.reader(f))
@@ -111,11 +104,13 @@ def _without_column(rows: list[list[str]], name: str) -> bytes:
 def _unscreened_objective(instance) -> Objective:
     # Objective.value without a limit always evaluates f, so every trial is projected.
     obj = make_objective(instance)
-    return Objective(
+    unscreened = Objective(
         value_and_grad=obj.value_and_grad,
         value=obj.value,
         matvecs=obj.matvec_count,
     )
+    unscreened.b = obj.b  # the data of ipemd's default step
+    return unscreened
 
 
 def _runs(root, **spec):
@@ -195,7 +190,7 @@ PINNED = {
 
 def pinned(kind: str) -> dict[str, str]:
     """The set of hashes ``kind`` (a name above) pinned for this host's arithmetic."""
-    fingerprint = arithmetic_fingerprint()
+    fingerprint = environment()["arithmetic_fingerprint"]
     if fingerprint not in PINNED:
         pytest.fail(
             f"no golden hashes are pinned for arithmetic fingerprint {fingerprint}: run"
@@ -228,7 +223,7 @@ def test_trace_hashes(golden_runs, method):
 
 
 def test_an_unknown_fingerprint_fails_naming_it(monkeypatch):
-    monkeypatch.setattr(sys.modules[__name__], "arithmetic_fingerprint", lambda: "0" * 64)
+    monkeypatch.setattr(sys.modules[__name__], "environment", lambda: {"arithmetic_fingerprint": "0" * 64})
     with pytest.raises(pytest.fail.Exception, match=f"fingerprint {'0' * 64}: run .*tests/test_golden_traces.py"):
         pinned("SCREENED")
 
@@ -313,4 +308,4 @@ if __name__ == "__main__":
                 sets[kind][method] = digest
         for method in ABOVE_THE_GATE["methods"]:
             sets["ABOVE_THE_GATE_SCREENED"][method] = _sha256((counts_runs[0] / f"trace_{method}.csv").read_bytes())
-    sys.stdout.write(f"{arithmetic_fingerprint()}\n{pprint.pformat(sets, sort_dicts=False)}\n")
+    sys.stdout.write(f"{environment()['arithmetic_fingerprint']}\n{pprint.pformat(sets, sort_dicts=False)}\n")

@@ -250,15 +250,16 @@ class TestHuberGuard:
         (1e10, [1.0, 1e300, 1e300, 1.0]),
     ])
     def test_trial_path(self, delta, x):
-        # With A = I and b = x the KL term is 0, so a trial's f is its
-        # Huber-TV value; an infinite f is above every finite limit.
+        # With A = 2**-100 I and b = A x the KL term is 0 (b / Ax is exactly
+        # 1), so a trial's f is its Huber-TV value, and sum(b) stays within
+        # the data's bound of 2**1000; an infinite f is above every finite limit.
         x = np.array(x)
         shape = (1, 2) if x.size == 2 else (2, 2)
         lam = 0.5
         want = lam * float(np.sum(guarded_huber_values(discrete_gradient(shape, x), delta)))
         assert huber_tv(x, lam, delta, shape)[0] == want
         assert math.isinf(want) == (delta > 1.0)
-        instance = ProblemInstance(SparseOperator(np.eye(x.size)), x, lam, delta, shape)
+        instance = ProblemInstance(SparseOperator(2.0**-100 * np.eye(x.size)), 2.0**-100 * x, lam, delta, shape)
         assert make_objective(instance).value(x) == want
         assert make_objective(instance).value(x, math.inf) == want
         f = make_objective(instance).value(x, 1e300)

@@ -611,3 +611,11 @@ class TestProblemInstance:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite sum"):
                 ProblemInstance(a, [1.0, big, big, 1.0], 0.01, 0.01, (3, 3))
+            # A finite sum above 2**1000 is rejected too: the KL terms of
+            # such data can overflow at a point as plain as x = 1.
+            with pytest.raises(ValueError, match=r"at most 2\*\*1000"):
+                ProblemInstance(SparseOperator(np.eye(4)), [big / 4] * 4, 0.0, 0.01, (2, 2))
+            # At the bound every term with a finite ratio b / Ax stays finite.
+            edge = ProblemInstance(SparseOperator(np.eye(4)), [2.0**998] * 4, 0.0, 0.01, (2, 2))
+            value, grad = make_objective(edge).value_and_grad(np.ones(4))
+            assert np.isfinite(value) and np.all(np.isfinite(grad))

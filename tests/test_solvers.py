@@ -351,12 +351,28 @@ class TestSolve:
         assert np.all(np.diff(values) <= 0.0)
 
     def test_ipemd_requires_explicit_policy(self):
-        with pytest.raises(ValueError):
+        # Without data b there is no default step: a policy must be given.
+        with pytest.raises(ValueError, match="needs the objective's data b"):
             solve(
                 SolverConfig(method=Method.IP_E_MD),
                 quadratic_objective([1.0]),
                 np.array([2.0]),
             )
+
+    def test_ipemd_defaults_to_the_guaranteed_step_of_its_data(self, tmp_path):
+        instance, _ = build_instance(8, seed=1)
+        x0 = default_x0(instance.A.cols, seed=2)
+        guaranteed = constant_step(relative_lipschitz_step(instance.b))
+        traces = []
+        for name, policy in (("default", None), ("explicit", guaranteed)):
+            instance.A.reset_counts()
+            traces.append(solve(SolverConfig(Method.IP_E_MD, policy, max_iterations=20), make_objective(instance), x0))
+            traces[-1].to_csv(tmp_path / f"{name}.csv")
+        default, explicit = traces
+        assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "explicit.csv").read_bytes()
+        assert np.array_equal(default.final_point, explicit.final_point)
+        assert default.terminal_status is TerminalStatus.MAX_ITER
+        assert default.records[1].tau == guaranteed.tau
 
     def test_ipemd_infeasible_aborts_with_partial_trace(self):
         # Large constant step against a negative gradient coordinate.

@@ -26,7 +26,9 @@ every method of the run it checks that:
 Facts of a particular workload are checked only when asked.  A PATH is
 a dotted key into ``summary.json``, such as ``methods.eg.screened_by.curve``:
 ``--expect PATH=JSON`` requires the entry to equal the JSON value, and
-``--require PATH`` requires it to be a number > 0.  Both may be repeated.
+``--require PATH`` requires it to be a number > 0 or a non-empty string
+(a count that happened, or a name such as ``environment.numpy``).  Both
+may be repeated.
 
 The traces are read with ``egmin.read_trace_csv``, so egmin must be
 importable (installed, or ``PYTHONPATH=src``).
@@ -102,7 +104,7 @@ def check_run(run_dir, expect: Iterable = (), require: Iterable[str] = ()) -> li
 
     ``expect`` maps dotted summary paths to the values they must hold (a
     mapping, or ``(path, value)`` pairs); each path in ``require`` must
-    hold a number > 0.
+    hold a number > 0 or a non-empty string.
     """
     run_dir = Path(run_dir)
     try:
@@ -129,6 +131,9 @@ def check_run(run_dir, expect: Iterable = (), require: Iterable[str] = ()) -> li
         value = lookup(summary, path)
         if value is _MISSING:
             problems.append(f"{path}: no such entry in summary.json")
+        elif isinstance(value, str):
+            if not value:
+                problems.append(f"{path} is an empty string")
         elif not (isinstance(value, (int, float)) and value > 0):
             problems.append(f"{path} = {json.dumps(value)}, not > 0")
     return problems
@@ -150,7 +155,7 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--expect", type=_expectation, action="append", default=[], metavar="PATH=JSON",
                         help="require the summary entry at PATH to equal the JSON value")
     parser.add_argument("--require", action="append", default=[], metavar="PATH",
-                        help="require the summary entry at PATH to be a number > 0")
+                        help="require the summary entry at PATH to be a number > 0 or a non-empty string")
     args = parser.parse_args(argv)
     problems = check_run(args.run_dir, args.expect, args.require)
     for problem in problems:
