@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EXP_ARG_MAX, as_point
+from .geometry import EXP_ARG_MAX, _vectors, as_point
 
 
 def kl(x, y) -> float:
@@ -23,10 +23,7 @@ def kl(x, y) -> float:
     ``x`` may have zero coordinates (``0 * log 0 := 0``); ``y`` must be
     strictly positive.  Nonnegative, and zero exactly at ``x == y``.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = as_point(y)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: x {x.shape}, y {y.shape}")
+    x, y = _vectors(x, as_point(y))
     if not np.all(np.isfinite(x)) or np.any(x < 0.0):
         raise ValueError("kl requires x >= 0 with finite entries")
     pos = x > 0.0
@@ -52,10 +49,7 @@ class HDerivatives:
 
 def h_derivatives(x, euclid_grad, tau: float) -> HDerivatives:
     """Evaluate the total-mass curve and its derivatives at ``tau``."""
-    x = as_point(x)
-    g = np.asarray(euclid_grad, dtype=float)
-    if x.shape != g.shape:
-        raise ValueError(f"dimension mismatch: x {x.shape}, grad {g.shape}")
+    x, g = _vectors(as_point(x), euclid_grad)
     x_tau = x * np.exp(np.clip(-tau * g, -EXP_ARG_MAX, EXP_ARG_MAX))
     return HDerivatives(
         h0=float(np.sum(x_tau)),

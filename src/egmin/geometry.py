@@ -66,15 +66,25 @@ def as_point(coords) -> np.ndarray:
     return x
 
 
+def _vectors(*arrays) -> list[np.ndarray]:
+    """``arrays`` as float arrays of at least one dimension, all of one shape.
+
+    The shapes are compared before any arithmetic, so that a mismatch
+    raises here instead of broadcasting.
+    """
+    vectors = [np.asarray(a, dtype=float) for a in arrays]
+    shapes = [vector.shape for vector in vectors]
+    if () in shapes:  # a 0-d array stands for a 1-d one
+        vectors = [np.atleast_1d(vector) for vector in vectors]
+        shapes = [vector.shape for vector in vectors]
+    if shapes.count(shapes[0]) != len(shapes):
+        raise ValueError(f"dimension mismatch: shapes {', '.join(map(str, shapes))}")
+    return vectors
+
+
 def metric_inner(kind: GeometryKind, x, u, v) -> float:
     """Inner product <u, G(x) v> with G(x) = diag(1/x) or diag(1/x^2)."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if not (x.shape == u.shape == v.shape):
-        raise ValueError(
-            f"dimension mismatch: x {x.shape}, u {u.shape}, v {v.shape}"
-        )
+    x, u, v = _vectors(x, u, v)
     weights = 1.0 / x if kind is GeometryKind.POISSON_FISHER_RAO else 1.0 / (x * x)
     return float(np.sum(u * v * weights))
 
@@ -87,10 +97,7 @@ def riemannian_grad(kind: GeometryKind, x, euclid_grad) -> np.ndarray:
     ``<result, v>_G = <g, v>`` for all tangents ``v``.  The latter is
     ``(x * x) * g``, with the second product made in place.
     """
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(euclid_grad, dtype=float)
-    if x.shape != g.shape:
-        raise ValueError(f"dimension mismatch: x {x.shape}, grad {g.shape}")
+    x, g = _vectors(x, euclid_grad)
     if kind is GeometryKind.POISSON_FISHER_RAO:
         return x * g
     rgrad = np.multiply(x, x)
@@ -109,13 +116,6 @@ class ExpMapResult(NamedTuple):
 
     point: np.ndarray
     ok: bool
-
-
-def _same_shape(x, y) -> tuple[np.ndarray, np.ndarray]:
-    x, y = np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(y, dtype=float))
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: x {x.shape}, direction {y.shape}")
-    return x, y
 
 
 # A step is proven usable when max(x) * e**max(z) is at most _CEILING_PROVEN
@@ -150,18 +150,14 @@ class Geodesic:
     __slots__ = ("x", "w", "_extremes")
 
     def __init__(self, x, w):
-        self._form(*_same_shape(x, w))
-
-    def _form(self, x: np.ndarray, w: np.ndarray) -> "Geodesic":
-        # x and w as _same_shape returns them.
+        x, w = _vectors(x, w)
         self.x, self.w = x, w
         self._extremes = (float(_max(w)), float(_min(w)), float(_max(x)), float(_min(x))) if x.size else None
-        return self
 
     @classmethod
     def along(cls, x, v) -> "Geodesic":
-        x, v = _same_shape(x, v)
-        return cls.__new__(cls)._form(x, v / x)
+        x, v = _vectors(x, v)
+        return cls(x, v / x)
 
     def step(self, tau: float) -> ExpMapResult:
         """``x * exp(w * tau)``, and whether it is usable (see :class:`ExpMapResult`)."""
@@ -211,13 +207,7 @@ def transport_e(x, x_new, v) -> np.ndarray:
     This is the differential of the exponential map; transporting from a
     point to itself is the identity.
     """
-    x = np.asarray(x, dtype=float)
-    x_new = np.asarray(x_new, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if not (x.shape == x_new.shape == v.shape):
-        raise ValueError(
-            f"dimension mismatch: x {x.shape}, x_new {x_new.shape}, v {v.shape}"
-        )
+    x, x_new, v = _vectors(x, x_new, v)
     return v * (x_new / x)
 
 
@@ -231,8 +221,5 @@ def m_hessian_apply(
     Riemannian gradient.  To first order, the Riemannian gradient along
     the descent geodesic evolves as ``rgrad(x(tau)) ~ rgrad(x) - tau * H``.
     """
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(euclid_grad, dtype=float)
-    if x.shape != g.shape:
-        raise ValueError(f"dimension mismatch: x {x.shape}, grad {g.shape}")
+    x, g = _vectors(x, euclid_grad)
     return x * g * g + x * np.asarray(hess_vec(x * g), dtype=float)

@@ -151,7 +151,6 @@ def geodesic_retraction(x, direction, grad) -> Trial:
     :func:`exp_map` call that reuses them; the trial carries the geodesic
     as ``trial.geodesic``.
     """
-    x = np.asarray(x, dtype=float)
     geodesic = Geodesic.along(x, direction)
 
     def trial(tau: float) -> tuple[np.ndarray, bool]:

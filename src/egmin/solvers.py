@@ -64,6 +64,7 @@ class TerminalStatus(Enum):
 class SolverConfig:
     """Method selection, step policy, and termination.
 
+    ``method`` may be a :class:`Method` or its value, such as ``"eg"``.
     ``linesearch`` may be :class:`ArmijoParams` or :class:`ConstantStep`;
     ``None`` selects each method's default in :func:`solve`: Armijo with
     the default constants for the geodesic methods, and for the
@@ -77,6 +78,7 @@ class SolverConfig:
     grad_norm_tol: float = 1e-6
 
     def __post_init__(self):
+        object.__setattr__(self, "method", Method(self.method))
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if not self.grad_norm_tol >= 0:
@@ -355,17 +357,7 @@ def solve(config: SolverConfig, obj: Objective, x0) -> RunTrace:
     # The quotient map reads only grad: a constant step along it needs no direction.
     needs_direction = armijo or rule.retraction is not quotient_retraction
     t0 = time.perf_counter_ns()
-
-    def record_at(k, f, gnorm, tau, halvings):
-        return IterationRecord(
-            k=k,
-            f=f,
-            riem_grad_norm=gnorm,
-            tau=tau,
-            halvings=halvings,
-            matvec_count=obj.matvec_count(),
-            wall_nanos=time.perf_counter_ns() - t0,
-        )
+    records = TraceRecords()
 
     # Every inner product of the loop has rgrad as one argument, and
     # <rgrad, v>_x = <grad, v> in either metric: none needs the weights
@@ -377,14 +369,19 @@ def solve(config: SolverConfig, obj: Objective, x0) -> RunTrace:
         with np.errstate(over="ignore"):
             rgrad = riemannian_grad(rule.metric, point, grad)
             gnorm_sq = float(np.add.reduce(grad * rgrad))
-        return value, grad, rgrad, gnorm_sq, math.sqrt(gnorm_sq)
+        return value, grad, rgrad, gnorm_sq
 
-    value, grad, rgrad, gnorm_sq, gnorm = evaluate(x)
-    records = TraceRecords()
-    record = record_at(0, value, gnorm, 0.0, 0)
-    records._append(record)
-    status = check_termination(record, config)
-    v = -rgrad
+    def record(k, tau, halvings) -> TerminalStatus | None:
+        """Record iteration ``k`` at the current value and gradient norm,
+        and return the criterion it satisfies."""
+        rec = IterationRecord(k, value, math.sqrt(gnorm_sq), tau, halvings,
+                              obj.matvec_count(), time.perf_counter_ns() - t0)
+        records._append(rec)
+        return check_termination(rec, config)
+
+    value, grad, rgrad, gnorm_sq = evaluate(x)
+    status = record(0, 0.0, 0)
+    v = -rgrad if needs_direction else None  # the direction of the next step
     search_status = None
 
     k = 0
@@ -393,24 +390,19 @@ def solve(config: SolverConfig, obj: Objective, x0) -> RunTrace:
         if rule.conjugate:
             with np.errstate(over="ignore", invalid="ignore"):
                 slope = float(np.add.reduce(grad * v))
-            if not math.isfinite(slope) or (slope >= 0.0 and gnorm > 0.0):
+            if not math.isfinite(slope) or (slope >= 0.0 and gnorm_sq > 0.0):
                 logger.info("restarting CG direction at iteration %d (slope %.3e)", k, slope)
                 v = -rgrad
-            direction = v
-        else:
-            direction = -rgrad if needs_direction else None
 
         if armijo:
-            step = armijo_backtrack(
-                obj, x, direction, policy, value=value, grad=grad, retract=rule.retraction
-            )
+            step = armijo_backtrack(obj, x, v, policy, value=value, grad=grad, retract=rule.retraction)
             if step.status is not StepStatus.ACCEPTED:
-                records._append(record_at(k, value, gnorm, step.tau, step.halvings))
+                record(k, step.tau, step.halvings)
                 status, search_status = TerminalStatus.STEP_TOL, step.status
                 break
             x_new, tau, halvings = step.new_point, step.tau, step.halvings
         else:
-            x_new, ok = rule.retraction(x, direction, grad)(policy.tau)
+            x_new, ok = rule.retraction(x, v, grad)(policy.tau)
             if not ok:
                 logger.warning("constant step left the representable orthant at iteration %d", k)
                 status = TerminalStatus.STEP_INFEASIBLE
@@ -419,7 +411,7 @@ def solve(config: SolverConfig, obj: Objective, x0) -> RunTrace:
 
         x_old, old_gnorm_sq = x, gnorm_sq
         x = x_new
-        value, grad, rgrad, gnorm_sq, gnorm = evaluate(x)
+        value, grad, rgrad, gnorm_sq = evaluate(x)
         if rule.conjugate:
             # Polak-Ribiere: beta = <rgrad, rgrad - t>_x / ||rgrad_old||^2, clamped at 0.
             transported = transport_e(x_old, x, v)
@@ -427,8 +419,8 @@ def solve(config: SolverConfig, obj: Objective, x0) -> RunTrace:
             if old_gnorm_sq > 0.0:
                 beta_plus = max(float(np.add.reduce(grad * (rgrad - transported))) / old_gnorm_sq, 0.0)
             v = -rgrad + beta_plus * transported
-        record = record_at(k, value, gnorm, tau, halvings)
-        records._append(record)
-        status = check_termination(record, config)
+        elif needs_direction:
+            v = -rgrad
+        status = record(k, tau, halvings)
 
     return RunTrace(records=records, terminal_status=status, final_point=x, search_status=search_status)

@@ -119,15 +119,22 @@ def test_expect_and_require(clean_run):
     ]
 
 
-def test_require_takes_a_non_empty_string(clean_run, tmp_path):
-    names = ["environment.numpy", "environment.scipy", "environment.arithmetic_fingerprint"]
-    assert check_run(clean_run, require=names) == []
+def test_every_run_names_its_libraries(clean_run, tmp_path):
+    # No flag asks for these: an environment entry that is missing, empty
+    # or not a string is a problem of any run.
     run = tmp_path / "run"
     shutil.copytree(clean_run, run)
-    summary = json.loads((run / "summary.json").read_text())
-    summary["environment"]["numpy"] = ""
-    (run / "summary.json").write_text(json.dumps(summary))
-    assert check_run(run, require=names) == ["environment.numpy is an empty string"]
+    clean = json.loads((run / "summary.json").read_text())
+    for key in ("numpy", "scipy", "arithmetic_fingerprint"):
+        assert isinstance(clean["environment"][key], str) and clean["environment"][key]
+        for value in ("", None, 2, "missing"):
+            summary = json.loads(json.dumps(clean))
+            if value == "missing":
+                del summary["environment"][key]
+            else:
+                summary["environment"][key] = value
+            (run / "summary.json").write_text(json.dumps(summary))
+            assert check_run(run) == [f"environment.{key} is not a non-empty string"], (key, value)
 
 
 def test_main_exits_1_on_a_problem(clean_run, tmp_path, capsys):

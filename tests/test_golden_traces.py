@@ -31,7 +31,9 @@ libm), so the traces' bits follow the host.  Each set of hashes is pinned
 under an arithmetic fingerprint, the sha256 of ``np.exp`` and ``np.log``
 over a fixed probe.  On a host whose fingerprint has no set the hash tests
 fail, naming it; ``PYTHONPATH=src python tests/test_golden_traces.py``
-prints the fingerprint and the set to pin under it.
+prints the fingerprint and the set to pin under it.  Each set holds the
+hash of ``egmin verify``'s reports too, whose ``geodesic_rk4[0]`` differs
+in its last digits between the two sets' loops.
 """
 
 import csv
@@ -48,6 +50,7 @@ import pytest
 import egmin.cli
 from egmin import Objective, make_objective
 from egmin.cli import RunSpec, cmd_solve, environment
+from egmin.verification import run_battery
 from test_check_run import check_run
 
 METHODS = ("eg", "poicg", "ipgrgd", "ipemd")
@@ -136,6 +139,10 @@ ABOVE_THE_GATE_SCREENED = {
     "ipgrgd": "30de04e2b3c1600f59aac03ce2a9097c8a8c244dbd915ac46cbab2f2a39cc8e9",
 }
 
+# sha256 of the lines `egmin verify` prints for the battery's reports (all
+# but its closing count), each with its newline.
+VERIFY = "bfd3e07827219f48ff4fb8c5896e6b5c26bf15084fe734948223fc1ecb4631ad"
+
 
 # The same sets where numpy runs the exp and log loops of a CPU without
 # AVX512.  ipemd's iteration forms no exp, and its traces keep their bits.
@@ -169,6 +176,7 @@ NO_AVX512_SETS = dict(
         "poicg": "d796cdc85377f65fbed6688144fc31280bea06b97a08ef99c002a625da9b1275",
         "ipgrgd": "3d72c235ae288ac90c9178ca7ed10fbb4006da050c05384cd866ee5305c0c854",
     },
+    VERIFY="6f0f6a30a27cf0f0f8f64c656217055b69ea675474ec36105846158ba319b124",
 )
 # numpy's AVX512 exp and log loops (numpy 2.4.6 on an AVX512 Xeon): the
 # sets above, as first pinned.
@@ -183,13 +191,15 @@ PINNED = {
         WITHOUT_MATVECS=WITHOUT_MATVECS,
         WITHOUT_GRAD_NORM=WITHOUT_GRAD_NORM,
         ABOVE_THE_GATE_SCREENED=ABOVE_THE_GATE_SCREENED,
+        VERIFY=VERIFY,
     ),
     NO_AVX512: NO_AVX512_SETS,
 }
 
 
-def pinned(kind: str) -> dict[str, str]:
-    """The set of hashes ``kind`` (a name above) pinned for this host's arithmetic."""
+def pinned(kind: str) -> dict[str, str] | str:
+    """The set of hashes ``kind`` (a name above) pinned for this host's
+    arithmetic; for ``VERIFY``, the one hash."""
     fingerprint = environment()["arithmetic_fingerprint"]
     if fingerprint not in PINNED:
         pytest.fail(
@@ -211,6 +221,10 @@ def trace_hashes(golden_runs, method) -> dict[str, str]:
     )
 
 
+def verify_hash() -> str:
+    return _sha256("".join(f"{report.to_json()}\n" for report in run_battery()).encode())
+
+
 @pytest.fixture(scope="module")
 def counts_runs(tmp_path_factory):
     return _runs(tmp_path_factory.mktemp("counts"), **ABOVE_THE_GATE)
@@ -220,6 +234,10 @@ def counts_runs(tmp_path_factory):
 def test_trace_hashes(golden_runs, method):
     got = trace_hashes(golden_runs, method)
     assert got == {kind: pinned(kind)[method] for kind in got}
+
+
+def test_verify_hash():
+    assert verify_hash() == pinned("VERIFY")
 
 
 def test_an_unknown_fingerprint_fails_naming_it(monkeypatch):
@@ -308,4 +326,5 @@ if __name__ == "__main__":
                 sets[kind][method] = digest
         for method in ABOVE_THE_GATE["methods"]:
             sets["ABOVE_THE_GATE_SCREENED"][method] = _sha256((counts_runs[0] / f"trace_{method}.csv").read_bytes())
+        sets["VERIFY"] = verify_hash()
     sys.stdout.write(f"{environment()['arithmetic_fingerprint']}\n{pprint.pformat(sets, sort_dicts=False)}\n")

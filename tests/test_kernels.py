@@ -33,7 +33,7 @@ from egmin import (
     step_eg,
     step_ip_e_md,
 )
-from egmin import geometry
+from egmin import divergence, geometry
 from egmin.geometry import EXP_ARG_MAX, POINT_CEILING, Geodesic
 from egmin.problems import _huber_values
 
@@ -387,15 +387,30 @@ class TestExpMapKernel:
         assert not step.ok
 
     def test_dimension_mismatch(self):
-        # The shapes are checked before v / x, which would broadcast (1,)
-        # against (3,) or raise numpy's own error for (3,) against (2,).
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            multiplicative_update(np.ones(3), np.ones(2))
-        for x, v in ((np.ones(3), np.ones(2)), (np.ones(1), np.ones(3))):
-            with pytest.raises(ValueError, match="dimension mismatch"):
-                exp_map(x, v, 1.0)
-            with pytest.raises(ValueError, match="dimension mismatch"):
-                Geodesic(x, v)
+        # Each function that takes two or more vectors checks their shapes
+        # before any arithmetic, which would broadcast (1,) against (3,) or
+        # raise numpy's own error for (3,) against (2,).
+        ip, fr = geometry.GeometryKind.INTERIOR_POINT, geometry.GeometryKind.POISSON_FISHER_RAO
+        calls = {
+            "multiplicative_update": multiplicative_update,
+            "exp_map": lambda x, v: exp_map(x, v, 1.0),
+            "Geodesic": Geodesic,
+            "Geodesic.along": Geodesic.along,
+            "metric_inner u": lambda x, v: geometry.metric_inner(ip, x, v, x),
+            "metric_inner v": lambda x, v: geometry.metric_inner(fr, x, x, v),
+            "riemannian_grad ip": lambda x, v: geometry.riemannian_grad(ip, x, v),
+            "riemannian_grad fr": lambda x, v: geometry.riemannian_grad(fr, x, v),
+            "transport_e x_new": lambda x, v: geometry.transport_e(x, v, x),
+            "transport_e v": lambda x, v: geometry.transport_e(x, x, v),
+            "m_hessian_apply": lambda x, v: geometry.m_hessian_apply(x, v, lambda u: u),
+            "kl": lambda x, v: divergence.kl(v, x),
+            "h_derivatives": lambda x, v: divergence.h_derivatives(x, v, 1.0),
+        }
+        for name, call in calls.items():
+            for x, v in ((np.ones(3), np.ones(2)), (np.ones(1), np.ones(3)), (np.ones(3), np.ones(1))):
+                with np.errstate(all="raise"), pytest.raises(ValueError, match="dimension mismatch"):
+                    call(x, v)
+                    pytest.fail(f"{name} took shapes {x.shape} and {v.shape}")
 
     @pytest.mark.parametrize(
         "x, w, tau, proven",

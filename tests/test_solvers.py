@@ -359,6 +359,18 @@ class TestSolve:
                 np.array([2.0]),
             )
 
+    def test_config_takes_a_method_value(self):
+        instance, _ = build_instance(8)
+        config = SolverConfig("eg", max_iterations=2)
+        assert config.method is Method.EG
+        trace = solve(config, make_objective(instance), default_x0(64))
+        assert trace.terminal_status is TerminalStatus.MAX_ITER and trace.records[-1].k == 2
+
+    @pytest.mark.parametrize("method", ["EG", "cg", None, 1])
+    def test_config_rejects_an_unknown_method(self, method):
+        with pytest.raises(ValueError, match="is not a valid Method"):
+            SolverConfig(method)
+
     def test_ipemd_defaults_to_the_guaranteed_step_of_its_data(self, tmp_path):
         instance, _ = build_instance(8, seed=1)
         x0 = default_x0(instance.A.cols, seed=2)

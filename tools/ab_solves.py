@@ -10,8 +10,12 @@ Usage::
 works because egmin imports its own modules only relatively, so both
 trees run in one process, on one instance of the same data: instance 0 of
 ``--seed``, built as ``egmin solve --seed`` and ``perfbench/run.py`` build
-it.  ``ipemd`` runs at the guaranteed constant step
-``relative_lipschitz_step(b)``, the other methods with the Armijo defaults.
+it.  Each method runs at the step policy ``solve`` picks for a
+``SolverConfig`` without one: ``ipemd`` at the guaranteed constant step
+``relative_lipschitz_step(b)``, the other methods with the Armijo
+defaults.  Both trees must be recent enough for ``solve`` to pick these
+itself: an older ``solve``, which asks ipemd's caller for a step policy,
+raises ``ValueError``.
 
 After one untimed solve per method on each side, every round solves each
 method once on each side, the side that runs first alternating from round
@@ -65,15 +69,10 @@ class Side:
             args.n_side, undersampling=0.2, lam=args.lam, delta=0.01, noisy=args.noisy, seed=data_seed
         )
         self.x0 = egmin.default_x0(self.instance.A.cols, seed=x0_seed)
-        self.configs = {}
-        for method in args.methods:
-            if method == "ipemd":
-                policy = egmin.constant_step(egmin.relative_lipschitz_step(self.instance.b))
-            else:
-                policy = egmin.ArmijoParams()
-            self.configs[method] = egmin.SolverConfig(
-                method=egmin.Method(method), linesearch=policy, max_iterations=args.iterations
-            )
+        self.configs = {
+            method: egmin.SolverConfig(egmin.Method(method), max_iterations=args.iterations)
+            for method in args.methods
+        }
 
     def solve(self, method: str):
         """``(ns per iteration, fingerprint)`` of one solve from fresh counters."""

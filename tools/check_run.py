@@ -23,12 +23,14 @@ every method of the run it checks that:
   and ``final_f`` its ``f`` (``null`` for a non-finite ``f``).  Both files
   round-trip floats exactly, so these are equalities.
 
+and, once per run, that ``environment.numpy``, ``environment.scipy`` and
+``environment.arithmetic_fingerprint`` are non-empty strings.
+
 Facts of a particular workload are checked only when asked.  A PATH is
 a dotted key into ``summary.json``, such as ``methods.eg.screened_by.curve``:
 ``--expect PATH=JSON`` requires the entry to equal the JSON value, and
-``--require PATH`` requires it to be a number > 0 or a non-empty string
-(a count that happened, or a name such as ``environment.numpy``).  Both
-may be repeated.
+``--require PATH`` requires it to be a number > 0 (a count that
+happened).  Both may be repeated.
 
 The traces are read with ``egmin.read_trace_csv``, so egmin must be
 importable (installed, or ``PYTHONPATH=src``).
@@ -52,6 +54,9 @@ def _reject_constant(constant):
 
 
 _MISSING = object()
+
+# The entries of summary.json's environment that every run names.
+ENVIRONMENT = ("numpy", "scipy", "arithmetic_fingerprint")
 
 
 def lookup(summary: dict, path: str):
@@ -104,7 +109,7 @@ def check_run(run_dir, expect: Iterable = (), require: Iterable[str] = ()) -> li
 
     ``expect`` maps dotted summary paths to the values they must hold (a
     mapping, or ``(path, value)`` pairs); each path in ``require`` must
-    hold a number > 0 or a non-empty string.
+    hold a number > 0.
     """
     run_dir = Path(run_dir)
     try:
@@ -121,6 +126,10 @@ def check_run(run_dir, expect: Iterable = (), require: Iterable[str] = ()) -> li
             problems.append(f"{name}: trace_{name}.csv: {exc!r}")
             continue
         problems += [f"{name}: {problem}" for problem in method_problems(stats, records, below_gate)]
+    for key in ENVIRONMENT:
+        value = lookup(summary, f"environment.{key}")
+        if not (isinstance(value, str) and value):
+            problems.append(f"environment.{key} is not a non-empty string")
     for path, want in dict(expect).items():
         value = lookup(summary, path)
         if value is _MISSING:
@@ -131,9 +140,6 @@ def check_run(run_dir, expect: Iterable = (), require: Iterable[str] = ()) -> li
         value = lookup(summary, path)
         if value is _MISSING:
             problems.append(f"{path}: no such entry in summary.json")
-        elif isinstance(value, str):
-            if not value:
-                problems.append(f"{path} is an empty string")
         elif not (isinstance(value, (int, float)) and value > 0):
             problems.append(f"{path} = {json.dumps(value)}, not > 0")
     return problems
@@ -155,7 +161,7 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--expect", type=_expectation, action="append", default=[], metavar="PATH=JSON",
                         help="require the summary entry at PATH to equal the JSON value")
     parser.add_argument("--require", action="append", default=[], metavar="PATH",
-                        help="require the summary entry at PATH to be a number > 0 or a non-empty string")
+                        help="require the summary entry at PATH to be a number > 0")
     args = parser.parse_args(argv)
     problems = check_run(args.run_dir, args.expect, args.require)
     for problem in problems:
