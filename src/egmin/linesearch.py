@@ -7,17 +7,22 @@ exponential map is not, nor is an infeasible quotient update; the point
 of an unusable trial is never read.  A retraction is prepared once per
 search, ``trial = retract(x, d, grad)``, so that what all trials along
 ``d`` share is formed once.  Armijo backtracking (along the geodesic
-unless told otherwise) halves a trial step until the sufficient-decrease
+unless told otherwise) halves a trial step, from ``tau_bar`` down to
+``tau_bar * 2**-(TRIAL_STEPS - 1)``, until the sufficient-decrease
 inequality
 
-    f(x_tau) <= f(x) + sigma * tau * <grad, d>
+    f(x_tau) <= f(x) + SIGMA * tau * <grad, d>
 
 holds, with ``x_tau`` the point of ``trial(tau)`` and ``grad`` the
-Euclidean gradient at ``x``.  The slope ``<grad, d>`` is the directional
-derivative of ``f`` along ``d``; it equals ``<rgrad, d>_x`` in either
-metric, so the search needs no metric.
+Euclidean gradient at ``x``.  ``SIGMA``, the halving factor 1/2 and the
+``TRIAL_STEPS`` trial steps are the paper's constants: for them the
+search terminates finitely (the Armijo point of Absil, Mahony and
+Sepulchre, 2008, section 4.2); only ``tau_bar`` is set per search.  The
+slope ``<grad, d>`` is the directional derivative of ``f`` along ``d``;
+it equals ``<rgrad, d>_x`` in either metric, so the search needs no
+metric.
 With the steepest-descent direction ``d = -rgrad`` the right-hand side
-reduces to ``f(x) - sigma * tau * ||rgrad||_x^2``; the generalized form
+reduces to ``f(x) - SIGMA * tau * ||rgrad||_x^2``; the generalized form
 accepts arbitrary descent directions (used by the conjugate-gradient
 solver).  Unusable trial points are rejected.
 
@@ -59,39 +64,27 @@ from .geometry import Geodesic, GeometryKind, exp_map, m_hessian_apply, metric_i
 from .objective import Objective
 
 
-# Cap on the halvings of one search: with beta near 1, tau_min alone
-# would allow an unbounded list of trial steps.
-MAX_HALVINGS = 60
+# The sufficient-decrease slope of every Armijo search, and its number of
+# trial steps: tau_bar, tau_bar / 2, ..., tau_bar * 2**-(TRIAL_STEPS - 1).
+SIGMA = 1e-4
+TRIAL_STEPS = 34
 
 
 @dataclass(frozen=True)
 class ArmijoParams:
-    """Backtracking constants: sufficient-decrease slope ``sigma``,
-    halving factor ``beta``, initial trial ``tau_bar`` and failure floor
-    ``tau_min``.
+    """The initial trial step ``tau_bar`` of a backtracking search.
 
-    They fix one list of trial steps, ``tau_bar * beta**k`` for ``k = 0,
-    1, ...`` while ``k <= MAX_HALVINGS`` and the step is at least
-    ``tau_min``, each formed from the one before by one multiplication
-    (see :func:`_trial_steps`).
+    It fixes the search's list of trial steps, ``tau_bar * 2**-k`` for
+    ``k = 0, ..., TRIAL_STEPS - 1``, each formed from the one before by
+    one halving (see :func:`_trial_steps`); the last is the floor, so the
+    floor is relative to ``tau_bar``.
     """
 
-    sigma: float = 1e-4
-    beta: float = 0.5
     tau_bar: float = 1.0
-    tau_min: float = 1e-10
 
     def __post_init__(self):
-        if not 0.0 < self.sigma < 1.0:
-            raise ValueError(f"sigma must be in (0, 1), got {self.sigma}")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must be in (0, 1), got {self.beta}")
         if not 0.0 < self.tau_bar < math.inf:
             raise ValueError(f"tau_bar must be positive and finite, got {self.tau_bar}")
-        if not 0.0 < self.tau_min < self.tau_bar:
-            raise ValueError(
-                f"tau_min must be in (0, tau_bar), got {self.tau_min}"
-            )
 
 
 @dataclass(frozen=True)
@@ -112,10 +105,9 @@ def constant_step(tau: float) -> ConstantStep:
 
 class StepStatus(Enum):
     """How a search ended.  ``ACCEPTED``: a trial passed.  ``HIT_TAU_MIN``:
-    no trial passed, down to the last trial step, and some trial point was
-    usable.  ``CLAMPED``: no trial point was usable.  The last trial step
-    is the smallest at or above ``tau_min``, or the one ``MAX_HALVINGS``
-    halvings below ``tau_bar`` when that comes first."""
+    no trial passed, down to the last trial step ``tau_bar *
+    2**-(TRIAL_STEPS - 1)``, and some trial point was usable.
+    ``CLAMPED``: no trial point was usable."""
 
     ACCEPTED = "accepted"
     HIT_TAU_MIN = "hit_tau_min"
@@ -181,10 +173,10 @@ def armijo_backtrack(
 
     The search tries the steps of :func:`_trial_steps` in order and
     accepts the first that passes.  When none does, it returns the next
-    step, ``steps[-1] * beta``, after ``len(steps)`` halvings, with the
-    status ``CLAMPED`` when every trial point was unusable, else
-    ``HIT_TAU_MIN``.  Given a probe by its context, the search
-    runs in the probe-first order of the module docstring and returns the
+    step, ``tau_bar * 2**-TRIAL_STEPS``, after ``TRIAL_STEPS`` halvings,
+    with the status ``CLAMPED`` when every trial point was unusable, else
+    ``HIT_TAU_MIN``.  Given a probe by its context, the search runs in
+    the probe-first order of the module docstring and returns the
     same result; it counts in ``obj.probes``, ``obj.probes_wasted`` and
     ``obj.probes_met``, so that every trial it makes counts once: accepted,
     in ``obj.screened_by`` or ``obj.rejected_by``, or as a wasted probe
@@ -210,7 +202,7 @@ def armijo_backtrack(
             obj.rejected_by["unusable"] += 1
             return None
         saw_usable_trial = True
-        limit = value + params.sigma * tau * slope
+        limit = value + SIGMA * tau * slope
         f_trial = obj.value(point, limit, search, tau)
         return (point, f_trial) if f_trial <= limit else None
 
@@ -229,19 +221,17 @@ def armijo_backtrack(
                     obj.probes_met += 1
             return StepResult(tau, halvings, *found, StepStatus.ACCEPTED)
     status = StepStatus.HIT_TAU_MIN if saw_usable_trial else StepStatus.CLAMPED
-    return StepResult(steps[-1] * params.beta, len(steps), np.asarray(x, dtype=float), float(value), status)
+    return StepResult(steps[-1] * 0.5, TRIAL_STEPS, np.asarray(x, dtype=float), float(value), status)
 
 
 @lru_cache
 def _trial_steps(params: ArmijoParams) -> tuple[float, ...]:
-    """The trial steps of a search with ``params``, largest first:
-    ``tau_bar``, then each step times ``beta``, while the step is at least
-    ``tau_min`` and at most ``MAX_HALVINGS`` halvings were made.  Formed
-    once per (frozen, so hashable) ``params``."""
-    steps, tau = [], params.tau_bar
-    while len(steps) <= MAX_HALVINGS and tau >= params.tau_min:
-        steps.append(tau)
-        tau *= params.beta
+    """The ``TRIAL_STEPS`` trial steps of a search with ``params``, largest
+    first: ``tau_bar``, then each step halved.  Formed once per (frozen,
+    so hashable) ``params``."""
+    steps = [params.tau_bar]
+    while len(steps) < TRIAL_STEPS:
+        steps.append(steps[-1] * 0.5)
     return tuple(steps)
 
 

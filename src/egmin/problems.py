@@ -623,8 +623,8 @@ class InstanceObjective(Objective):
           ``1e-12 (1 + 2s)``.  The widening, ``CURVE_WIDENING`` on the
           chord and ``(1 + s)`` times it on the secant, covers both and
           the ``2**-43`` of each ``exp`` below, for any ``s`` (a secant
-          from ``tau = 0`` through a probe at ``tau / 2**60`` has
-          ``s ~ 2**60`` and bounds nothing, soundly);
+          from ``tau = 0`` through a probe at ``tau / 2**33`` has
+          ``s ~ 2**33`` and bounds nothing, soundly);
         * so ``r_hi = e**-low`` bounds every row at or above the floor, and
           every row below it too: ``low`` is below the kept rows'
           ``log(b / floor)``.  ``r_lo = e**-high - 2**-46`` bounds every

@@ -19,13 +19,13 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import operator
 import time
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import starmap
-from operator import attrgetter
 
 import numpy as np
 
@@ -66,10 +66,11 @@ class SolverConfig:
 
     ``method`` may be a :class:`Method` or its value, such as ``"eg"``.
     ``linesearch`` may be :class:`ArmijoParams` or :class:`ConstantStep`;
-    ``None`` selects each method's default in :func:`solve`: Armijo with
-    the default constants for the geodesic methods, and for the
-    mirror-descent method the guaranteed constant step
-    :func:`relative_lipschitz_step` of the objective's data ``b``.
+    ``None`` selects each method's default in :func:`solve`: Armijo from
+    ``tau_bar = 1`` for the geodesic methods, and for the mirror-descent
+    method the guaranteed constant step :func:`relative_lipschitz_step` of
+    the objective's data ``b``.  ``max_iterations`` is an integer of at
+    least 1.
     """
 
     method: Method
@@ -79,6 +80,10 @@ class SolverConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "method", Method(self.method))
+        try:  # numpy's integers pass; a float cap such as nan would stop no run
+            object.__setattr__(self, "max_iterations", operator.index(self.max_iterations))
+        except TypeError:
+            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}") from None
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if not self.grad_norm_tol >= 0:
@@ -99,7 +104,7 @@ class IterationRecord:
 # Column order of the CSV serialization.
 TRACE_FIELDS = tuple(field.name for field in fields(IterationRecord))
 _INT_FIELDS = {field.name for field in fields(IterationRecord) if field.type == "int"}
-_field_values = attrgetter(*TRACE_FIELDS)
+_field_values = operator.attrgetter(*TRACE_FIELDS)
 
 
 class TraceRecords(Sequence):
@@ -150,9 +155,8 @@ class RunTrace:
     ``search_status`` is the status of the failed Armijo search that ended
     a ``step_tol`` run, the only way a run ends so, and ``None`` for any
     other run: ``HIT_TAU_MIN`` when no trial passed, down to the last
-    trial step (the smallest at or above ``tau_min``, or the one
-    ``MAX_HALVINGS`` halvings below ``tau_bar`` when that comes first),
-    ``CLAMPED`` when no trial point was usable.
+    trial step ``tau_bar * 2**-(TRIAL_STEPS - 1)`` (see
+    :mod:`egmin.linesearch`), ``CLAMPED`` when no trial point was usable.
     """
 
     records: TraceRecords
@@ -288,8 +292,7 @@ def check_termination(record: IterationRecord, config: SolverConfig) -> Terminal
     No step size ends a run here: an accepted step, however short, is
     progress.  Only a failed Armijo search ends a run ``step_tol``, in
     :func:`solve`: one in which no trial passed, down to the last trial
-    step (the smallest at or above ``tau_min``, or the one
-    ``MAX_HALVINGS`` halvings below ``tau_bar`` when that comes first).
+    step ``tau_bar * 2**-(TRIAL_STEPS - 1)`` (see :mod:`egmin.linesearch`).
     """
     if not (math.isfinite(record.f) and math.isfinite(record.riem_grad_norm)):
         return TerminalStatus.NON_FINITE
@@ -325,7 +328,7 @@ METHOD_RULES = {
 
 
 def _default_policy(method: Method, obj: Objective) -> ArmijoParams | ConstantStep:
-    """Armijo with the default constants for a geodesic method; for the
+    """Armijo from ``tau_bar = 1`` for a geodesic method; for the
     mirror-descent method the guaranteed step of the objective's data
     ``b`` (an :class:`egmin.problems.InstanceObjective` holds it), which
     an objective without data cannot give."""

@@ -68,17 +68,17 @@ class OracleReport:
         return json.dumps(asdict(self))
 
 
-def fd_gradient_check(obj: Objective, x, h=None, tol: float = 1e-6) -> list[OracleReport]:
+def fd_gradient_check(obj: Objective, x, tol: float = 1e-6) -> list[OracleReport]:
     """Central-difference check of the analytic gradient, one report per coordinate.
 
-    The default step is ``1e-6 * max(1, |x_i|)``, halved as needed so the
+    The step is ``1e-6 * max(1, |x_i|)``, halved as needed so the
     backward sample stays inside the positive orthant.
     """
     x = as_point(x)
     _, grad = obj.value_and_grad(x)
     reports = []
     for i in range(x.size):
-        hi = float(h) if h is not None else 1e-6 * max(1.0, abs(x[i]))
+        hi = 1e-6 * max(1.0, abs(x[i]))
         while x[i] - hi <= 0.0:
             hi *= 0.5
         xp = x.copy()
@@ -117,14 +117,14 @@ def geodesic_ode_oracle(x, v, tau: float, steps: int = 1000) -> np.ndarray:
     return state[0]
 
 
-def md_argmin_oracle(x, euclid_grad, tau: float, max_expand: int = 200) -> np.ndarray:
+def md_argmin_oracle(x, euclid_grad, tau: float) -> np.ndarray:
     """Per-coordinate bisection solution of the proximal characterization.
 
     The multiplicative step minimizes
     ``tau * <g, u - x> + KL(u, x)``, which separates per coordinate with
     stationarity condition ``tau * g_i + log(u / x_i) = 0``.  The root is
-    bracketed by doubling/halving and bisected; never evaluates the
-    closed-form update it is checking.
+    bracketed by at most 200 doublings or halvings and bisected; never
+    evaluates the closed-form update it is checking.
     """
     x = as_point(x)
     g = np.asarray(euclid_grad, dtype=float)
@@ -140,7 +140,7 @@ def md_argmin_oracle(x, euclid_grad, tau: float, max_expand: int = 200) -> np.nd
         # Halve towards a root below x_i (phi(x_i) > 0), else double, until phi changes sign.
         sign, factor = (1.0, 0.5) if val > 0.0 else (-1.0, 2.0)
         u = x[i]
-        for _ in range(max_expand):
+        for _ in range(200):
             u *= factor
             if sign * phi(u) < 0.0:
                 break

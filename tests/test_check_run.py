@@ -39,15 +39,34 @@ def _bump(record: dict, key: str) -> None:
     record[key] = type(record[key])(int(record[key]) + 1)
 
 
+def _set_halvings(stats: dict, row: dict, halvings: int) -> None:
+    # Sets a record's halvings, with the trials rejected on their value
+    # changed to match, so that every trial is still counted once.
+    stats["rejected_by"]["value"] += halvings - int(row["halvings"])
+    row["halvings"] = str(halvings)
+
+
+def _end_in_a_failed_search(stats: dict, rows: list, search_status) -> None:
+    # A failed search, and only one, makes TRIAL_STEPS = 34 halvings: the
+    # last record of a step_tol run.
+    stats.update(terminal_status="step_tol", search_status=search_status)
+    _set_halvings(stats, rows[-1], 34)
+
+
 # Each edits eg's summary entry and the rows of trace_eg.csv (str cells).
 MUTATIONS = {
     "not strict JSON": lambda stats, rows: stats.update(wall_seconds=math.nan),
     "forward + adjoint": lambda stats, rows: _bump(stats, "forward_applications"),
     "screened_by": lambda stats, rows: _bump(stats["screened_by"], "kl"),
     "halvings": lambda stats, rows: _bump(rows[1], "halvings"),
+    "trace_eg.csv has no records": lambda stats, rows: rows.clear(),
+    "34 halvings at k = 1, not below 34": lambda stats, rows: _set_halvings(stats, rows[1], 34),
+    "34 halvings at k = 30, not below 34": lambda stats, rows: _set_halvings(stats, rows[-1], 34),
+    "the step_tol run ends at": lambda stats, rows: stats.update(terminal_status="step_tol",
+                                                                search_status="hit_tau_min"),
     "ended non_finite": lambda stats, rows: stats.update(terminal_status="non_finite"),
     "search_status clamped on a max_iter run": lambda stats, rows: stats.update(search_status="clamped"),
-    "search_status None on a step_tol run": lambda stats, rows: stats.update(terminal_status="step_tol"),
+    "search_status None on a step_tol run": lambda stats, rows: _end_in_a_failed_search(stats, rows, None),
     "probes 0 are not nested": lambda stats, rows: stats.update(probes_wasted=1, probes_met=1),
     "probes below the curve screen's gate": lambda stats, rows: stats.update(probes=1),
     "iterations = 31": lambda stats, rows: _bump(stats, "iterations"),
@@ -62,11 +81,12 @@ def mutated_copy(clean_run, tmp_path, mutation) -> Path:
     shutil.copytree(clean_run, run)
     summary = json.loads((run / "summary.json").read_text())
     with open(run / "trace_eg.csv", newline="") as f:
-        rows = list(csv.DictReader(f))
+        reader = csv.DictReader(f)
+        rows = list(reader)
     mutation(summary["methods"]["eg"], rows)
     (run / "summary.json").write_text(json.dumps(summary))  # NaN as NaN
     with open(run / "trace_eg.csv", "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=list(rows[0]))
+        writer = csv.DictWriter(f, fieldnames=reader.fieldnames)
         writer.writeheader()
         writer.writerows(rows)
     return run
@@ -95,6 +115,14 @@ def test_a_null_final_f_matches_a_non_finite_f(clean_run, tmp_path, f):
         rows[-1]["f"] = f
 
     assert check_run(mutated_copy(clean_run, tmp_path, non_finite_end)) == []
+
+
+@pytest.mark.parametrize("search_status", ["hit_tau_min", "clamped"])
+def test_a_step_tol_run_ends_at_a_failed_search(clean_run, tmp_path, search_status):
+    def failed(stats, rows):
+        _end_in_a_failed_search(stats, rows, search_status)
+
+    assert check_run(mutated_copy(clean_run, tmp_path, failed)) == []
 
 
 def test_a_missing_trace_is_a_problem(clean_run, tmp_path):

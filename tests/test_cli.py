@@ -196,7 +196,7 @@ class TestSolveCommand:
     ]
 
     # Removed options, which must stay unknown: a step-size stop, a halving
-    # cap, and the Armijo constants, fixed at ArmijoParams' defaults.
+    # cap, and the Armijo constants, fixed in egmin.linesearch.
     REMOVED = [
         ("--step-size-tol", "step_size_tol", "1e-10"),
         ("--max-halvings", "max_halvings", "60"),

@@ -40,7 +40,7 @@ from egmin import (
     solve,
 )
 from egmin.geometry import EXP_ARG_MAX
-from egmin.linesearch import MAX_HALVINGS
+from egmin.linesearch import SIGMA, TRIAL_STEPS
 from test_kernels import assert_same_step, reference_update
 
 PROPERTY = settings(
@@ -114,7 +114,7 @@ def test_armijo_terminates(data):
     x = data.draw(arrays(float, n, elements=POINTS))
     kind = data.draw(st.sampled_from(list(GeometryKind)))
     tau_bar = data.draw(TAUS)
-    params = ArmijoParams(tau_bar=tau_bar, tau_min=min(1e-10, tau_bar / 2))
+    params = ArmijoParams(tau_bar=tau_bar)
     obj = make_objective(instance)
     value, grad = obj.value_and_grad(x)
     with np.errstate(over="ignore", invalid="ignore"):  # x**2 * g, and the slope, may overflow
@@ -127,10 +127,10 @@ def test_armijo_terminates(data):
                 armijo_backtrack(obj, x, direction, params, value, grad)
             return
         step = armijo_backtrack(obj, x, direction, params, value, grad)
-    assert step.halvings <= MAX_HALVINGS + 1
+    assert step.halvings <= TRIAL_STEPS
     if step.status is StepStatus.ACCEPTED:
         assert step.new_point.min() > 0.0 and np.all(np.isfinite(step.new_point))
-        assert step.new_value <= value + params.sigma * step.tau * slope
+        assert step.new_value <= value + SIGMA * step.tau * slope
     else:
         assert step.new_point.tobytes() == x.tobytes()
 
@@ -184,9 +184,9 @@ def test_solve_ends_in_a_defined_status(data):
 @pytest.mark.parametrize("scale", [2.0**20, 2.0**40])
 def test_a_constant_step_run_is_the_same_at_any_data_scale(scale):
     # (c b, c x0, c delta) scales f by c and ipemd's step 1 / (2 ||b||_1)
-    # by 1 / c, exactly.  At c = 2**40 that step is 8.7e-15, below the
-    # Armijo floor tau_min = 1e-10; no step size ends a run, so the run must
-    # not end step_tol for it.
+    # by 1 / c, exactly.  At c = 2**40 that step is 8.7e-15, below the last
+    # Armijo trial step from tau_bar = 1, 2**-33; no step size ends a run, so
+    # the run must not end step_tol for it.
     instance, _ = build_instance(8, lam=0.0, seed=0)
     x0 = default_x0(instance.A.cols, seed=0)
     traces = []

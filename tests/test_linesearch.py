@@ -20,7 +20,7 @@ from egmin import (
     metric_inner,
     riemannian_grad,
 )
-from egmin.linesearch import _trial_steps
+from egmin.linesearch import SIGMA, TRIAL_STEPS, _trial_steps
 
 POI = GeometryKind.POISSON_FISHER_RAO
 IP = GeometryKind.INTERIOR_POINT
@@ -40,7 +40,9 @@ class TestParams:
         ],
     )
     def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
+        # tau_bar is the one field; the slope, the halving factor and the
+        # floor are constants, which no caller sets.
+        with pytest.raises(ValueError if list(kwargs) == ["tau_bar"] else TypeError):
             ArmijoParams(**kwargs)
 
     def test_constant_step(self):
@@ -77,19 +79,6 @@ class TestArmijoBacktrack:
         assert result.new_value == pytest.approx(0.5 * (2.0 / np.e - 1.0) ** 2)
         assert result.new_value <= 0.5 - 1e-4 * 1.0 * 2.0
 
-    def test_sigma_near_one_accepts_smaller_step(self):
-        # On the same instance the accepted step shrinks as sigma -> 1:
-        # acceptance needs tau <~ 2(1 - sigma)/3.
-        obj = quadratic_objective([1.0])
-        x = np.array([2.0])
-        _, grad = obj.value_and_grad(x)
-        direction = -riemannian_grad(POI, x, grad)
-        loose = armijo_backtrack(obj, x, direction, ArmijoParams(sigma=1e-4))
-        strict = armijo_backtrack(obj, x, direction, ArmijoParams(sigma=0.999))
-        assert strict.status is StepStatus.ACCEPTED
-        assert strict.tau < loose.tau
-        assert strict.tau <= 2.0 * (1.0 - 0.999)
-
     def test_scaled_direction_still_satisfies_inequality(self):
         obj = quadratic_objective([1.0])
         x = np.array([2.0])
@@ -97,11 +86,10 @@ class TestArmijoBacktrack:
         rgrad = riemannian_grad(POI, x, grad)
         for c in (0.5, 1.0, 3.0):
             direction = -c * rgrad
-            params = ArmijoParams()
-            result = armijo_backtrack(obj, x, direction, params)
+            result = armijo_backtrack(obj, x, direction, ArmijoParams())
             assert result.status is StepStatus.ACCEPTED
             slope = metric_inner(POI, x, rgrad, direction)
-            assert result.new_value <= value + params.sigma * result.tau * slope
+            assert result.new_value <= value + SIGMA * result.tau * slope
 
     def test_zero_gradient_immediate_acceptance(self):
         obj = quadratic_objective([2.0, 3.0])
@@ -127,13 +115,13 @@ class TestArmijoBacktrack:
         x = np.array([1.0])
         result = armijo_backtrack(obj, x, np.array([-1.0]), ArmijoParams())
         assert result.status is StepStatus.HIT_TAU_MIN
-        assert result.tau < 1e-10
+        assert (result.tau, result.halvings) == (2.0**-34, TRIAL_STEPS)
         np.testing.assert_array_equal(result.new_point, x)
         # A failed search makes `halvings` trials, each rejected on its value.
         assert obj.rejected_by == {"kl_term": 0, "value": result.halvings, "unusable": 0}
 
     def test_all_trials_clamped(self):
-        # Direction so large that even tau_min overflows the exponent.
+        # Direction so large that even the last trial step overflows the exponent.
         obj = Objective(value_and_grad=lambda x: (0.0, np.array([-1.0])))
         x = np.array([1.0])
         result = armijo_backtrack(obj, x, np.array([1e308]), ArmijoParams())
@@ -148,11 +136,10 @@ class TestArmijoBacktrack:
             x = rng.uniform(0.1, 5.0, n)
             value, grad = obj.value_and_grad(x)
             rgrad = riemannian_grad(POI, x, grad)
-            params = ArmijoParams()
-            result = armijo_backtrack(obj, x, -rgrad, params, value=value, grad=grad)
+            result = armijo_backtrack(obj, x, -rgrad, ArmijoParams(), value=value, grad=grad)
             assert result.status is StepStatus.ACCEPTED
             norm_sq = metric_inner(POI, x, rgrad, rgrad)
-            assert result.new_value <= value - params.sigma * result.tau * norm_sq
+            assert result.new_value <= value - SIGMA * result.tau * norm_sq
 
     def test_permutation_invariance(self, rng):
         n = 7
@@ -194,7 +181,7 @@ class TestArmijoBacktrack:
             rgrad = riemannian_grad(POI, x, grad)
             result = armijo_backtrack(obj, x, -rgrad, ArmijoParams(), value=value, grad=grad)
             assert result.status is StepStatus.ACCEPTED
-            assert result.halvings <= 60
+            assert result.halvings < TRIAL_STEPS
 
     def test_interior_point_geometry_acceptance(self):
         obj = quadratic_objective([1.0])
@@ -289,7 +276,7 @@ def _steps(params, count):
     # The search's trial steps, formed as it forms them.
     steps = [params.tau_bar]
     while len(steps) < count:
-        steps.append(steps[-1] * params.beta)
+        steps.append(steps[-1] * 0.5)
     return steps
 
 
@@ -318,7 +305,7 @@ class TestProbeFirst:
             x = rng.uniform(0.1, 3.0, n) * 10.0 ** rng.uniform(-3, 3)
             value, grad = obj.value_and_grad(x)
             direction = -riemannian_grad(POI, x, grad)
-            params = ArmijoParams(tau_bar=10.0 ** rng.uniform(-2, 4), beta=rng.choice([0.5, 0.3]))
+            params = ArmijoParams(tau_bar=10.0 ** rng.uniform(-2, 4))
             want = armijo_backtrack(obj, x, direction, params, value, grad)
             assert want.status is StepStatus.ACCEPTED
             index = max(1, want.halvings + int(rng.integers(-3, 4)))
@@ -365,8 +352,8 @@ class TestProbeFirst:
             assert probing.probes == 0
 
     def test_hit_tau_min(self):
-        params = ArmijoParams(tau_min=2.0**-10)
-        for index in (1, 5, 10):
+        params = ArmijoParams()
+        for index in (1, 10, 33):
             results = []
             for probe in (False, True):
                 obj = Objective(value_and_grad=lambda x: (0.0, np.ones_like(x)), value=lambda x: np.inf)
@@ -374,10 +361,10 @@ class TestProbeFirst:
                     obj = _offering(obj, _steps(params, index + 1)[index])
                 results.append(armijo_backtrack(obj, np.array([1.0]), np.array([-1.0]), params))
             self._same(results[1], results[0])
-            assert results[0].status is StepStatus.HIT_TAU_MIN and results[0].halvings == 11
+            assert results[0].status is StepStatus.HIT_TAU_MIN and results[0].halvings == 34
             assert obj.probes == 1 and obj.probes_wasted == obj.probes_met == 0
             for result in results:
-                assert result.tau == _failed_tau(params, result) == 2.0**-11
+                assert result.tau == _failed_tau(params, result) == 2.0**-34
 
     def test_all_trials_clamped(self):
         for index in (1, 30, 60):
@@ -393,11 +380,18 @@ class TestProbeFirst:
                 assert result.tau == _failed_tau(ArmijoParams(), result) == 2.0**-34
 
     def test_trial_steps_are_formed_once_by_repeated_multiplication(self):
-        for params, count in ((ArmijoParams(), 34), (ArmijoParams(tau_min=2.0**-10), 11),
-                              (ArmijoParams(tau_bar=3.0, beta=0.3, tau_min=1e-3), 7)):
+        # At any tau_bar, TRIAL_STEPS = 34 steps tau_bar * 2**-k, formed once by
+        # repeated halving; a failed search returns tau_bar * 2**-34 after 34 halvings.
+        assert TRIAL_STEPS == 34
+        for tau_bar in (1.0, 3.0, 50.0, 2.0**-400, 2.0**400):
+            params = ArmijoParams(tau_bar)
             steps = _trial_steps(params)
-            assert list(steps) == _steps(params, count)
-            assert _trial_steps(ArmijoParams(**vars(params))) is steps
+            assert [step.hex() for step in steps] == [(tau_bar * 2.0**-k).hex() for k in range(34)]
+            assert _trial_steps(ArmijoParams(tau_bar)) is steps
+            obj = Objective(value_and_grad=lambda x: (0.0, np.ones_like(x)), value=lambda x: np.inf)
+            result = armijo_backtrack(obj, np.array([1.0]), np.array([-1.0]), params)
+            assert result.status is not StepStatus.ACCEPTED  # at 2**400 every trial underflows
+            assert (result.tau.hex(), result.halvings) == ((tau_bar * 2.0**-34).hex(), 34)
 
     def test_unusable_probe(self):
         # The exponent overflows down to tau = 2**-4 (|w tau| = 1000 tau > 700 above

@@ -129,7 +129,7 @@ RETRACTIONS = {
     "geodesic-interior-point": (GeometryKind.INTERIOR_POINT, geodesic_retraction),
     "quotient-interior-point": (GeometryKind.INTERIOR_POINT, quotient_retraction),
 }
-PARAMS = [ArmijoParams(), ArmijoParams(sigma=0.3, beta=0.1, tau_bar=50.0, tau_min=1e-12)]
+PARAMS = [ArmijoParams(), ArmijoParams(tau_bar=50.0)]
 
 
 @PROPERTY

@@ -36,6 +36,7 @@ from egmin import (
     step_ip_e_md,
 )
 from egmin.geometry import GeometryKind
+from egmin.linesearch import SIGMA
 from egmin.solvers import TRACE_FIELDS, RunTrace, TraceRecords, quotient_retraction
 from egmin.verification import md_argmin_oracle
 
@@ -69,18 +70,19 @@ def solve_grad_norm(kind, x, g) -> float:
 
 
 def armijo_slope(x, g, direction) -> float:
-    """The slope ``armijo_backtrack`` uses: with ``f(x) = 0``, ``sigma = 1/2``
-    and ``tau_bar = 1`` the first trial's limit is exactly ``slope / 2``."""
-    limits = []
+    """The slope ``armijo_backtrack`` uses: with ``f(x) = 0`` and ``tau_bar
+    = 1 / SIGMA``, ``SIGMA * tau`` is exactly ``2**-k`` at the ``k``-th trial
+    step, so a usable trial's limit divided by it is exactly the slope."""
+    slopes = []
 
     def value(u, limit, search=None, tau=0.0):
-        limits.append(limit)
+        slopes.append(limit / (SIGMA * tau))
         return limit
 
     obj = Objective(value_and_grad=lambda u: (0.0, g))
     obj.value = value
-    armijo_backtrack(obj, x, direction, ArmijoParams(sigma=0.5), value=0.0, grad=g)
-    return 2.0 * limits[0]
+    armijo_backtrack(obj, x, direction, ArmijoParams(tau_bar=1.0 / SIGMA), value=0.0, grad=g)
+    return slopes[0]
 
 
 class TestSteps:
@@ -227,13 +229,14 @@ class TestCheckTermination:
         assert check_termination(self.rec(gnorm=1e-7), self.CONFIG) is TerminalStatus.GRAD_TOL
 
     def test_a_short_accepted_step_does_not_end_a_run(self):
-        # The first search on this steep quadratic accepts tau = 2**-38, below
-        # 1e-10: an accepted step is progress, however short, so the run goes
-        # on to its cap, and only a failed search could end it step_tol.
-        config = SolverConfig(Method.EG, ArmijoParams(tau_min=1e-14), max_iterations=5, grad_norm_tol=0.0)
+        # The first search on this steep quadratic accepts tau = 2**-38, its
+        # 28th halving from tau_bar = 2**-10: an accepted step is progress,
+        # however short, so the run goes on to its cap, and only a failed
+        # search could end it step_tol.
+        config = SolverConfig(Method.EG, ArmijoParams(2.0**-10), max_iterations=5, grad_norm_tol=0.0)
         with np.errstate(over="ignore"):  # a trial far past the minimum has f = inf, and fails
             trace = solve(config, quadratic_objective([1.0], scale=1e12), np.array([2.0]))
-        assert trace.records[1].tau == 2.0**-38
+        assert (trace.records[1].tau, trace.records[1].halvings) == (2.0**-38, 28)
         assert trace.terminal_status is TerminalStatus.MAX_ITER and trace.records[-1].k == 5
         assert trace.search_status is None
 
@@ -371,6 +374,18 @@ class TestSolve:
         with pytest.raises(ValueError, match="is not a valid Method"):
             SolverConfig(method)
 
+    @pytest.mark.parametrize("cap", [math.nan, math.inf, 2.5, 3.0, "3", None, 0, -1, np.int64(0)])
+    def test_config_rejects_a_cap_that_is_not_a_positive_integer(self, cap):
+        # A nan cap would never be reached, and 2.5 would run 3 iterations.
+        with pytest.raises(ValueError, match="max_iterations"):
+            SolverConfig(Method.EG, max_iterations=cap)
+
+    def test_config_takes_a_numpy_integer_cap(self):
+        config = SolverConfig(Method.EG, max_iterations=np.int64(2))
+        assert config.max_iterations == 2 and type(config.max_iterations) is int
+        trace = solve(config, quadratic_objective([1.0]), np.array([2.0]))
+        assert trace.terminal_status is TerminalStatus.MAX_ITER and trace.records[-1].k == 2
+
     def test_ipemd_defaults_to_the_guaranteed_step_of_its_data(self, tmp_path):
         instance, _ = build_instance(8, seed=1)
         x0 = default_x0(instance.A.cols, seed=2)
@@ -400,14 +415,13 @@ class TestSolve:
         m, n = 8, 12
         a_mat = rng.uniform(0.1, 1.0, (m, n))
         b = a_mat @ rng.uniform(0.5, 1.5, n)
-        params = ArmijoParams(sigma=0.3, tau_bar=50.0)
-        config = SolverConfig(method=Method.IP_E_MD, linesearch=params, max_iterations=40)
+        config = SolverConfig(method=Method.IP_E_MD, linesearch=ArmijoParams(tau_bar=50.0), max_iterations=40)
         trace = solve(config, dense_kl_objective(a_mat, b), rng.uniform(0.5, 1.5, n))
         assert trace.terminal_status in (TerminalStatus.MAX_ITER, TerminalStatus.GRAD_TOL)
         assert any(rec.halvings > 0 for rec in trace.records[1:])
         for prev, rec in zip(trace.records, trace.records[1:]):
-            # Armijo in the interior-point metric: f+ <= f - sigma * tau * ||x^2 g||_x^2.
-            decrease = params.sigma * rec.tau * prev.riem_grad_norm**2
+            # Armijo in the interior-point metric: f+ <= f - SIGMA * tau * ||x^2 g||_x^2.
+            decrease = SIGMA * rec.tau * prev.riem_grad_norm**2
             assert rec.f <= prev.f - decrease * (1.0 - 1e-9)
 
     def test_ipemd_armijo_halves_an_infeasible_trial(self):
@@ -551,7 +565,7 @@ class TestSolve:
         assert trace.summary_dict()["search_status"] == "hit_tau_min"
 
     def test_step_tol_names_a_search_with_only_clamped_trials(self):
-        # |tau * g| > 700 down to tau_min = 1e-10: every trial point is clamped.
+        # |tau * g| > 700 down to the last trial step 2**-33: every trial point is clamped.
         obj = Objective(value_and_grad=lambda x: (0.0, np.full_like(x, 1e13)))
         trace = solve(SolverConfig(method=Method.EG), obj, np.array([1.0]))
         assert trace.terminal_status is TerminalStatus.STEP_TOL

@@ -10,9 +10,13 @@ every method of the run it checks that:
 - ``summary.json`` is strict JSON (no NaN or infinite constant);
 - ``forward_applications + adjoint_applications == total_matvecs``;
 - ``screened_by`` adds up to ``screened_trials``;
+- ``trace_<method>.csv`` holds at least one record;
 - every Armijo trial is counted once: the halvings of the trace, plus the
   wasted probes that did not meet their limit, are the screened and the
   rejected trials;
+- every record's ``halvings`` is below ``TRIAL_STEPS``, but the last
+  record of a ``step_tol`` run, whose failed search made exactly
+  ``TRIAL_STEPS`` halvings;
 - the status is not ``non_finite``, and ``search_status`` is set if and
   only if the status is ``step_tol`` (only a failed search ends a run so);
 - the probes that met their limit are among the wasted ones, and those
@@ -46,6 +50,7 @@ from collections.abc import Iterable
 from pathlib import Path
 
 from egmin import read_trace_csv
+from egmin.linesearch import TRIAL_STEPS
 from egmin.problems import CURVE_NNZ_PER_ROW
 
 
@@ -70,7 +75,8 @@ def lookup(summary: dict, path: str):
 
 
 def method_problems(stats: dict, records, below_gate: bool) -> list[str]:
-    """What is wrong with one method's summary entry and trace records."""
+    """What is wrong with one method's summary entry and its trace records,
+    of which there is at least one."""
     problems = []
     applied = stats["forward_applications"] + stats["adjoint_applications"]
     if applied != stats["total_matvecs"]:
@@ -84,6 +90,15 @@ def method_problems(stats: dict, records, below_gate: bool) -> list[str]:
     if halvings + stats["probes_wasted"] - stats["probes_met"] != counted:
         problems.append(f"{halvings} halvings and {stats['probes_wasted']} wasted probes, of which"
                         f" {stats['probes_met']} met their limit, but {counted} screened or rejected trials")
+    # An accepting search makes fewer than TRIAL_STEPS halvings; a failed
+    # one, the last of a step_tol run, makes exactly TRIAL_STEPS.
+    last = records[-1]
+    step_tol = stats["terminal_status"] == "step_tol"
+    for rec in records[:-1] if step_tol else records:
+        if rec.halvings >= TRIAL_STEPS:
+            problems.append(f"{rec.halvings} halvings at k = {rec.k}, not below {TRIAL_STEPS}")
+    if step_tol and last.halvings != TRIAL_STEPS:
+        problems.append(f"the step_tol run ends at {last.halvings} halvings, not {TRIAL_STEPS}")
     if stats["terminal_status"] == "non_finite":
         problems.append("ended non_finite")
     if (stats["search_status"] is None) == (stats["terminal_status"] == "step_tol"):
@@ -93,7 +108,6 @@ def method_problems(stats: dict, records, below_gate: bool) -> list[str]:
                         f" and probes {stats['probes']} are not nested")
     if below_gate and stats["probes"]:
         problems.append(f"{stats['probes']} probes below the curve screen's gate")
-    last = records[-1]
     if stats["iterations"] != last.k:
         problems.append(f"iterations = {stats['iterations']}, but the trace ends at k = {last.k}")
     if stats["total_matvecs"] != last.matvec_count:
@@ -124,6 +138,9 @@ def check_run(run_dir, expect: Iterable = (), require: Iterable[str] = ()) -> li
             records = read_trace_csv(run_dir / f"trace_{name}.csv")
         except (OSError, KeyError, ValueError) as exc:  # missing, or not a trace
             problems.append(f"{name}: trace_{name}.csv: {exc!r}")
+            continue
+        if not records:
+            problems.append(f"{name}: trace_{name}.csv has no records")
             continue
         problems += [f"{name}: {problem}" for problem in method_problems(stats, records, below_gate)]
     for key in ENVIRONMENT:
